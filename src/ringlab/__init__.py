@@ -5,7 +5,9 @@ Subpackages: devicemodel (configuration and units), supermodes
 (avoided-crossing eigenproblem and coupling efficiency), spectra (bus
 transmission and dip extraction), squeezing (intensity-difference noise
 spectrum), langevin (stochastic verification), fitters (least-squares
-parameter estimation), cli (command-line front end).
+parameter estimation), cli (command-line front end).  The physics
+functions of supermodes and squeezing take scalars or numpy arrays, so a
+sweep is one array call whose results are columns.
 """
 
 from .devicemodel import (
@@ -25,7 +27,7 @@ from .errors import ConfigError, DataError, FitError
 from .fitters import CrossingDataset, FitResult, fit_avoided_crossing, fit_lorentzian_dip, weighted_linear_fit
 from .langevin import LangevinRun, NoiseSpectrum, analytic_psd, output_psd, simulate_difference_quadrature
 from .spectra import TransmissionDip, TransmissionTrace, eta_c_from_tmin, find_dips, transmission
-from .squeezing import SqueezingPoint, infer_onchip, squeezing_spectrum, squeezing_vs_coupling
+from .squeezing import infer_onchip, squeezing_level, squeezing_vs_coupling
 from .supermodes import SupermodeSolution, effective_rates, eta_c_vs_heater, supermode_frequencies, supermode_vectors
 
 __version__ = "0.1.0"
@@ -43,7 +45,6 @@ __all__ = [
     "LangevinRun",
     "NoiseSpectrum",
     "RingParams",
-    "SqueezingPoint",
     "SupermodeSolution",
     "TransmissionDip",
     "TransmissionTrace",
@@ -62,7 +63,7 @@ __all__ = [
     "load_config",
     "output_psd",
     "simulate_difference_quadrature",
-    "squeezing_spectrum",
+    "squeezing_level",
     "squeezing_vs_coupling",
     "supermode_frequencies",
     "supermode_vectors",

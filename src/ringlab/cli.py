@@ -11,10 +11,10 @@ output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .csvio import format_value, load_csv, write_csv
 from .errors import ConfigError, DataError, FitError
 
 RANGE_REL_TOL = 1e-9          # stop is included when on-grid within this
+RANGE_MAX_POINTS = 10**7      # larger grids are refused before any allocation
 SEGMENT_SAMPLES = 4096        # Welch segment length for langevin-verify
 
 EXIT_CODES_HELP = """\
@@ -49,6 +50,8 @@ def parse_range(text: str) -> np.ndarray:
     if stop < start:
         raise argparse.ArgumentTypeError(f"range stop must be >= start: {text!r}")
     span = stop - start
+    if not span / step < RANGE_MAX_POINTS:  # also an infinite span, which int() cannot take
+        raise argparse.ArgumentTypeError(f"range has more than {RANGE_MAX_POINTS} points: {text!r}")
     k = int(round(span / step))
     scale = max(abs(start), abs(stop), abs(step))
     if abs(k * step - span) <= RANGE_REL_TOL * scale:
@@ -94,53 +97,29 @@ def _open_out(path: str):
             yield stream
 
 
-def _load_trace(path: str) -> spectra.TransmissionTrace:
-    """Trace CSV with either omega_rad_s or wavelength_nm as the axis."""
-    try:
-        header_line = next(
-            line for line in Path(path).read_text(encoding="utf-8").splitlines()
-            if line.strip() and not line.lstrip().startswith("#")
-        )
-    except OSError as exc:
-        raise DataError(f"data file: {exc}") from None
-    except StopIteration:
-        raise DataError(f"{path}: empty file (no header row)") from None
-    if "omega_rad_s" in header_line:
-        rows = load_csv(path, {"omega_rad_s": float, "t_power": float})
-        omega = np.array([row["omega_rad_s"] for row in rows])
-        t = np.array([row["t_power"] for row in rows])
-    else:
-        rows = load_csv(path, {"wavelength_nm": float, "t_power": float})
-        omega = np.array([devicemodel.pump_angular_frequency(row["wavelength_nm"]) for row in rows])
-        t = np.array([row["t_power"] for row in rows])
-    order = np.argsort(omega)
-    return spectra.TransmissionTrace(omega_grid=omega[order], t_power=t[order])
+def _rows(*columns):
+    """CSV rows from columns; arrays go out as Python floats, which format faster."""
+    return zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
 
 
-def _load_crossing(path: str) -> fitters.CrossingDataset:
+def _load_columns(path: str, schema: dict[str, type], frequency: str, wavelength: str) -> dict:
+    """Columns of a CSV file under `schema`, whose `frequency` column (rad/s)
+    may instead be given as vacuum wavelengths in a `wavelength` column (nm),
+    converted here.  Only the header line is read to tell which; the file
+    is parsed once, by load_csv.
+    """
     try:
-        header_line = next(
-            line for line in Path(path).read_text(encoding="utf-8").splitlines()
-            if line.strip() and not line.lstrip().startswith("#")
-        )
+        with open(path, encoding="utf-8") as stream:
+            header = next((line for line in stream if line.strip() and not line.lstrip().startswith("#")), "")
     except OSError as exc:
         raise DataError(f"data file: {exc}") from None
-    except StopIteration:
-        raise DataError(f"{path}: empty file (no header row)") from None
-    if "resonance_rad_s" in header_line:
-        schema = {"p1_mw": float, "p2_mw": float, "branch": str, "resonance_rad_s": float}
-        rows = load_csv(path, schema)
-        res = [row["resonance_rad_s"] for row in rows]
-    else:
-        schema = {"p1_mw": float, "p2_mw": float, "branch": str, "resonance_nm": float}
-        rows = load_csv(path, schema)
-        res = [devicemodel.pump_angular_frequency(row["resonance_nm"]) for row in rows]
-    return fitters.CrossingDataset(
-        p1_mw=np.array([row["p1_mw"] for row in rows]),
-        p2_mw=np.array([row["p2_mw"] for row in rows]),
-        branch=tuple(row["branch"] for row in rows),
-        resonance_rad_s=np.array(res),
-    )
+    if frequency not in header:
+        schema = {wavelength if name == frequency else name: kind for name, kind in schema.items()}
+    rows = load_csv(path, schema)
+    columns = {name: [row[name] for row in rows] for name in schema}
+    if wavelength in columns:
+        columns[frequency] = devicemodel.pump_angular_frequency(np.array(columns.pop(wavelength)))
+    return columns
 
 
 # --- commands -----------------------------------------------------------------
@@ -188,27 +167,27 @@ def cmd_transmission(args) -> int:
 
 def cmd_crossing_sweep(args) -> int:
     config = devicemodel.load_config(args.config)
-    rows = []
-    min_split = math.inf
-    for p1 in args.p1:
-        upper, lower = supermodes.solve_both(config, float(p1), args.p2)
-        min_split = min(min_split, upper.omega - lower.omega)
-        rows.append((float(p1), args.p2, "lower", lower.omega))
-        rows.append((float(p1), args.p2, "upper", upper.omega))
+    upper, lower = supermodes.solve_both(config, args.p1, args.p2)
     with _open_out(args.out) as stream:
-        write_csv(stream, ["p1_mw", "p2_mw", "branch", "resonance_rad_s"], rows)
-    _status(f"crossing-sweep: {len(rows)} rows, minimum splitting {format_value(min_split)} rad/s")
+        write_csv(stream, ["p1_mw", "p2_mw", "branch", "resonance_rad_s"], _rows(
+            np.repeat(args.p1, 2),
+            itertools.repeat(args.p2),
+            itertools.cycle(("lower", "upper")),
+            np.column_stack([lower.omega, upper.omega]).ravel(),
+        ))
+    min_split = float(np.min(upper.omega - lower.omega))
+    _status(f"crossing-sweep: {2 * args.p1.size} rows, minimum splitting {format_value(min_split)} rad/s")
     return 0
 
 
 def cmd_etac_sweep(args) -> int:
     config = devicemodel.load_config(args.config)
-    points = supermodes.eta_c_vs_heater(config, args.branch, args.p1, args.p2)
+    sol = supermodes.eta_c_vs_heater(config, args.branch, args.p1, args.p2)
     with _open_out(args.out) as stream:
-        write_csv(stream, ["p1_mw", "omega_rad_s", "eta_c", "tau_c_s"], points)
+        write_csv(stream, ["p1_mw", "omega_rad_s", "eta_c", "tau_c_s"], _rows(args.p1, sol.omega, sol.eta_c, sol.tau_c))
     _status(
         "etac-sweep: eta_c from {} to {} over {} points".format(
-            format_value(points[0].eta_c), format_value(points[-1].eta_c), len(points)
+            format_value(float(sol.eta_c[0])), format_value(float(sol.eta_c[-1])), sol.eta_c.size
         )
     )
     return 0
@@ -217,28 +196,29 @@ def cmd_etac_sweep(args) -> int:
 def cmd_squeeze_sweep(args) -> int:
     config = devicemodel.load_config(args.config)
     omega_sideband = 2.0 * math.pi * args.sideband_mhz * 1e6
-    rows = squeezing.squeezing_vs_coupling(config, args.branch, args.p1, args.p2, omega_sideband)
+    sweep = squeezing.squeezing_vs_coupling(config, args.branch, args.p1, args.p2, omega_sideband)
     with _open_out(args.out) as stream:
-        write_csv(stream, ["eta_c", "s_measured_db", "s_onchip_db", "omega_sideband_hz", "tau_c_s"], rows)
+        write_csv(stream, ["eta_c", "s_measured_db", "s_onchip_db", "omega_sideband_hz", "tau_c_s"], _rows(
+            sweep.eta_c, sweep.s_measured_db, sweep.s_onchip_db,
+            itertools.repeat(sweep.omega_sideband_hz), sweep.tau_c_s,
+        ))
     _status(
         "squeeze-sweep: at eta_c={} measured {} dB, on-chip {} dB".format(
-            format_value(rows[-1].eta_c),
-            format_value(rows[-1].s_measured_db),
-            format_value(rows[-1].s_onchip_db),
+            format_value(float(sweep.eta_c[-1])),
+            format_value(float(sweep.s_measured_db[-1])),
+            format_value(float(sweep.s_onchip_db[-1])),
         )
     )
     return 0
 
 
 def cmd_squeeze_spectrum(args) -> int:
-    rows = []
-    for f_hz in args.f:
-        s = squeezing.squeezing_level(args.eta_c, args.eta_d, args.tau_c, 2.0 * math.pi * float(f_hz))
-        s_db = squeezing.db_from_linear(s)
-        rows.append((float(f_hz), s, s_db, -s_db))
+    s = squeezing.squeezing_level(args.eta_c, args.eta_d, args.tau_c, 2.0 * math.pi * args.f)
+    s_db = squeezing.db_from_linear(s)
     with _open_out(args.out) as stream:
-        write_csv(stream, ["f_hz", "s_linear", "s_db", "squeezing_factor_db"], rows)
-    _status(f"squeeze-spectrum: minimum {format_value(min(r[2] for r in rows))} dB at f={format_value(rows[0][0])} Hz")
+        write_csv(stream, ["f_hz", "s_linear", "s_db", "squeezing_factor_db"], _rows(args.f, s, s_db, -s_db))
+    i = int(np.argmin(s_db))
+    _status(f"squeeze-spectrum: minimum {format_value(float(s_db[i]))} dB at f={format_value(float(args.f[i]))} Hz")
     return 0
 
 
@@ -269,12 +249,10 @@ def cmd_langevin_verify(args) -> int:
         f"gamma_total={format_value(run.gamma_total)}",
         f"kappa_eff={format_value(run.kappa_eff)}",
     ]
-    rows = [
-        (f, p, 10.0 * math.log10(p))
-        for f, p in zip(simulated.freq_grid, simulated.psd_normalized)
-    ]
+    psd = simulated.psd_normalized
     with _open_out(args.out) as stream:
-        write_csv(stream, ["freq_hz", "psd_shotnoise_units", "psd_db"], rows, comments=metadata)
+        write_csv(stream, ["freq_hz", "psd_shotnoise_units", "psd_db"],
+                  _rows(simulated.freq_grid, psd, squeezing.db_from_linear(psd)), comments=metadata)
     _status(
         "langevin-verify: max |simulated - analytic| = {} dB over {} frequencies "
         "(omega <= 3*gamma_total), eta_c={}".format(
@@ -305,7 +283,10 @@ def cmd_shot_cal(args) -> int:
 
 
 def cmd_fit_crossing(args) -> int:
-    data = _load_crossing(args.data)
+    data = fitters.CrossingDataset(**_load_columns(
+        args.data, {"p1_mw": float, "p2_mw": float, "branch": str, "resonance_rad_s": float},
+        "resonance_rad_s", "resonance_nm",
+    ))
     result = fitters.fit_avoided_crossing(
         data,
         initial=parse_assignments(args.init) or None,
@@ -322,7 +303,10 @@ def cmd_fit_crossing(args) -> int:
 
 
 def cmd_fit_dip(args) -> int:
-    trace = _load_trace(args.data)
+    columns = _load_columns(args.data, {"omega_rad_s": float, "t_power": float}, "omega_rad_s", "wavelength_nm")
+    omega, t = np.array(columns["omega_rad_s"]), np.array(columns["t_power"])
+    order = np.argsort(omega)
+    trace = spectra.TransmissionTrace(omega_grid=omega[order], t_power=t[order])
     window = args.window if args.window is not None else (0, trace.omega_grid.size)
     result = fitters.fit_lorentzian_dip(trace, window)
     rows = [

@@ -43,6 +43,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError
 
 C_VACUUM = 299792458.0  # m/s
@@ -186,21 +188,38 @@ def validate_config(config: DeviceConfig) -> ValidatedConfig:
     )
 
 
-def heater_detuning(heater: HeaterModel, power_mw: float) -> float:
-    """Resonance shift (rad/s) produced by the given heater power.
+def first_flagged(bad, values):
+    """The entry of `values` at the first set position of the mask `bad`
+    (flat order) as a Python scalar, or None when no position is set.
+
+    Lets a check over a whole grid name the value a loop over the grid
+    would have stopped at.
+    """
+    bad = np.asarray(bad)
+    if not bad.any():
+        return None
+    return np.broadcast_to(values, bad.shape).flat[int(np.argmax(bad))].item()
+
+
+def heater_detuning(heater: HeaterModel, power_mw):
+    """Resonance shift (rad/s) produced by the given heater power(s).
 
     Positive power red-shifts, so the returned detuning is -alpha*power.
     The ring resonance at power P is omega0 + heater_detuning(heater, P).
+    power_mw is a scalar or an array; out of range, the error names the
+    first offending power.
     """
-    if not 0.0 <= power_mw <= heater.p_max_mw:
+    power = np.asarray(power_mw)
+    bad = first_flagged(~((0.0 <= power) & (power <= heater.p_max_mw)), power)
+    if bad is not None:
         raise ValueError(
-            f"heater power {power_mw} mW outside [0, {heater.p_max_mw}] mW"
+            f"heater power {bad} mW outside [0, {heater.p_max_mw}] mW"
         )
     return -heater.alpha * power_mw
 
 
-def ring_frequency(ring: RingParams, power_mw: float) -> float:
-    """Heater-shifted resonance frequency of one ring, rad/s."""
+def ring_frequency(ring: RingParams, power_mw):
+    """Heater-shifted resonance frequency of one ring, rad/s (scalar or array)."""
     return ring.omega0 + heater_detuning(ring.heater, power_mw)
 
 
@@ -374,12 +393,14 @@ def parse_config(text: str) -> DeviceConfig:
     stages = []
     for key in parser["detection"]:
         value = _parse_float(parser["detection"], key, "detection")
+        name = key[: -len("_loss_db")] if key.endswith("_loss_db") else key
+        if name in dict(stages):
+            raise ConfigError(f"detection.{name}: stage given twice (as {name} and {name}_loss_db)")
         if key.endswith("_loss_db"):
             if value < 0:
                 raise ConfigError(f"detection.{key}: dB loss must be non-negative")
-            stages.append((key[: -len("_loss_db")], db_loss_to_efficiency(value)))
-        else:
-            stages.append((key, value))
+            value = db_loss_to_efficiency(value)
+        stages.append((name, value))
 
     for name in parser.sections():
         if name not in ("ring1", "ring2", "coupling", "detection", "pump"):

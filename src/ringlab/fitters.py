@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import FitError
 from .spectra import DIP_THRESHOLD, TransmissionTrace
+from .supermodes import crossing_geometry
 
 CROSSING_PARAMS = ("kappa_12", "omega1_0", "omega2_0", "alpha1", "alpha2")
 
@@ -72,12 +73,14 @@ class CrossingDataset:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Parameter estimates with standard errors (0.0 for fixed parameters)."""
+    """Parameter estimates with standard errors (0.0 for fixed parameters).
+
+    Only a converged fit returns a result; the fits raise FitError otherwise.
+    """
 
     params: dict[str, float]
     stderr: dict[str, float]
     residual_rms: float
-    converged: bool
     n_iterations: int
     objective_trace: tuple[float, ...]
 
@@ -91,7 +94,6 @@ class DipFitResult:
     fwhm: float
     baseline: float
     stderr: dict[str, float]
-    converged: bool
     n_iterations: int
     mismatch_warning: bool
 
@@ -200,16 +202,14 @@ def crossing_model(params: dict[str, float], p1, p2, branch_sign) -> np.ndarray:
     """Branch eigenfrequencies for heater powers (p1, p2); sign +1 upper, -1 lower."""
     omega1 = params["omega1_0"] - params["alpha1"] * np.asarray(p1, dtype=float)
     omega2 = params["omega2_0"] - params["alpha2"] * np.asarray(p2, dtype=float)
-    delta = 0.5 * (omega1 - omega2)
-    radius = np.hypot(delta, params["kappa_12"])
-    return 0.5 * (omega1 + omega2) + np.asarray(branch_sign, dtype=float) * radius
+    mean, _, radius = crossing_geometry(omega1, omega2, params["kappa_12"])
+    return mean + np.asarray(branch_sign, dtype=float) * radius
 
 
 def _crossing_jacobian(params: dict[str, float], p1, p2, sign, free: list[str]) -> np.ndarray:
     omega1 = params["omega1_0"] - params["alpha1"] * p1
     omega2 = params["omega2_0"] - params["alpha2"] * p2
-    delta = 0.5 * (omega1 - omega2)
-    radius = np.hypot(delta, params["kappa_12"])
+    _, delta, radius = crossing_geometry(omega1, omega2, params["kappa_12"])
     d_w1 = 0.5 + sign * 0.5 * delta / radius
     d_w2 = 0.5 - sign * 0.5 * delta / radius
     columns = {
@@ -316,7 +316,6 @@ def fit_avoided_crossing(
         params={name: params[name] for name in CROSSING_PARAMS},
         stderr=stderr,
         residual_rms=engine.residual_rms,
-        converged=True,
         n_iterations=engine.n_iterations,
         objective_trace=engine.objective_trace,
     )
@@ -405,7 +404,6 @@ def fit_lorentzian_dip(trace: TransmissionTrace, window: tuple[int, int],
         fwhm=abs(float(width)),
         baseline=float(baseline),
         stderr={"omega0": float(sig[0]), "t_min": float(sig[1]), "fwhm": float(sig[2]), "baseline": float(sig[3])},
-        converged=True,
         n_iterations=engine.n_iterations,
         mismatch_warning=material and abs(rho) > 0.5,
     )

@@ -31,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
+
+from .squeezing import squeezing_level
 
 MIN_SEGMENT_SAMPLES = 16
 
@@ -116,6 +117,8 @@ def integrate_difference_quadrature(
     """
     if not 0.0 <= kappa_eff <= gamma_total:
         raise ValueError("kappa_eff must be in [0, gamma_total]")
+    from scipy.signal import lfilter  # here, not at module level: it costs every CLI command ~1 s of import
+
     a = 1.0 - gamma_total * dt
     w = np.sqrt(kappa_eff) * dw_ext + np.sqrt(gamma_total - kappa_eff) * dw_int
     # x[k] = a*x[k-1] + w[k-1]; lfilter realizes y[k] = a*y[k-1] + w[k]
@@ -179,6 +182,14 @@ def averaged_output_psd(run: LangevinRun, n_segments: int) -> NoiseSpectrum:
     The average is a fixed-order sum over trajectory indices, so the
     result depends only on (seed, parameters), not on execution order.
     """
+    # Each trajectory allocates and frees about ten n_steps-long arrays.
+    # glibc hands a freed heap top back to the OS once it exceeds twice the
+    # largest block it has unmapped so far, so unless some earlier large
+    # block was freed, every trajectory page-faults that memory afresh
+    # (~150 000 faults per default langevin-verify run).  Freeing one 30 MB
+    # block first lifts that limit; with other allocators it costs one
+    # allocation that is never touched.
+    np.empty(30_000_000 // 8)
     acc = None
     total_segments = 0
     for trajectory in range(run.n_trajectories):
@@ -195,12 +206,12 @@ def averaged_output_psd(run: LangevinRun, n_segments: int) -> NoiseSpectrum:
 
 
 def analytic_psd(kappa_eff: float, gamma_total: float, freq_grid) -> NoiseSpectrum:
-    """Closed-form output PSD on the given frequency grid (Hz)."""
+    """Closed-form output PSD on the given frequency grid (Hz): the squeezing
+    spectrum with eta_c = kappa_eff/G, tau_c = 1/G and eta_d = 1."""
     if gamma_total <= 0 or not 0.0 <= kappa_eff <= gamma_total:
         raise ValueError("rates must satisfy 0 <= kappa_eff <= gamma_total, gamma_total > 0")
     f = np.asarray(freq_grid, dtype=float)
-    omega = 2.0 * np.pi * f
-    s = 1.0 - (kappa_eff / gamma_total) / (1.0 + (omega / gamma_total) ** 2)
+    s = squeezing_level(kappa_eff / gamma_total, 1.0, 1.0 / gamma_total, 2.0 * np.pi * f)
     return NoiseSpectrum(freq_grid=f, psd_normalized=s, n_segments=0)
 
 

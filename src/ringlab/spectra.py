@@ -64,15 +64,14 @@ class TransmissionTrace:
 class TransmissionDip:
     """One resonance dip extracted from a trace.
 
-    regime stays "indeterminate" until classify_regime resolves the sign
-    of the T_min formula; overlapping dips (separation under 3x the wider
-    fwhm) keep it indeterminate and are flagged.
+    classify_regime resolves the sign of its T_min formula; overlapping
+    dips (separation under 3x the wider fwhm) are flagged, and their
+    regime is indeterminate.
     """
 
     omega_center: float
     t_min: float
     fwhm: float
-    regime: str = REGIME_INDETERMINATE
     overlapping: bool = field(default=False, compare=False)
 
     def __post_init__(self):
@@ -189,7 +188,7 @@ def find_dips(trace: TransmissionTrace, threshold: float = DIP_THRESHOLD,
         if sep < OVERLAP_FACTOR * max(dips[a].fwhm, dips[a + 1].fwhm):
             for b in (a, a + 1):
                 d = flagged[b]
-                flagged[b] = TransmissionDip(d.omega_center, d.t_min, d.fwhm, REGIME_INDETERMINATE, True)
+                flagged[b] = TransmissionDip(d.omega_center, d.t_min, d.fwhm, overlapping=True)
     return flagged
 
 

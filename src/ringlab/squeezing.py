@@ -10,41 +10,40 @@ tau_c the cavity photon lifetime.  S < 1 (negative dB) means squeezing.
 Inference of the on-chip level divides the observed noise reduction
 1 - S by eta_d, which undoes exactly the detection factor and nothing
 else (the Lorentzian cavity roll-off is exposed separately).
+
+The formulas take scalars or numpy arrays alike; S(W) itself is written
+once, in squeezing_level.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .devicemodel import ValidatedConfig, detection_efficiency
+import numpy as np
+
+from .devicemodel import ValidatedConfig, detection_efficiency, first_flagged
 from .supermodes import eta_c_vs_heater
 
 OMEGA_SIDEBAND_DEFAULT = 2.0 * math.pi * 3e6  # rad/s
 
-KIND_MEASURED = "measured"
-KIND_ONCHIP = "onchip"
+# math.log10 applied elementwise: np.log10 differs in the last bit on about
+# a fifth of the values, and the dB tables keep the scalar formula's bytes.
+_log10 = np.frompyfunc(math.log10, 1, 1)
 
 
-@dataclass(frozen=True)
-class SqueezingPoint:
-    """Normalized intensity-difference noise at one sideband frequency."""
-
-    omega_sideband: float
-    eta_c: float
-    eta_d: float
-    tau_c: float
-    s_linear: float
-    s_db: float
-    kind: str
+def _reject(bad, values, message: str) -> None:
+    """ValueError naming the first of `values` flagged in the mask `bad`."""
+    first = first_flagged(bad, values)
+    if first is not None:
+        raise ValueError(f"{message}, got {first}")
 
 
-def db_from_linear(s_linear: float) -> float:
-    """Linear power ratio to dB (10*log10)."""
-    if s_linear <= 0:
-        raise ValueError(f"linear value must be positive, got {s_linear}")
-    return 10.0 * math.log10(s_linear)
+def db_from_linear(s_linear):
+    """Linear power ratio to dB (10*log10); scalar or array."""
+    _reject(np.asarray(s_linear) <= 0, s_linear, "linear value must be positive")
+    db = 10.0 * _log10(s_linear)
+    return db.astype(float) if isinstance(db, np.ndarray) else db
 
 
 def linear_from_db(s_db: float) -> float:
@@ -52,44 +51,18 @@ def linear_from_db(s_db: float) -> float:
     return 10.0 ** (s_db / 10.0)
 
 
-def lorentzian_rolloff(omega_tau_product: float) -> float:
+def lorentzian_rolloff(omega_tau_product):
     """Cavity bandwidth factor 1/(1 + (W*tau_c)^2)."""
     return 1.0 / (1.0 + omega_tau_product * omega_tau_product)
 
 
-def _check_efficiencies(eta_c: float, eta_d: float) -> None:
-    if not 0.0 <= eta_c <= 1.0:
-        raise ValueError(f"eta_c must be in [0, 1], got {eta_c}")
-    if not 0.0 <= eta_d <= 1.0:
-        raise ValueError(f"eta_d must be in [0, 1], got {eta_d}")
-
-
-def squeezing_level(eta_c: float, eta_d: float, tau_c: float, omega_sideband: float) -> float:
-    """Normalized noise S at a single sideband frequency (linear units)."""
-    _check_efficiencies(eta_c, eta_d)
-    if tau_c <= 0:
-        raise ValueError(f"tau_c must be positive, got {tau_c}")
+def squeezing_level(eta_c, eta_d, tau_c, omega_sideband):
+    """Normalized noise S (linear units); every argument a scalar or an array."""
+    for name, eta in (("eta_c", eta_c), ("eta_d", eta_d)):
+        eta = np.asarray(eta)
+        _reject(~((0.0 <= eta) & (eta <= 1.0)), eta, f"{name} must be in [0, 1]")
+    _reject(np.asarray(tau_c) <= 0, tau_c, "tau_c must be positive")
     return 1.0 - eta_c * eta_d * lorentzian_rolloff(omega_sideband * tau_c)
-
-
-def squeezing_spectrum(eta_c: float, eta_d: float, tau_c: float, omega_grid) -> list[SqueezingPoint]:
-    """Pointwise squeezing spectrum over a grid of sideband frequencies."""
-    kind = KIND_ONCHIP if eta_d == 1.0 else KIND_MEASURED
-    points = []
-    for omega in omega_grid:
-        s = squeezing_level(eta_c, eta_d, tau_c, float(omega))
-        points.append(
-            SqueezingPoint(
-                omega_sideband=float(omega),
-                eta_c=eta_c,
-                eta_d=eta_d,
-                tau_c=tau_c,
-                s_linear=s,
-                s_db=db_from_linear(s),
-                kind=kind,
-            )
-        )
-    return points
 
 
 def infer_onchip(s_measured_linear: float, eta_d: float, omega_tau_product: float = 0.0) -> float:
@@ -113,12 +86,14 @@ def infer_onchip(s_measured_linear: float, eta_d: float, omega_tau_product: floa
     return 1.0 - (1.0 - s_measured_linear) / eta_d
 
 
-class CouplingSweepPoint(NamedTuple):
-    eta_c: float
-    s_measured_db: float
-    s_onchip_db: float
+class CouplingSweep(NamedTuple):
+    """Columns of a squeezing sweep, one entry per heater grid point."""
+
+    eta_c: np.ndarray
+    s_measured_db: np.ndarray
+    s_onchip_db: np.ndarray
     omega_sideband_hz: float
-    tau_c_s: float
+    tau_c_s: np.ndarray
 
 
 def squeezing_vs_coupling(
@@ -127,7 +102,7 @@ def squeezing_vs_coupling(
     p1_grid_mw,
     p2_mw: float,
     omega_sideband: float = OMEGA_SIDEBAND_DEFAULT,
-) -> list[CouplingSweepPoint]:
+) -> CouplingSweep:
     """Measured and on-chip squeezing along a heater sweep of one branch.
 
     The measured column uses the config's composite detection efficiency,
@@ -136,17 +111,11 @@ def squeezing_vs_coupling(
     the rising external coupling.
     """
     eta_d = detection_efficiency(config.detection)
-    rows = []
-    for point in eta_c_vs_heater(config, branch, p1_grid_mw, p2_mw):
-        s_measured = squeezing_level(point.eta_c, eta_d, point.tau_c_s, omega_sideband)
-        s_onchip = squeezing_level(point.eta_c, 1.0, point.tau_c_s, omega_sideband)
-        rows.append(
-            CouplingSweepPoint(
-                eta_c=point.eta_c,
-                s_measured_db=db_from_linear(s_measured),
-                s_onchip_db=db_from_linear(s_onchip),
-                omega_sideband_hz=omega_sideband / (2.0 * math.pi),
-                tau_c_s=point.tau_c_s,
-            )
-        )
-    return rows
+    sol = eta_c_vs_heater(config, branch, p1_grid_mw, p2_mw)
+    return CouplingSweep(
+        eta_c=sol.eta_c,
+        s_measured_db=db_from_linear(squeezing_level(sol.eta_c, eta_d, sol.tau_c, omega_sideband)),
+        s_onchip_db=db_from_linear(squeezing_level(sol.eta_c, 1.0, sol.tau_c, omega_sideband)),
+        omega_sideband_hz=omega_sideband / (2.0 * math.pi),
+        tau_c_s=sol.tau_c,
+    )

@@ -15,45 +15,54 @@ ring-1 heater power increases.
 Losses are not included in the eigenproblem; they enter perturbatively via
 effective_rates, weighting each ring's rate by the branch's energy fraction
 in that ring.
+
+Every function here takes scalars or numpy arrays alike: a heater sweep is
+one array evaluation, and its results are arrays with one entry per grid
+point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .devicemodel import ValidatedConfig, ring_frequency
+import numpy as np
+
+from .devicemodel import ValidatedConfig, first_flagged, ring_frequency
 
 BRANCH_UPPER = "upper"
 BRANCH_LOWER = "lower"
 
+# math.hypot applied elementwise: np.hypot rounds differently in the last
+# bit on about 0.2 % of points, and the sweep tables keep the scalar
+# formula's bytes.
+_hypot = np.frompyfunc(math.hypot, 2, 1)
+
 
 @dataclass(frozen=True)
 class SupermodeSolution:
-    """One supermode branch at one heater setting.
+    """One supermode branch at one heater setting, or along a heater grid.
 
     frac1/frac2 are the energy fractions in ring 1 / ring 2 (sum to 1);
     kappa_eff and gamma_eff are the branch's external and intrinsic energy
     decay rates; eta_c = kappa_eff/(kappa_eff + gamma_eff) is the coupling
     efficiency and tau_c = 1/(kappa_eff + gamma_eff) the photon lifetime.
+    Fields are floats for scalar heater powers and arrays for a grid.
     """
 
     branch: str
-    omega: float
-    frac1: float
-    frac2: float
-    kappa_eff: float
-    gamma_eff: float
-    eta_c: float
-    tau_c: float
+    omega: float | np.ndarray
+    frac1: float | np.ndarray
+    frac2: float | np.ndarray
+    kappa_eff: float | np.ndarray
+    gamma_eff: float | np.ndarray
+    eta_c: float | np.ndarray
+    tau_c: float | np.ndarray
 
 
-class SweepPoint(NamedTuple):
-    p1_mw: float
-    omega_rad_s: float
-    eta_c: float
-    tau_c_s: float
+def _float_or_array(values):
+    values = np.asarray(values, dtype=float)
+    return float(values) if values.ndim == 0 else values
 
 
 def _check_kappa(kappa_12: float) -> None:
@@ -61,17 +70,25 @@ def _check_kappa(kappa_12: float) -> None:
         raise ValueError(f"inter-ring coupling must be positive, got {kappa_12}")
 
 
-def supermode_frequencies(omega1: float, omega2: float, kappa_12: float) -> tuple[float, float]:
+def crossing_geometry(omega1, omega2, kappa_12):
+    """(mean, delta, radius) of the 2x2 problem: the branches sit at
+    mean +- radius, with delta = (w1 - w2)/2 and radius = hypot(delta, k12).
+
+    kappa_12 is not checked: the crossing fit may step through
+    kappa_12 <= 0, which the branches see only through its square.
+    """
+    delta = 0.5 * (omega1 - omega2)
+    return 0.5 * (omega1 + omega2), delta, _float_or_array(_hypot(delta, kappa_12))
+
+
+def supermode_frequencies(omega1, omega2, kappa_12: float):
     """Branch eigenfrequencies (omega_plus, omega_minus) of the coupled pair."""
     _check_kappa(kappa_12)
-    mean = 0.5 * (omega1 + omega2)
-    half_split = math.hypot(0.5 * (omega1 - omega2), kappa_12)
-    return mean + half_split, mean - half_split
+    mean, _, radius = crossing_geometry(omega1, omega2, kappa_12)
+    return mean + radius, mean - radius
 
 
-def supermode_vectors(
-    omega1: float, omega2: float, kappa_12: float
-) -> tuple[tuple[float, float], tuple[float, float]]:
+def supermode_vectors(omega1, omega2, kappa_12: float):
     """Energy fractions ((frac1, frac2) upper, (frac1, frac2) lower).
 
     Eigenvectors of [[w1, k12], [k12, w2]]: the lower branch is
@@ -82,27 +99,30 @@ def supermode_vectors(
     delta < 0 to avoid cancellation.
     """
     _check_kappa(kappa_12)
-    delta = 0.5 * (omega1 - omega2)
-    radius = math.hypot(delta, kappa_12)
-    t = kappa_12 * kappa_12 / (radius - delta) if delta < 0.0 else delta + radius
+    _, delta, radius = crossing_geometry(omega1, omega2, kappa_12)
     k2 = kappa_12 * kappa_12
+    # R + |delta| is R - delta where it is selected, and never 0 elsewhere
+    t = np.where(delta < 0.0, k2 / (radius + np.abs(delta)), delta + radius)
     t2 = t * t
     norm = k2 + t2
-    frac1_lower = k2 / norm
-    frac1_upper = t2 / norm
+    frac1_lower = _float_or_array(k2 / norm)
+    frac1_upper = _float_or_array(t2 / norm)
     return (frac1_upper, 1.0 - frac1_upper), (frac1_lower, 1.0 - frac1_lower)
 
 
-def effective_rates(
-    frac1: float, frac2: float, kappa_ext: float, gamma1: float, gamma2: float
-) -> tuple[float, float, float, float]:
+def effective_rates(frac1, frac2, kappa_ext: float, gamma1: float, gamma2: float):
     """Branch rates (kappa_eff, gamma_eff, eta_c, tau_c) from ring fractions.
 
     Only ring 1 couples to the bus, so kappa_eff = frac1*kappa_ext; the
     intrinsic rate is the fraction-weighted average of the ring rates.
     """
-    if abs(frac1 + frac2 - 1.0) > 1e-9 or frac1 < 0.0 or frac2 < 0.0:
-        raise ValueError(f"fractions must be normalized and non-negative, got ({frac1}, {frac2})")
+    f1, f2 = np.asarray(frac1), np.asarray(frac2)
+    bad = (np.abs(f1 + f2 - 1.0) > 1e-9) | (f1 < 0.0) | (f2 < 0.0)
+    if bad.any():
+        raise ValueError(
+            "fractions must be normalized and non-negative, "
+            f"got ({first_flagged(bad, f1)}, {first_flagged(bad, f2)})"
+        )
     if kappa_ext <= 0 or gamma1 <= 0 or gamma2 <= 0:
         raise ValueError("rates must be positive")
     kappa_eff = frac1 * kappa_ext
@@ -111,49 +131,38 @@ def effective_rates(
     return kappa_eff, gamma_eff, kappa_eff / total, 1.0 / total
 
 
-def solve_branch(config: ValidatedConfig, p1_mw: float, p2_mw: float, branch: str) -> SupermodeSolution:
-    """Full supermode solution for one branch at one heater setting."""
-    if branch not in (BRANCH_UPPER, BRANCH_LOWER):
-        raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}")
+def solve_both(config: ValidatedConfig, p1_mw, p2_mw) -> tuple[SupermodeSolution, SupermodeSolution]:
+    """(upper, lower) supermode solutions at one heater setting or a grid.
+
+    Heater powers are scalars or arrays; a power out of range raises,
+    naming the first such value in grid order (ring 1 before ring 2).
+    """
     omega1 = ring_frequency(config.ring1, p1_mw)
     omega2 = ring_frequency(config.ring2, p2_mw)
     kappa_12 = config.coupling.kappa_12
-    omega_plus, omega_minus = supermode_frequencies(omega1, omega2, kappa_12)
-    upper, lower = supermode_vectors(omega1, omega2, kappa_12)
-    omega, (frac1, frac2) = (omega_plus, upper) if branch == BRANCH_UPPER else (omega_minus, lower)
-    kappa_eff, gamma_eff, eta_c, tau_c = effective_rates(
-        frac1, frac2, config.coupling.kappa_ext, config.ring1.gamma_i, config.ring2.gamma_i
-    )
-    return SupermodeSolution(
-        branch=branch,
-        omega=omega,
-        frac1=frac1,
-        frac2=frac2,
-        kappa_eff=kappa_eff,
-        gamma_eff=gamma_eff,
-        eta_c=eta_c,
-        tau_c=tau_c,
+    rates = (config.coupling.kappa_ext, config.ring1.gamma_i, config.ring2.gamma_i)
+    return tuple(
+        SupermodeSolution(branch, omega, frac1, frac2, *effective_rates(frac1, frac2, *rates))
+        for branch, omega, (frac1, frac2) in zip(
+            (BRANCH_UPPER, BRANCH_LOWER),
+            supermode_frequencies(omega1, omega2, kappa_12),
+            supermode_vectors(omega1, omega2, kappa_12),
+        )
     )
 
 
-def solve_both(config: ValidatedConfig, p1_mw: float, p2_mw: float) -> tuple[SupermodeSolution, SupermodeSolution]:
-    """(upper, lower) supermode solutions at one heater setting."""
-    return (
-        solve_branch(config, p1_mw, p2_mw, BRANCH_UPPER),
-        solve_branch(config, p1_mw, p2_mw, BRANCH_LOWER),
-    )
+def solve_branch(config: ValidatedConfig, p1_mw, p2_mw, branch: str) -> SupermodeSolution:
+    """Full supermode solution for one branch (see solve_both)."""
+    if branch not in (BRANCH_UPPER, BRANCH_LOWER):
+        raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}")
+    upper, lower = solve_both(config, p1_mw, p2_mw)
+    return upper if branch == BRANCH_UPPER else lower
 
 
-def eta_c_vs_heater(
-    config: ValidatedConfig, branch: str, p1_grid_mw, p2_mw: float
-) -> list[SweepPoint]:
+def eta_c_vs_heater(config: ValidatedConfig, branch: str, p1_grid_mw, p2_mw: float) -> SupermodeSolution:
     """Coupling-efficiency sweep along one branch versus ring-1 heater power.
 
-    Each grid point composes the heater map, the eigenproblem, and the
-    effective rates; heater range errors propagate.
+    One array evaluation of the heater map, the eigenproblem and the
+    effective rates; the returned fields are columns over the grid.
     """
-    points = []
-    for p1 in p1_grid_mw:
-        sol = solve_branch(config, float(p1), p2_mw, branch)
-        points.append(SweepPoint(float(p1), sol.omega, sol.eta_c, sol.tau_c))
-    return points
+    return solve_branch(config, np.asarray(p1_grid_mw, dtype=float), p2_mw, branch)

@@ -32,8 +32,7 @@ def report(number: int, ok: bool, detail: str, elapsed: float) -> None:
 def test_criterion_1_eta_tuning_range():
     start = time.monotonic()
     cfg = default_config()
-    points = eta_c_vs_heater(cfg, "lower", np.arange(0.0, 50.0 + 0.25, 0.5), 10.0)
-    etas = np.array([p.eta_c for p in points])
+    etas = eta_c_vs_heater(cfg, "lower", np.arange(0.0, 50.0 + 0.25, 0.5), 10.0).eta_c
     elapsed = time.monotonic() - start
     ok = (
         etas.min() <= 0.12

@@ -1,11 +1,16 @@
 """Command-line interface: ranges, CSV schemas, exit codes, determinism."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ringlab.cli import parse_range, run
+import ringlab
+from ringlab.cli import RANGE_MAX_POINTS, parse_range, run
 from ringlab.csvio import parse_csv, write_csv_file
 from ringlab.errors import DataError
 
@@ -39,6 +44,24 @@ def test_range_rejects_bad_specs():
     for spec in ("1:2", "a:b:c", "0:10:-1", "5:1:1"):
         with pytest.raises(argparse.ArgumentTypeError):
             parse_range(spec)
+
+
+def test_range_point_cap_checked_before_allocating(capsys):
+    import argparse
+
+    spec = f"0:{RANGE_MAX_POINTS}:1"  # one point over the cap
+    with pytest.raises(argparse.ArgumentTypeError, match="more than"):
+        parse_range(spec)
+    assert run(["squeeze-spectrum", "--eta-c", "0.5", "--eta-d", "0.5", "--tau-c", "1e-8", "--f", spec]) == 2
+    assert spec in capsys.readouterr().err
+    assert run(["squeeze-spectrum", "--eta-c", "0.5", "--eta-d", "0.5", "--tau-c", "1e-8", "--f", "0:1e308:1e-300"]) == 2
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    code = "import sys, ringlab.cli; print('scipy.signal' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(ringlab.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+    assert out.strip() == "False"
 
 
 # --- CSV io ------------------------------------------------------------------------
@@ -120,6 +143,14 @@ wavelength_nm = 1561.1
 """
 
 
+def test_validate_rejects_duplicate_detection_stage(device_cfg_path, tmp_path, capsys):
+    text = device_cfg_path.read_text(encoding="utf-8").replace("lens_loss_db", "lens = 0.9\nlens_loss_db", 1)
+    cfg = tmp_path / "duplicate.cfg"
+    cfg.write_text(text)
+    assert run(["validate", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err.startswith("ringlab: error: config: detection.lens: ")
+
+
 def test_missing_config_file_exit_3(capsys):
     assert run(["validate", "--config", "/no/such/file.cfg"]) == 3
 
@@ -156,6 +187,12 @@ def test_squeeze_spectrum_value_at_3mhz(tmp_path):
     assert at_3mhz["s_db"] == pytest.approx(expected_db, abs=1e-9)
     assert at_3mhz["s_db"] == pytest.approx(-3.9, abs=0.05)
     assert at_3mhz["squeezing_factor_db"] == -at_3mhz["s_db"]
+
+
+def test_squeeze_spectrum_reports_where_the_minimum_is(capsys):
+    assert run(["squeeze-spectrum", "--eta-c", "0.7", "--eta-d", "0.6", "--tau-c", "22.5e-9",
+                "--f=-2e6:2e6:1e6", "--out", "-"]) == 0
+    assert capsys.readouterr().err.strip().endswith(" dB at f=0 Hz")
 
 
 def test_squeeze_sweep_output(device_cfg_path, tmp_path):

@@ -215,3 +215,9 @@ def test_load_config_missing_file():
 def test_parse_error_names_unknown_section():
     with pytest.raises(ConfigError, match="mystery"):
         parse_config(VALID_TEXT + "\n[mystery]\nx = 1\n")
+
+
+def test_parse_rejects_stage_given_plain_and_in_db():
+    text = VALID_TEXT.replace("lens_loss_db = 0.7", "lens = 0.9\nlens_loss_db = 0.7")
+    with pytest.raises(ConfigError, match=r"^detection\.lens: "):
+        parse_config(text)

@@ -101,7 +101,6 @@ def test_find_dips_recovers_synthetic_lorentzian():
     assert abs(dip.omega_center - omega0) <= 1e-3 * step
     assert abs(dip.t_min - t_min) <= 1e-3
     assert abs(dip.fwhm - fwhm) <= 1e-3 * fwhm
-    assert dip.regime == REGIME_INDETERMINATE
     assert not dip.overlapping
 
 
@@ -135,7 +134,6 @@ def test_find_dips_flags_overlap():
     dips = find_dips(TransmissionTrace(omega_grid=omega, t_power=t))
     assert len(dips) == 2
     assert all(d.overlapping for d in dips)
-    assert all(d.regime == REGIME_INDETERMINATE for d in dips)
 
 
 # --- eta_c from T_min -----------------------------------------------------------

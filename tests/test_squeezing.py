@@ -8,14 +8,11 @@ from helpers import replace_config
 
 from ringlab.devicemodel import DetectionChain, default_config, detection_efficiency
 from ringlab.squeezing import (
-    KIND_MEASURED,
-    KIND_ONCHIP,
     db_from_linear,
     infer_onchip,
     linear_from_db,
     lorentzian_rolloff,
     squeezing_level,
-    squeezing_spectrum,
     squeezing_vs_coupling,
 )
 
@@ -50,16 +47,35 @@ def test_zero_coupling_means_shot_noise():
     assert db_from_linear(squeezing_level(0.0, 1.0, 22.5e-9, 0.0)) == 0.0
 
 
-def test_spectrum_points_and_kind():
-    points = squeezing_spectrum(0.7, 1.0, 22.5e-9, [0.0, OMEGA_3MHZ])
-    assert all(p.kind == KIND_ONCHIP for p in points)
-    assert points[0].s_linear == pytest.approx(0.3, rel=1e-12)
-    points = squeezing_spectrum(0.7, 0.6, 22.5e-9, [0.0])
-    assert points[0].kind == KIND_MEASURED
+def test_spectrum_on_sideband_grid():
+    s = squeezing_level(0.7, 1.0, 22.5e-9, np.array([0.0, OMEGA_3MHZ]))
+    assert s.shape == (2,)
+    assert s[0] == pytest.approx(0.3, rel=1e-12)
     # monotone non-decreasing in |sideband|
     grid = np.linspace(0, 30e6, 200) * 2 * math.pi
-    s = [p.s_linear for p in squeezing_spectrum(0.55, 0.9, 22.5e-9, grid)]
-    assert np.all(np.diff(s) >= 0)
+    assert np.all(np.diff(squeezing_level(0.55, 0.9, 22.5e-9, grid)) >= 0)
+
+
+def test_array_level_and_db_match_scalar_calls_bit_for_bit():
+    rng = np.random.default_rng(31)
+    eta_c = rng.uniform(0.0, 1.0, 500)
+    tau_c = 10.0 ** rng.uniform(-9, -7, 500)
+    omega = rng.uniform(0.0, 5.0 / tau_c)
+    s = squeezing_level(eta_c, 0.578, tau_c, omega)
+    scalar = [squeezing_level(float(e), 0.578, float(t), float(w)) for e, t, w in zip(eta_c, tau_c, omega)]
+    assert s.tolist() == scalar
+    assert db_from_linear(s).tolist() == [db_from_linear(v) for v in scalar]
+    assert type(squeezing_level(0.5, 0.5, 1e-8, 0.0)) is float
+    assert type(db_from_linear(0.5)) is float
+
+
+def test_array_range_errors_name_the_first_offending_value():
+    with pytest.raises(ValueError, match=r"eta_c must be in \[0, 1\], got 1.5$"):
+        squeezing_level(np.array([0.5, 1.5, -0.5]), 1.0, 1e-8, 0.0)
+    with pytest.raises(ValueError, match=r"tau_c must be positive, got -1.0$"):
+        squeezing_level(0.5, 1.0, np.array([1e-8, -1.0, 0.0]), 0.0)
+    with pytest.raises(ValueError, match=r"linear value must be positive, got 0.0$"):
+        db_from_linear(np.array([0.5, 0.0, -1.0]))
 
 
 def test_parameter_range_errors():
@@ -174,17 +190,15 @@ def test_lower_bound_with_equality_only_at_zero_sideband():
 
 def test_sweep_monotone_and_endpoints():
     cfg = default_config()
-    rows = squeezing_vs_coupling(cfg, "lower", np.arange(0.0, 50.5, 0.5), 10.0)
-    etas = np.array([r.eta_c for r in rows])
-    measured = np.array([r.s_measured_db for r in rows])
-    onchip = np.array([r.s_onchip_db for r in rows])
+    sweep = squeezing_vs_coupling(cfg, "lower", np.arange(0.0, 50.5, 0.5), 10.0)
+    etas, measured, onchip = sweep.eta_c, sweep.s_measured_db, sweep.s_onchip_db
     assert np.all(np.diff(etas) > 0)
     assert np.all(np.diff(measured) < 0)  # more squeezing at higher eta_c
     assert np.all(np.diff(onchip) < 0)
     assert np.all(onchip <= measured)
-    assert rows[-1].omega_sideband_hz == pytest.approx(3e6, rel=1e-12)
+    assert sweep.omega_sideband_hz == pytest.approx(3e6, rel=1e-12)
     # calibrated top of sweep sits at the device's operating figures
-    assert rows[-1].eta_c == pytest.approx(0.707, abs=0.002)
+    assert etas[-1] == pytest.approx(0.707, abs=0.002)
     assert onchip[-1] == pytest.approx(-3.9, abs=0.15)
     assert measured[-1] == pytest.approx(-1.8, abs=0.15)
 
@@ -192,9 +206,8 @@ def test_sweep_monotone_and_endpoints():
 def test_sweep_collapses_when_detection_is_perfect():
     cfg = replace_config(default_config(), detection=DetectionChain(stages=(("ideal", 1.0),)))
     assert detection_efficiency(cfg.detection) == 1.0
-    rows = squeezing_vs_coupling(cfg, "lower", np.linspace(0, 50, 11), 10.0)
-    for row in rows:
-        assert row.s_measured_db == pytest.approx(row.s_onchip_db, rel=1e-12)
+    sweep = squeezing_vs_coupling(cfg, "lower", np.linspace(0, 50, 11), 10.0)
+    assert sweep.s_measured_db == pytest.approx(sweep.s_onchip_db, rel=1e-12)
 
 
 def test_rolloff_helper():

@@ -175,8 +175,7 @@ def test_effective_rates_rejects_unnormalized_fractions():
 
 def test_lower_branch_sweep_spans_observable_range():
     cfg = default_config()
-    points = eta_c_vs_heater(cfg, "lower", np.arange(0.0, 50.0 + 0.25, 0.5), 10.0)
-    etas = np.array([p.eta_c for p in points])
+    etas = eta_c_vs_heater(cfg, "lower", np.arange(0.0, 50.0 + 0.25, 0.5), 10.0).eta_c
     assert etas[0] == pytest.approx(0.082, abs=0.002)
     assert etas[-1] == pytest.approx(0.707, abs=0.002)
     assert np.all(np.diff(etas) > 0)
@@ -186,8 +185,7 @@ def test_sweep_eta_bounded_by_bus_coupling():
     cfg = default_config()
     bound = cfg.coupling.kappa_ext / (cfg.coupling.kappa_ext + min(cfg.ring1.gamma_i, cfg.ring2.gamma_i))
     for branch in ("lower", "upper"):
-        for p in eta_c_vs_heater(cfg, branch, np.linspace(0, 100, 41), 10.0):
-            assert p.eta_c <= bound + 1e-12
+        assert np.all(eta_c_vs_heater(cfg, branch, np.linspace(0, 100, 41), 10.0).eta_c <= bound + 1e-12)
 
 
 def test_strong_coupling_pins_eta():
@@ -195,8 +193,8 @@ def test_strong_coupling_pins_eta():
     strong = replace_config(cfg, coupling=CouplingParams(kappa_ext=cfg.coupling.kappa_ext, kappa_12=1e13))
     gamma_bar = 0.5 * (strong.ring1.gamma_i + strong.ring2.gamma_i)
     expected = 0.5 * strong.coupling.kappa_ext / (0.5 * strong.coupling.kappa_ext + gamma_bar)
-    for p in eta_c_vs_heater(strong, "lower", np.linspace(0, 50, 11), 10.0):
-        assert p.eta_c == pytest.approx(expected, abs=1e-4)
+    etas = eta_c_vs_heater(strong, "lower", np.linspace(0, 50, 11), 10.0).eta_c
+    assert etas == pytest.approx(np.full(11, expected), abs=1e-4)
 
 
 def test_symmetric_point_matches_half_fractions():
@@ -214,6 +212,33 @@ def test_sweep_propagates_heater_range_error():
     cfg = default_config()
     with pytest.raises(ValueError):
         eta_c_vs_heater(cfg, "lower", [0.0, 200.0], 10.0)
+
+
+def test_array_solution_matches_scalar_calls_bit_for_bit():
+    cfg = default_config()
+    # both tails and the crossing at p1 = 25 mW, with off-grid spacing
+    grid = np.linspace(0.0, 100.0, 2001) + 0.0037
+    grid[-1] = 100.0
+    for branch in ("upper", "lower"):
+        sol = solve_branch(cfg, grid, 10.0, branch)
+        scalar = [solve_branch(cfg, float(p1), 10.0, branch) for p1 in grid]
+        zero_d = [solve_branch(cfg, np.asarray(p1), 10.0, branch) for p1 in grid[::50]]
+        for name in ("omega", "frac1", "frac2", "kappa_eff", "gamma_eff", "eta_c", "tau_c"):
+            column = getattr(sol, name)
+            assert column.tolist() == [getattr(s, name) for s in scalar], f"{branch}.{name}"
+            assert column[::50].tolist() == [float(getattr(s, name)) for s in zero_d], f"{branch}.{name}"
+            assert type(getattr(scalar[0], name)) is float
+
+
+def test_array_heater_error_names_first_offending_power():
+    cfg = default_config()
+    grid = np.array([10.0, 40.0, 120.5, -3.0, 200.0])
+    with pytest.raises(ValueError) as scalar_error:
+        for p1 in grid:
+            solve_branch(cfg, float(p1), 10.0, "lower")
+    with pytest.raises(ValueError) as array_error:
+        eta_c_vs_heater(cfg, "lower", grid, 10.0)
+    assert str(array_error.value) == str(scalar_error.value) == "heater power 120.5 mW outside [0, 100.0] mW"
 
 
 def test_solution_invariants():
