@@ -201,6 +201,14 @@ def first_flagged(bad, values):
     return np.broadcast_to(values, bad.shape).flat[int(np.argmax(bad))].item()
 
 
+def readonly_array(values) -> np.ndarray:
+    """A float copy of `values` that cannot be written to, for the array
+    fields of frozen result types."""
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
 def heater_detuning(heater: HeaterModel, power_mw):
     """Resonance shift (rad/s) produced by the given heater power(s).
 

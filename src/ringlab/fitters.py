@@ -32,6 +32,9 @@ _FTOL = 1e-10
 _XTOL = 1e-14
 _LAMBDA_MAX = 1e15
 _RANK_RTOL = 1e-10
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).smallest_subnormal
+GUESS_BLOCK_BYTES = 8 << 20  # distance block of auto_initial_guess
 
 
 @dataclass(frozen=True)
@@ -222,6 +225,40 @@ def _crossing_jacobian(params: dict[str, float], p1, p2, sign, free: list[str]) 
     return np.column_stack([columns[name] for name in free])
 
 
+def _nearest_rows(p1, p2, upper, lower) -> np.ndarray:
+    """For each row in `upper`, the position in `lower` of the row nearest
+    in (p1, p2), the first one on a tie.
+
+    Squared distances are formed a block of upper rows at a time (at most
+    GUESS_BLOCK_BYTES).  The array square x*x and the scalar x**2 (libm
+    pow) can differ in the last bit, so where rows at other (p1, p2) come
+    within that rounding of the nearest, the pick is redone over them with
+    the scalar distance: every pick is that of a loop taking
+    min(lower, key=(p1[j] - p1[i])**2 + (p2[j] - p2[i])**2).
+    """
+    p1_low, p2_low = p1[lower], p2[lower]
+    per_row = 3 * 8 * lower.size  # two float arrays and a bool mask, rounded up
+    rows = max(1, GUESS_BLOCK_BYTES // per_row)
+    picks = np.empty(upper.size, dtype=np.intp)
+    for start in range(0, upper.size, rows):
+        block = upper[start:start + rows]
+        d = p1_low - p1[block, None]
+        d *= d
+        e = p2_low - p2[block, None]
+        e *= e
+        d += e
+        del e
+        picks[start:start + block.size] = np.argmin(d, axis=1)
+        near = d <= d.min(axis=1, keepdims=True) * (1.0 + 16 * _EPS) + 16 * _TINY
+        for r in np.flatnonzero(near.sum(axis=1) > 1):
+            i = block[r]
+            cand = np.flatnonzero(near[r])
+            _, first = np.unique(np.column_stack([p1_low[cand], p2_low[cand]]), axis=0, return_index=True)
+            cand = cand[np.sort(first)]  # rows at equal (p1, p2) tie: keep the first of each
+            picks[start + r] = min(cand, key=lambda j: (p1_low[j] - p1[i]) ** 2 + (p2_low[j] - p2[i]) ** 2)
+    return picks
+
+
 def auto_initial_guess(data: CrossingDataset) -> dict[str, float]:
     """Starting point for the crossing fit, derived from the data.
 
@@ -230,27 +267,24 @@ def auto_initial_guess(data: CrossingDataset) -> dict[str, float]:
     to the far tails of each branch (far from the crossing a branch
     asymptotes to one bare ring).
     """
-    upper = [i for i, b in enumerate(data.branch) if b == "upper"]
-    lower = [i for i, b in enumerate(data.branch) if b == "lower"]
+    branch = np.array(data.branch)
+    upper, lower = np.flatnonzero(branch == "upper"), np.flatnonzero(branch == "lower")
     p1, p2, res = data.p1_mw, data.p2_mw, data.resonance_rad_s
 
-    best_sep = None
-    p1_star = float(np.median(p1))
-    for i in upper:
-        j = min(lower, key=lambda j: (p1[j] - p1[i]) ** 2 + (p2[j] - p2[i]) ** 2)
-        sep = abs(res[i] - res[j])
-        if best_sep is None or sep < best_sep:
-            best_sep = sep
-            p1_star = 0.5 * (p1[i] + p1[j])
-    kappa_guess = 0.5 * best_sep if best_sep and best_sep > 0 else 0.25 * (res.max() - res.min())
+    nearest = lower[_nearest_rows(p1, p2, upper, lower)]
+    seps = np.abs(res[upper] - res[nearest])
+    k = int(np.argmin(seps))  # the first smallest separation
+    best_sep = seps[k]
+    p1_star = 0.5 * (p1[upper[k]] + p1[nearest[k]])
+    kappa_guess = 0.5 * best_sep if best_sep > 0 else 0.25 * (res.max() - res.min())
 
-    ring1_rows = [i for i in upper if p1[i] < p1_star] + [i for i in lower if p1[i] > p1_star]
-    ring2_rows = [i for i in lower if p1[i] < p1_star] + [i for i in upper if p1[i] > p1_star]
+    ring1_rows = np.concatenate([upper[p1[upper] < p1_star], lower[p1[lower] > p1_star]])
+    ring2_rows = np.concatenate([lower[p1[lower] < p1_star], upper[p1[upper] > p1_star]])
 
     def line_fit(rows, powers, fallback_alpha):
         if len(rows) < 2 or np.ptp(powers[rows]) == 0.0:
             alpha = fallback_alpha
-            omega0 = float(np.mean(res[rows]) + alpha * np.mean(powers[rows])) if rows else float(res.mean())
+            omega0 = float(np.mean(res[rows]) + alpha * np.mean(powers[rows])) if rows.size else float(res.mean())
             return omega0, alpha
         design = np.column_stack([np.ones(len(rows)), -powers[rows]])
         coef, *_ = np.linalg.lstsq(design, res[rows], rcond=None)

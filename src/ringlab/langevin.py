@@ -24,17 +24,26 @@ SeedSequence(entropy=run.seed, spawn_key=(trajectory,)).spawn(2), so runs
 are reproducible and trajectories independent regardless of execution
 order; the initial condition is the first draw of the external stream,
 scaled to the stationary standard deviation of the discrete chain.
+
+averaged_output_psd runs the trajectories of a run on a pool of at most
+LANGEVIN_MAX_WORKERS threads (numpy's RNG fill, ufuncs and FFT and scipy's
+lfilter release the GIL) and sums their spectra in trajectory order, so
+the result does not depend on the thread count.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .devicemodel import readonly_array
 from .squeezing import squeezing_level
 
 MIN_SEGMENT_SAMPLES = 16
+LANGEVIN_MAX_WORKERS = 4        # trajectory threads per run; each holds three n_steps-long series at most
+WELCH_BLOCK_BYTES = 1 << 19     # windowed samples transformed at once by output_psd
 
 
 @dataclass(frozen=True)
@@ -83,8 +92,8 @@ class NoiseSpectrum:
     n_segments: int
 
     def __post_init__(self):
-        f = np.asarray(self.freq_grid, dtype=float)
-        p = np.asarray(self.psd_normalized, dtype=float)
+        f = readonly_array(self.freq_grid)
+        p = readonly_array(self.psd_normalized)
         if f.shape != p.shape or f.ndim != 1 or f.size == 0:
             raise ValueError("spectrum requires matching non-empty 1-d arrays")
         if f[0] <= 0 or np.any(np.diff(f) <= 0):
@@ -113,18 +122,30 @@ def integrate_difference_quadrature(
 
     Returns (x, x_out), both sampled at dt with x[0] = x0; x_out pairs
     x[k] with the same-step external increment (Ito: x[k] is independent
-    of dw_ext[k]).
+    of dw_ext[k]).  The inputs are not modified; each is released as soon
+    as it is used, so a caller that passes arrays it keeps no name for
+    holds at most three series of this length at once.
     """
     if not 0.0 <= kappa_eff <= gamma_total:
         raise ValueError("kappa_eff must be in [0, gamma_total]")
     from scipy.signal import lfilter  # here, not at module level: it costs every CLI command ~1 s of import
 
     a = 1.0 - gamma_total * dt
-    w = np.sqrt(kappa_eff) * dw_ext + np.sqrt(gamma_total - kappa_eff) * dw_int
+    # w = sqrt(kappa) dw_ext + sqrt(G - kappa) dw_int; the internal term is
+    # formed first so that dw_int is released before the external one
+    w = np.sqrt(gamma_total - kappa_eff) * dw_int
+    del dw_int
+    w += np.sqrt(kappa_eff) * dw_ext
     # x[k] = a*x[k-1] + w[k-1]; lfilter realizes y[k] = a*y[k-1] + w[k]
     y = lfilter([1.0], [1.0, -a], w, zi=np.array([a * x0]))[0]
-    x = np.concatenate(([x0], y[:-1]))
-    x_out = np.sqrt(kappa_eff) * x - dw_ext / dt
+    del w
+    x = np.empty_like(y)
+    x[0] = x0
+    x[1:] = y[:-1]
+    del y
+    x_out = np.divide(dw_ext, dt)
+    del dw_ext
+    np.subtract(np.sqrt(kappa_eff) * x, x_out, out=x_out)
     return x, x_out
 
 
@@ -140,9 +161,13 @@ def simulate_difference_quadrature(run: LangevinRun, trajectory: int = 0) -> tup
     sigma0 = np.sqrt(1.0 / (2.0 - run.gamma_total * run.dt))  # stationary std of the discrete chain
     x0 = sigma0 * rng_ext.standard_normal()
     sqrt_dt = np.sqrt(run.dt)
-    dw_ext = rng_ext.standard_normal(n) * sqrt_dt
-    dw_int = rng_int.standard_normal(n) * sqrt_dt
-    return integrate_difference_quadrature(dw_ext, dw_int, run.kappa_eff, run.gamma_total, run.dt, x0)
+    # The increments are passed unnamed: the callee then holds their only
+    # references and frees each one once it is used.
+    return integrate_difference_quadrature(
+        rng_ext.standard_normal(n) * sqrt_dt,
+        rng_int.standard_normal(n) * sqrt_dt,
+        run.kappa_eff, run.gamma_total, run.dt, x0,
+    )
 
 
 def output_psd(series: np.ndarray, dt: float, n_segments: int) -> NoiseSpectrum:
@@ -168,41 +193,67 @@ def output_psd(series: np.ndarray, dt: float, n_segments: int) -> NoiseSpectrum:
         )
     hop = m // 2
     windows = np.lib.stride_tricks.sliding_window_view(x, m)[::hop]
+    n_rows = windows.shape[0]
     win = np.hanning(m)
     u = np.mean(win**2)
-    spectra = np.abs(np.fft.rfft(windows * win, axis=1)) ** 2 * (dt / (m * u))
-    psd = spectra.mean(axis=0)
+    scale = dt / (m * u)
+    # Segments are transformed a block at a time and summed row by row,
+    # which is the order of mean(axis=0) over all rows, so the blocking
+    # does not change a bit.
+    rows = max(1, WELCH_BLOCK_BYTES // (8 * m))
+    acc = np.zeros(m // 2 + 1)
+    for start in range(0, n_rows, rows):
+        block = np.abs(np.fft.rfft(windows[start:start + rows] * win, axis=1))
+        block **= 2
+        block *= scale
+        for row in block:
+            acc += row
+    psd = acc / n_rows
     freq = np.arange(1, m // 2 + 1) / (m * dt)
-    return NoiseSpectrum(freq_grid=freq, psd_normalized=psd[1:], n_segments=windows.shape[0])
+    return NoiseSpectrum(freq_grid=freq, psd_normalized=psd[1:], n_segments=n_rows)
 
 
 def averaged_output_psd(run: LangevinRun, n_segments: int) -> NoiseSpectrum:
     """Output PSD averaged over all trajectories of the run.
 
-    The average is a fixed-order sum over trajectory indices, so the
-    result depends only on (seed, parameters), not on execution order.
+    Trajectories run on a pool of min(usable CPUs, n_trajectories,
+    LANGEVIN_MAX_WORKERS) threads; their spectra are summed in trajectory
+    order, so the result depends only on (seed, parameters), not on the
+    thread count or the order in which trajectories finish.
     """
-    # Each trajectory allocates and frees about ten n_steps-long arrays.
+    from concurrent.futures import ThreadPoolExecutor
+    from scipy.signal import lfilter  # noqa: F401  imported once here, before any worker needs it
+
+    def trajectory_psd(trajectory: int) -> NoiseSpectrum:
+        return output_psd(simulate_difference_quadrature(run, trajectory)[1], run.dt, n_segments)
+
+    # Each trajectory allocates and frees a few n_steps-long arrays.
     # glibc hands a freed heap top back to the OS once it exceeds twice the
     # largest block it has unmapped so far, so unless some earlier large
     # block was freed, every trajectory page-faults that memory afresh
     # (~150 000 faults per default langevin-verify run).  Freeing one 30 MB
-    # block first lifts that limit; with other allocators it costs one
-    # allocation that is never touched.
+    # block first lifts that limit for every thread; with other allocators
+    # it costs one allocation that is never touched.
     np.empty(30_000_000 // 8)
+    workers = min(_usable_cpus(), run.n_trajectories, LANGEVIN_MAX_WORKERS)
     acc = None
     total_segments = 0
-    for trajectory in range(run.n_trajectories):
-        _, x_out = simulate_difference_quadrature(run, trajectory)
-        spectrum = output_psd(x_out, run.dt, n_segments)
-        total_segments += spectrum.n_segments
-        acc = spectrum.psd_normalized if acc is None else acc + spectrum.psd_normalized
-        freq = spectrum.freq_grid
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for spectrum in pool.map(trajectory_psd, range(run.n_trajectories)):
+            total_segments += spectrum.n_segments
+            acc = spectrum.psd_normalized if acc is None else acc + spectrum.psd_normalized
     return NoiseSpectrum(
-        freq_grid=freq,
+        freq_grid=spectrum.freq_grid,
         psd_normalized=acc / run.n_trajectories,
         n_segments=total_segments,
     )
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def analytic_psd(kappa_eff: float, gamma_total: float, freq_grid) -> NoiseSpectrum:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devicemodel import ValidatedConfig, ring_frequency
+from .devicemodel import ValidatedConfig, readonly_array, ring_frequency
 from .supermodes import solve_both
 
 REGIME_OVERCOUPLED = "overcoupled"
@@ -34,12 +34,6 @@ PASSIVITY_EPS = 1e-9       # rounding allowance on t_power <= 1
 OVERLAP_FACTOR = 3.0       # dips closer than this many max-fwhm overlap
 
 
-def _readonly(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class TransmissionTrace:
     """Sampled power transmission |T(w)|^2 on a strictly increasing grid."""
@@ -48,8 +42,8 @@ class TransmissionTrace:
     t_power: np.ndarray
 
     def __post_init__(self):
-        omega = _readonly(self.omega_grid)
-        t = _readonly(self.t_power)
+        omega = readonly_array(self.omega_grid)
+        t = readonly_array(self.t_power)
         if omega.ndim != 1 or omega.size == 0 or omega.shape != t.shape:
             raise ValueError("trace requires matching non-empty 1-d arrays")
         if not np.all(np.isfinite(omega)) or np.any(np.diff(omega) <= 0):

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from ringlab import fitters
 from ringlab.errors import FitError
 from ringlab.fitters import (
     CROSSING_PARAMS,
     CrossingDataset,
+    auto_initial_guess,
     fit_avoided_crossing,
     fit_lorentzian_dip,
     weighted_linear_fit,
@@ -138,6 +140,52 @@ def test_dataset_invariants():
         CrossingDataset(
             np.full(6, 10.0), good.p2_mw[:6], ("upper", "lower") * 3, good.resonance_rad_s[:6]
         )
+
+
+def _nearest_by_loop(p1, p2, upper, lower):
+    """The pick of the original per-row loop: min over lower rows of the scalar
+    squared distance, the first one on a tie (position within `lower`)."""
+    picks = []
+    for i in upper:
+        j = min(lower, key=lambda j: (p1[j] - p1[i]) ** 2 + (p2[j] - p2[i]) ** 2)
+        picks.append(int(np.flatnonzero(lower == j)[0]))
+    return np.array(picks)
+
+
+def test_nearest_rows_match_the_scalar_loop_with_ties(monkeypatch):
+    rng = np.random.default_rng(17)
+    n = 2000
+    # a coarse grid repeats points exactly (ties between equal and between
+    # mirrored points); the continuous rows seldom tie
+    grid_p1 = rng.integers(0, 12, n).astype(float)
+    grid_p2 = rng.choice([8.0, 10.0, 12.0], n)
+    smooth_p1 = rng.uniform(0.0, 50.0, n)
+    smooth_p2 = rng.uniform(5.0, 15.0, n)
+    mixed = rng.random(n) < 0.5
+    p1 = np.where(mixed, grid_p1, smooth_p1)
+    p2 = np.where(mixed, grid_p2, smooth_p2)
+    # Two points at equal array distance x*x + y*y from (0, 0), of which the
+    # second is nearer by the scalar x**2 (libm pow) on glibc: the original
+    # loop picks the second, a plain array argmin the first.
+    p1 = np.append(p1, [0.0, 1.0407826543186804, 1.475225152189749])
+    p2 = np.append(p2, [0.0, 1.0801719615271275, 0.2714972381935621])
+    branch = np.append(rng.integers(0, 2, n), [1, 0, 0])
+    upper, lower = np.flatnonzero(branch == 1), np.flatnonzero(branch == 0)
+    expected = _nearest_by_loop(p1, p2, upper, lower)
+    assert np.array_equal(fitters._nearest_rows(p1, p2, upper, lower), expected)
+    # small blocks whose size does not divide the row count
+    monkeypatch.setattr(fitters, "GUESS_BLOCK_BYTES", 7 * 3 * 8 * lower.size)
+    assert np.array_equal(fitters._nearest_rows(p1, p2, upper, lower), expected)
+
+
+def test_auto_guess_coupling_from_nearest_pair():
+    data = synthetic_crossing(noise_sigma=0.05, seed=4, n_p1=40)
+    branch = np.array(data.branch)
+    upper, lower = np.flatnonzero(branch == "upper"), np.flatnonzero(branch == "lower")
+    p1, p2, res = data.p1_mw, data.p2_mw, data.resonance_rad_s
+    nearest = lower[_nearest_by_loop(p1, p2, upper, lower)]
+    seps = [abs(res[i] - res[j]) for i, j in zip(upper, nearest)]
+    assert auto_initial_guess(data)["kappa_12"] == 0.5 * min(seps)
 
 
 def test_unknown_fixed_parameter_rejected():

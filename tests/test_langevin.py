@@ -1,10 +1,15 @@
 """Stochastic intensity-difference model, PSD estimation, shot-noise calibration."""
 
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
+from ringlab import langevin
 from ringlab.fitters import weighted_linear_fit
 from ringlab.langevin import (
     LangevinRun,
@@ -128,6 +133,112 @@ def test_spectrum_type_invariants():
         NoiseSpectrum(freq_grid=np.array([0.0, 1.0]), psd_normalized=np.array([1.0, 1.0]), n_segments=1)
     with pytest.raises(ValueError):
         NoiseSpectrum(freq_grid=np.array([1.0, 1.0]), psd_normalized=np.array([1.0, 1.0]), n_segments=1)
+    source = np.array([1.0, 2.0])
+    spectrum = NoiseSpectrum(freq_grid=source, psd_normalized=np.array([1.0, 0.5]), n_segments=1)
+    source[0] = 0.5  # the spectrum holds its own copy
+    assert spectrum.freq_grid[0] == 1.0
+    with pytest.raises(ValueError):
+        spectrum.freq_grid[0] = 3.0
+    with pytest.raises(ValueError):
+        spectrum.psd_normalized += 1.0
+
+
+# --- bit parity with the unblocked formulas ---------------------------------------
+
+
+def _integrate_reference(dw_ext, dw_int, kappa_eff, gamma_total, dt, x0):
+    """The Euler chain in its original whole-array form."""
+    a = 1.0 - gamma_total * dt
+    w = np.sqrt(kappa_eff) * dw_ext + np.sqrt(gamma_total - kappa_eff) * dw_int
+    y = lfilter([1.0], [1.0, -a], w, zi=np.array([a * x0]))[0]
+    x = np.concatenate(([x0], y[:-1]))
+    return x, np.sqrt(kappa_eff) * x - dw_ext / dt
+
+
+def _welch_reference(x, dt, n_segments):
+    """Welch PSD in its original form: every segment at once, then mean(axis=0)."""
+    m = 2 * (x.size // (n_segments + 1))
+    windows = np.lib.stride_tricks.sliding_window_view(x, m)[:: m // 2]
+    win = np.hanning(m)
+    spectra = np.abs(np.fft.rfft(windows * win, axis=1)) ** 2 * (dt / (m * np.mean(win**2)))
+    return spectra.mean(axis=0)[1:]
+
+
+@pytest.mark.parametrize("eta_c, x0", [(0.0, 0.3), (0.37, -1.1), (1.0, 0.0)])
+def test_integrator_matches_whole_array_formula_bit_for_bit(eta_c, x0):
+    rng = np.random.default_rng(2024)
+    dt = 0.01
+    dw_ext = rng.standard_normal(5000) * math.sqrt(dt)
+    dw_int = rng.standard_normal(5000) * math.sqrt(dt)
+    kept = dw_ext.copy(), dw_int.copy()
+    x, x_out = integrate_difference_quadrature(dw_ext, dw_int, eta_c, 1.0, dt, x0)
+    x_ref, out_ref = _integrate_reference(dw_ext, dw_int, eta_c, 1.0, dt, x0)
+    assert x.tobytes() == x_ref.tobytes() and x_out.tobytes() == out_ref.tobytes()
+    assert np.array_equal(dw_ext, kept[0]) and np.array_equal(dw_int, kept[1])  # inputs untouched
+
+
+@pytest.mark.parametrize("n_samples, n_segments, block_bytes", [
+    (95 * 2048, 94, langevin.WELCH_BLOCK_BYTES),  # CLI default: 94 segments in blocks of 16
+    (33 * 256, 32, 3 * 8 * 512),                  # blocks of 3 segments, remainder 2
+    (4099, 7, 1),                                  # one segment per block, odd tail
+    (1000, 1, langevin.WELCH_BLOCK_BYTES),
+])
+def test_blocked_welch_matches_mean_over_all_segments_bit_for_bit(monkeypatch, n_samples, n_segments, block_bytes):
+    monkeypatch.setattr(langevin, "WELCH_BLOCK_BYTES", block_bytes)
+    series = np.random.default_rng(n_samples).standard_normal(n_samples) * 3.0
+    spectrum = output_psd(series, 0.25, n_segments)
+    assert spectrum.psd_normalized.tobytes() == _welch_reference(series, 0.25, n_segments).tobytes()
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="older interpreters keep call arguments alive in the caller")
+def test_trajectory_holds_at_most_three_series():
+    run = make_run(n_trajectories=1, segments=94, dt_factor=0.01)
+    series_bytes = 8 * run.n_steps
+    output_psd(simulate_difference_quadrature(run, 0)[1], run.dt, 94)  # imports and caches outside the window
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        output_psd(simulate_difference_quadrature(run, 0)[1], run.dt, 94)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5_000_000
+    assert peak <= 3.1 * series_bytes
+
+
+# --- trajectory thread pool -------------------------------------------------------
+
+
+@pytest.mark.parametrize("max_workers", [1, 3])
+def test_pooled_average_equals_serial_fixed_order_sum(monkeypatch, max_workers):
+    run = make_run(eta_c=0.6, n_trajectories=5, segments=12, seed=77)
+    acc = None
+    for trajectory in range(run.n_trajectories):
+        psd = output_psd(simulate_difference_quadrature(run, trajectory)[1], run.dt, 12).psd_normalized
+        acc = psd if acc is None else acc + psd
+    expected = acc / run.n_trajectories
+
+    workers = set()
+    simulate = langevin.simulate_difference_quadrature
+
+    def recording_simulate(*args):
+        workers.add(threading.get_ident())
+        return simulate(*args)
+
+    monkeypatch.setattr(langevin, "LANGEVIN_MAX_WORKERS", max_workers)
+    monkeypatch.setattr(langevin, "_usable_cpus", lambda: 8)  # more threads than this host may have cores
+    monkeypatch.setattr(langevin, "simulate_difference_quadrature", recording_simulate)
+    threads_before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the threads as finely as the interpreter allows
+    try:
+        pooled = averaged_output_psd(run, 12)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads_before  # no pool thread outlives the call
+    assert 1 <= len(workers) <= max_workers and threading.get_ident() not in workers
+    assert pooled.psd_normalized.tobytes() == expected.tobytes()
+    assert pooled.n_segments == 12 * run.n_trajectories
 
 
 # --- analytic spectrum ------------------------------------------------------------
@@ -230,3 +341,12 @@ def test_shot_noise_line_through_origin():
 def test_shot_noise_rejects_negative_power():
     with pytest.raises(ValueError):
         shot_noise_calibration([-1.0])
+
+
+def test_pooled_average_raises_a_trajectory_error_and_leaves_no_thread(monkeypatch):
+    monkeypatch.setattr(langevin, "_usable_cpus", lambda: 3)
+    run = make_run(n_trajectories=6, segments=8)
+    threads_before = threading.active_count()
+    with pytest.raises(ValueError, match="too short"):
+        averaged_output_psd(run, 10 * run.n_steps)
+    assert threading.active_count() == threads_before
