@@ -14,7 +14,6 @@ import argparse
 import itertools
 import math
 import sys
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .errors import ConfigError, DataError, FitError
 RANGE_REL_TOL = 1e-9          # stop is included when on-grid within this
 RANGE_MAX_POINTS = 10**7      # larger grids are refused before any allocation
 SEGMENT_SAMPLES = 4096        # Welch segment length for langevin-verify
+WRITE_BLOCK = 4096            # array values converted to Python floats at a time
 
 EXIT_CODES_HELP = """\
 exit codes:
@@ -88,35 +88,33 @@ def _status(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-@contextmanager
-def _open_out(path: str):
+def _write_table(path: str, header: list[str], rows, comments=()) -> None:
+    """Stream a CSV table to `path` ('-' is stdout), one row at a time."""
     if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as stream:
-            yield stream
+        write_csv(sys.stdout, header, rows, comments)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as stream:
+        write_csv(stream, header, rows, comments)
 
 
 def _rows(*columns):
     """CSV rows from columns; arrays go out as Python floats, which format faster."""
-    return zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    return zip(*(_floats(c) if isinstance(c, np.ndarray) else c for c in columns))
+
+
+def _floats(array: np.ndarray):
+    """The values of `array` as Python floats, converted WRITE_BLOCK at a time
+    so that a table never exists whole as Python objects."""
+    blocks = range(0, array.size, WRITE_BLOCK)
+    return itertools.chain.from_iterable(array[i:i + WRITE_BLOCK].tolist() for i in blocks)
 
 
 def _load_columns(path: str, schema: dict[str, type], frequency: str, wavelength: str) -> dict:
     """Columns of a CSV file under `schema`, whose `frequency` column (rad/s)
     may instead be given as vacuum wavelengths in a `wavelength` column (nm),
-    converted here.  Only the header line is read to tell which; the file
-    is parsed once, by load_csv.
+    converted here.
     """
-    try:
-        with open(path, encoding="utf-8") as stream:
-            header = next((line for line in stream if line.strip() and not line.lstrip().startswith("#")), "")
-    except OSError as exc:
-        raise DataError(f"data file: {exc}") from None
-    if frequency not in header:
-        schema = {wavelength if name == frequency else name: kind for name, kind in schema.items()}
-    rows = load_csv(path, schema)
-    columns = {name: [row[name] for row in rows] for name in schema}
+    columns = load_csv(path, schema, {frequency: wavelength})
     if wavelength in columns:
         columns[frequency] = devicemodel.pump_angular_frequency(np.array(columns.pop(wavelength)))
     return columns
@@ -147,8 +145,7 @@ def cmd_transmission(args) -> int:
                                          margin_linewidths=args.margin_linewidths,
                                          n_points=args.points)
     trace = spectra.compute_trace(config, args.p1, args.p2, grid)
-    with _open_out(args.out) as stream:
-        write_csv(stream, ["omega_rad_s", "t_power"], zip(trace.omega_grid, trace.t_power))
+    _write_table(args.out, ["omega_rad_s", "t_power"], _rows(trace.omega_grid, trace.t_power))
     dips = spectra.find_dips(trace)
     if args.dip_report is not None:
         rows = []
@@ -159,8 +156,7 @@ def cmd_transmission(args) -> int:
                 regime = spectra.classify_regime(config, (args.p1, args.p2), dip)
                 eta = spectra.eta_c_from_tmin(dip.t_min, regime)
             rows.append((dip.omega_center, dip.t_min, dip.fwhm, regime, eta))
-        with _open_out(args.dip_report) as stream:
-            write_csv(stream, ["omega_center_rad_s", "t_min", "fwhm_rad_s", "regime", "eta_c"], rows)
+        _write_table(args.dip_report, ["omega_center_rad_s", "t_min", "fwhm_rad_s", "regime", "eta_c"], rows)
     _status(f"transmission: {trace.omega_grid.size} points, {len(dips)} dip(s)")
     return 0
 
@@ -168,13 +164,12 @@ def cmd_transmission(args) -> int:
 def cmd_crossing_sweep(args) -> int:
     config = devicemodel.load_config(args.config)
     upper, lower = supermodes.solve_both(config, args.p1, args.p2)
-    with _open_out(args.out) as stream:
-        write_csv(stream, ["p1_mw", "p2_mw", "branch", "resonance_rad_s"], _rows(
-            np.repeat(args.p1, 2),
-            itertools.repeat(args.p2),
-            itertools.cycle(("lower", "upper")),
-            np.column_stack([lower.omega, upper.omega]).ravel(),
-        ))
+    _write_table(args.out, ["p1_mw", "p2_mw", "branch", "resonance_rad_s"], _rows(
+        np.repeat(args.p1, 2),
+        itertools.repeat(args.p2),
+        itertools.cycle(("lower", "upper")),
+        np.column_stack([lower.omega, upper.omega]).ravel(),
+    ))
     min_split = float(np.min(upper.omega - lower.omega))
     _status(f"crossing-sweep: {2 * args.p1.size} rows, minimum splitting {format_value(min_split)} rad/s")
     return 0
@@ -183,8 +178,7 @@ def cmd_crossing_sweep(args) -> int:
 def cmd_etac_sweep(args) -> int:
     config = devicemodel.load_config(args.config)
     sol = supermodes.eta_c_vs_heater(config, args.branch, args.p1, args.p2)
-    with _open_out(args.out) as stream:
-        write_csv(stream, ["p1_mw", "omega_rad_s", "eta_c", "tau_c_s"], _rows(args.p1, sol.omega, sol.eta_c, sol.tau_c))
+    _write_table(args.out, ["p1_mw", "omega_rad_s", "eta_c", "tau_c_s"], _rows(args.p1, sol.omega, sol.eta_c, sol.tau_c))
     _status(
         "etac-sweep: eta_c from {} to {} over {} points".format(
             format_value(float(sol.eta_c[0])), format_value(float(sol.eta_c[-1])), sol.eta_c.size
@@ -197,11 +191,10 @@ def cmd_squeeze_sweep(args) -> int:
     config = devicemodel.load_config(args.config)
     omega_sideband = 2.0 * math.pi * args.sideband_mhz * 1e6
     sweep = squeezing.squeezing_vs_coupling(config, args.branch, args.p1, args.p2, omega_sideband)
-    with _open_out(args.out) as stream:
-        write_csv(stream, ["eta_c", "s_measured_db", "s_onchip_db", "omega_sideband_hz", "tau_c_s"], _rows(
-            sweep.eta_c, sweep.s_measured_db, sweep.s_onchip_db,
-            itertools.repeat(sweep.omega_sideband_hz), sweep.tau_c_s,
-        ))
+    _write_table(args.out, ["eta_c", "s_measured_db", "s_onchip_db", "omega_sideband_hz", "tau_c_s"], _rows(
+        sweep.eta_c, sweep.s_measured_db, sweep.s_onchip_db,
+        itertools.repeat(sweep.omega_sideband_hz), sweep.tau_c_s,
+    ))
     _status(
         "squeeze-sweep: at eta_c={} measured {} dB, on-chip {} dB".format(
             format_value(float(sweep.eta_c[-1])),
@@ -215,8 +208,7 @@ def cmd_squeeze_sweep(args) -> int:
 def cmd_squeeze_spectrum(args) -> int:
     s = squeezing.squeezing_level(args.eta_c, args.eta_d, args.tau_c, 2.0 * math.pi * args.f)
     s_db = squeezing.db_from_linear(s)
-    with _open_out(args.out) as stream:
-        write_csv(stream, ["f_hz", "s_linear", "s_db", "squeezing_factor_db"], _rows(args.f, s, s_db, -s_db))
+    _write_table(args.out, ["f_hz", "s_linear", "s_db", "squeezing_factor_db"], _rows(args.f, s, s_db, -s_db))
     i = int(np.argmin(s_db))
     _status(f"squeeze-spectrum: minimum {format_value(float(s_db[i]))} dB at f={format_value(float(args.f[i]))} Hz")
     return 0
@@ -250,9 +242,8 @@ def cmd_langevin_verify(args) -> int:
         f"kappa_eff={format_value(run.kappa_eff)}",
     ]
     psd = simulated.psd_normalized
-    with _open_out(args.out) as stream:
-        write_csv(stream, ["freq_hz", "psd_shotnoise_units", "psd_db"],
-                  _rows(simulated.freq_grid, psd, squeezing.db_from_linear(psd)), comments=metadata)
+    _write_table(args.out, ["freq_hz", "psd_shotnoise_units", "psd_db"],
+                 _rows(simulated.freq_grid, psd, squeezing.db_from_linear(psd)), comments=metadata)
     _status(
         "langevin-verify: max |simulated - analytic| = {} dB over {} frequencies "
         "(omega <= 3*gamma_total), eta_c={}".format(
@@ -272,8 +263,7 @@ def cmd_shot_cal(args) -> int:
     fit = fitters.weighted_linear_fit(
         [p for p, _ in levels], [v for _, v in levels], through_origin=True
     )
-    with _open_out(args.out) as stream:
-        write_csv(stream, ["power", "psd_level"], levels)
+    _write_table(args.out, ["power", "psd_level"], levels)
     _status(
         "shot-cal: slope={} r_squared={} (line through origin)".format(
             format_value(fit.slope), format_value(fit.r_squared)
@@ -293,8 +283,7 @@ def cmd_fit_crossing(args) -> int:
         fixed=parse_assignments(args.fix) or None,
     )
     rows = [(name, result.params[name], result.stderr[name]) for name in fitters.CROSSING_PARAMS]
-    with _open_out(args.out) as stream:
-        write_csv(stream, ["param", "value", "stderr"], rows)
+    _write_table(args.out, ["param", "value", "stderr"], rows)
     _status(f"fit-crossing: converged in {result.n_iterations} iterations, "
             f"residual_rms={format_value(result.residual_rms)} rad/s")
     for name, value, err in rows:
@@ -315,8 +304,7 @@ def cmd_fit_dip(args) -> int:
         ("fwhm_rad_s", result.fwhm, result.stderr["fwhm"]),
         ("baseline", result.baseline, result.stderr["baseline"]),
     ]
-    with _open_out(args.out) as stream:
-        write_csv(stream, ["param", "value", "stderr"], rows)
+    _write_table(args.out, ["param", "value", "stderr"], rows)
     note = " (model mismatch: structured residuals)" if result.mismatch_warning else ""
     _status(f"fit-dip: converged in {result.n_iterations} iterations, "
             f"t_min={format_value(result.t_min)}{note}")

@@ -1,7 +1,8 @@
 """CSV reading/writing with strict schemas and round-trip fidelity.
 
-Files are UTF-8, comma-separated, one header row naming the columns
-exactly; lines starting with '#' are comments and are skipped.  Floats
+Files are UTF-8, with or without a byte-order mark, comma-separated, one
+header row naming the columns exactly; blank lines and lines starting
+with '#' are skipped.  Tables are read as columns in one pass.  Floats
 are written with 17 significant digits so finite values survive a
 write/read round trip bit-for-bit.
 """
@@ -18,50 +19,56 @@ from .errors import DataError
 
 
 def format_value(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, float):
         return format(value, ".17g")
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 
-def load_csv(path: str | Path, columns: dict[str, type]) -> list[dict]:
-    """Read rows under a strict schema {column name -> float | str | int}.
+def load_csv(path: str | Path, columns: dict[str, type],
+             alternatives: dict[str, str] | None = None) -> dict[str, list]:
+    """Read the columns of a file under a strict schema {column name -> float | str | int}.
 
     The header must contain exactly the schema's columns (any order);
-    errors name the offending column and row.
+    errors name the offending column and row.  `alternatives` maps a
+    schema column to another name it may be given under instead.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8-sig") as lines:
+            return parse_csv(lines, columns, str(path), alternatives)
     except OSError as exc:
         raise DataError(f"data file: {exc}") from None
-    return parse_csv(text, columns, source=str(path))
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
 
 
-def parse_csv(text: str, columns: dict[str, type], source: str = "<string>") -> list[dict]:
-    lines = [line for line in text.splitlines() if line.strip() and not line.lstrip().startswith("#")]
-    if not lines:
+def parse_csv(lines: Iterable[str], columns: dict[str, type], source: str = "<string>",
+              alternatives: dict[str, str] | None = None) -> dict[str, list]:
+    """Columns {name -> list of values} of CSV text given as lines; see load_csv."""
+    reader = csv.reader(line for line in lines if line.strip() and not line.lstrip().startswith("#"))
+    header = [cell.strip() for cell in next(reader, ())]
+    if not header:
         raise DataError(f"{source}: empty file (no header row)")
-    reader = csv.reader(lines)
-    header = [cell.strip() for cell in next(reader)]
+    for name, other in (alternatives or {}).items():
+        if name not in header:
+            columns = {other if key == name else key: kind for key, kind in columns.items()}
     for name in columns:
         if name not in header:
             raise DataError(f"{source}: missing column {name!r}")
     for name in header:
         if name not in columns:
             raise DataError(f"{source}: unexpected column {name!r}")
-    rows = []
+    for name in header:
+        if header.count(name) > 1:
+            raise DataError(f"{source}: duplicate column {name!r}")
+    table = {name: [] for name in header}
+    fields = [(name, columns[name], table[name].append) for name in header]
     for row_number, cells in enumerate(reader, start=2):
         if len(cells) != len(header):
             raise DataError(f"{source}: row {row_number}: expected {len(header)} cells, got {len(cells)}")
-        row = {}
-        for name, cell in zip(header, cells):
-            kind = columns[name]
+        for (name, kind, append), cell in zip(fields, cells):
             cell = cell.strip()
             if kind is str:
-                row[name] = cell
+                append(cell)
                 continue
             try:
                 value = kind(cell)
@@ -71,30 +78,17 @@ def parse_csv(text: str, columns: dict[str, type], source: str = "<string>") -> 
                 ) from None
             if kind is float and not math.isfinite(value):
                 raise DataError(f"{source}: row {row_number}, column {name!r}: non-finite value")
-            row[name] = value
-        rows.append(row)
-    return rows
+            append(value)
+    return table
 
 
 def write_csv(stream: io.TextIOBase, columns: list[str], rows: Iterable,
               comments: Iterable[str] = ()) -> None:
-    """Write optional '#' comment lines, the header, then the rows.
-
-    Rows may be mappings (looked up by column name) or sequences in
-    column order.  Output is deterministic for identical input.
+    """Write optional '#' comment lines, the header, then the rows
+    (sequences in column order).  Output is deterministic for identical input.
     """
     for comment in comments:
         stream.write(f"# {comment}\n")
     stream.write(",".join(columns) + "\n")
     for row in rows:
-        if isinstance(row, dict):
-            cells = [format_value(row[name]) for name in columns]
-        else:
-            cells = [format_value(value) for value in row]
-        stream.write(",".join(cells) + "\n")
-
-
-def write_csv_file(path: str | Path, columns: list[str], rows: Iterable,
-                   comments: Iterable[str] = ()) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as stream:
-        write_csv(stream, columns, rows, comments)
+        stream.write(",".join(map(format_value, row)) + "\n")

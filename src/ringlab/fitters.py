@@ -28,6 +28,7 @@ from .supermodes import crossing_geometry
 
 CROSSING_PARAMS = ("kappa_12", "omega1_0", "omega2_0", "alpha1", "alpha2")
 
+MAX_ITERATIONS = 200  # iteration budget of every fit
 _FTOL = 1e-10
 _XTOL = 1e-14
 _LAMBDA_MAX = 1e15
@@ -134,7 +135,7 @@ def _scaled_normal(jac: np.ndarray, r: np.ndarray):
     return normal, rhs, scale
 
 
-def _damped_least_squares(residual_fn, jacobian_fn, theta0, max_iterations: int = 200) -> _EngineResult:
+def _damped_least_squares(residual_fn, jacobian_fn, theta0) -> _EngineResult:
     theta = np.array(theta0, dtype=float)
     r = residual_fn(theta)
     cost = float(r @ r)
@@ -143,7 +144,7 @@ def _damped_least_squares(residual_fn, jacobian_fn, theta0, max_iterations: int 
     converged = cost == 0.0
     identity = np.eye(theta.size)
     iteration = 0
-    while not converged and iteration < max_iterations:
+    while not converged and iteration < MAX_ITERATIONS:
         iteration += 1
         normal, rhs, scale = _scaled_normal(jacobian_fn(theta), r)
         stepped = False
@@ -305,7 +306,6 @@ def fit_avoided_crossing(
     data: CrossingDataset,
     initial: dict[str, float] | None = None,
     fixed: dict[str, float] | None = None,
-    max_iterations: int = 200,
 ) -> FitResult:
     """Fit the avoided-crossing model to branch resonance data.
 
@@ -340,7 +340,7 @@ def fit_avoided_crossing(
     def jacobian(theta: np.ndarray) -> np.ndarray:
         return _crossing_jacobian(unpack(theta), p1, p2, sign, free)
 
-    engine = _damped_least_squares(residual, jacobian, [start[name] for name in free], max_iterations)
+    engine = _damped_least_squares(residual, jacobian, [start[name] for name in free])
     params = unpack(engine.theta)
     params["kappa_12"] = abs(params["kappa_12"])  # sign not identifiable
     stderr = {name: 0.0 for name in CROSSING_PARAMS}
@@ -376,8 +376,7 @@ def _count_deep_minima(t: np.ndarray) -> int:
     return count
 
 
-def fit_lorentzian_dip(trace: TransmissionTrace, window: tuple[int, int],
-                       max_iterations: int = 200) -> DipFitResult:
+def fit_lorentzian_dip(trace: TransmissionTrace, window: tuple[int, int]) -> DipFitResult:
     """Fit T(w) = b*(1 - d/(1 + 4(w - w0)^2/w_fwhm^2)) inside an index window.
 
     Returns the dip center, the baseline-normalized minimum 1 - d, the
@@ -424,7 +423,7 @@ def fit_lorentzian_dip(trace: TransmissionTrace, window: tuple[int, int],
         d_baseline = 1.0 - depth * lor
         return np.column_stack([d_omega0, d_depth, d_width, d_baseline])
 
-    engine = _damped_least_squares(residual, jacobian, [omega0_0, depth0, width0, baseline0], max_iterations)
+    engine = _damped_least_squares(residual, jacobian, [omega0_0, depth0, width0, baseline0])
     omega0, depth, width, baseline = engine.theta
     resid = residual(engine.theta)
     denom = float(resid @ resid)

@@ -1,5 +1,6 @@
 """Command-line interface: ranges, CSV schemas, exit codes, determinism."""
 
+import io
 import math
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import ringlab
 from ringlab.cli import RANGE_MAX_POINTS, parse_range, run
-from ringlab.csvio import parse_csv, write_csv_file
+from ringlab.csvio import load_csv, parse_csv, write_csv
 from ringlab.errors import DataError
 
 MHZ = 2.0 * math.pi * 1e6
@@ -67,40 +68,75 @@ def test_cli_import_leaves_scipy_signal_unloaded():
 # --- CSV io ------------------------------------------------------------------------
 
 
+def write_csv_file(path, columns, rows):
+    with open(path, "w", encoding="utf-8", newline="") as stream:
+        write_csv(stream, columns, rows)
+
+
+def parse_text(text, schema):
+    return parse_csv(io.StringIO(text), schema)
+
+
 def test_csv_round_trip_is_exact(tmp_path):
     path = tmp_path / "t.csv"
     rows = [(1.0 / 3.0, 2.0**-52), (math.pi * 1e15, -1.2345678901234567e-8)]
     write_csv_file(path, ["a", "b"], rows)
-    back = parse_csv(path.read_text(), {"a": float, "b": float})
-    for (a, b), row in zip(rows, back):
-        assert row["a"] == a and row["b"] == b
+    back = load_csv(path, {"a": float, "b": float})
+    assert back == {"a": [a for a, _ in rows], "b": [b for _, b in rows]}
 
 
 def test_csv_missing_column_named():
     with pytest.raises(DataError, match="missing column 'b'"):
-        parse_csv("a\n1.0\n", {"a": float, "b": float})
+        parse_text("a\n1.0\n", {"a": float, "b": float})
 
 
 def test_csv_unexpected_column_named():
     with pytest.raises(DataError, match="unexpected column 'c'"):
-        parse_csv("a,c\n1.0,2.0\n", {"a": float})
+        parse_text("a,c\n1.0,2.0\n", {"a": float})
+
+
+def test_csv_duplicate_column_named():
+    with pytest.raises(DataError, match="duplicate column 'a'"):
+        parse_text("a,b,a\n1.0,2.0,3.0\n", {"a": float, "b": float})
 
 
 def test_csv_comment_lines_skipped():
-    rows = parse_csv("# note\na,b\n# another\n1,2\n", {"a": float, "b": float})
-    assert rows == [{"a": 1.0, "b": 2.0}]
+    columns = parse_text("# note\na,b\n# another\n1,2\n", {"a": float, "b": float})
+    assert columns == {"a": [1.0], "b": [2.0]}
 
 
 def test_csv_bad_cell_reports_row_and_column():
     with pytest.raises(DataError, match=r"row 3, column 'b'"):
-        parse_csv("a,b\n1,2\n3,oops\n", {"a": float, "b": float})
+        parse_text("a,b\n1,2\n3,oops\n", {"a": float, "b": float})
+
+
+def test_csv_not_utf8_is_a_data_error(tmp_path, capsys):
+    data = tmp_path / "latin1.csv"
+    data.write_bytes(b"omega_rad_s,t_power\n" + b"1.0,0.5\n" * 2000 + b"2.0,0.5 \xb5W\n")
+    assert run(["fit-dip", "--data", str(data)]) == 4
+    assert capsys.readouterr().err == f"ringlab: error: data: {data}: not UTF-8 text\n"
+
+
+def test_csv_alternative_column_matched_on_header_cells():
+    def parse(text):
+        return parse_csv(io.StringIO(text), {"omega": float, "t": float}, "s", {"omega": "nm"})
+
+    assert parse("nm,t\n1,2\n") == {"nm": [1.0], "t": [2.0]}
+    assert parse("t,omega\n1,2\n") == {"t": [1.0], "omega": [2.0]}
+    with pytest.raises(DataError, match="s: unexpected column 'nm'"):
+        parse("omega,nm,t\n1,2,3\n")
+    # a header cell merely containing the name is not the column
+    with pytest.raises(DataError, match="s: missing column 'nm'"):
+        parse("omega_x,t\n1,2\n")
 
 
 # --- commands ----------------------------------------------------------------------
 
 
-def read_csv_file(path, schema):
-    return parse_csv(path.read_text(encoding="utf-8"), schema)
+def fit_values(path):
+    """{param: value} of a fit-crossing or fit-dip output table."""
+    table = load_csv(path, {"param": str, "value": float, "stderr": float})
+    return dict(zip(table["param"], table["value"]))
 
 
 def test_validate_ok(device_cfg_path, capsys):
@@ -166,9 +202,8 @@ def test_etac_sweep_output(device_cfg_path, tmp_path):
         "--p1", "0:50:0.5", "--p2", "10", "--out", str(out),
     ])
     assert code == 0
-    rows = read_csv_file(out, {"p1_mw": float, "omega_rad_s": float, "eta_c": float, "tau_c_s": float})
-    etas = [r["eta_c"] for r in rows]
-    assert len(rows) == 101
+    etas = load_csv(out, {"p1_mw": float, "omega_rad_s": float, "eta_c": float, "tau_c_s": float})["eta_c"]
+    assert len(etas) == 101
     assert min(etas) <= 0.12 and max(etas) >= 0.68
     assert etas == sorted(etas)
 
@@ -180,13 +215,13 @@ def test_squeeze_spectrum_value_at_3mhz(tmp_path):
         "--f", "0:6e6:1e4", "--out", str(out),
     ])
     assert code == 0
-    rows = read_csv_file(out, {"f_hz": float, "s_linear": float, "s_db": float, "squeezing_factor_db": float})
-    at_3mhz = next(r for r in rows if r["f_hz"] == 3e6)
+    table = load_csv(out, {"f_hz": float, "s_linear": float, "s_db": float, "squeezing_factor_db": float})
+    i = table["f_hz"].index(3e6)
     x = 2 * math.pi * 3e6 * 22.5e-9
     expected_db = 10 * math.log10(1 - 0.7 / (1 + x * x))
-    assert at_3mhz["s_db"] == pytest.approx(expected_db, abs=1e-9)
-    assert at_3mhz["s_db"] == pytest.approx(-3.9, abs=0.05)
-    assert at_3mhz["squeezing_factor_db"] == -at_3mhz["s_db"]
+    assert table["s_db"][i] == pytest.approx(expected_db, abs=1e-9)
+    assert table["s_db"][i] == pytest.approx(-3.9, abs=0.05)
+    assert table["squeezing_factor_db"][i] == -table["s_db"][i]
 
 
 def test_squeeze_spectrum_reports_where_the_minimum_is(capsys):
@@ -201,13 +236,13 @@ def test_squeeze_sweep_output(device_cfg_path, tmp_path):
         "squeeze-sweep", "--config", str(device_cfg_path), "--branch", "lower",
         "--p1", "0:50:1", "--p2", "10", "--out", str(out),
     ]) == 0
-    rows = read_csv_file(out, {
+    table = load_csv(out, {
         "eta_c": float, "s_measured_db": float, "s_onchip_db": float,
         "omega_sideband_hz": float, "tau_c_s": float,
     })
-    assert rows[0]["omega_sideband_hz"] == 3e6
-    assert rows[-1]["s_onchip_db"] == pytest.approx(-3.9, abs=0.15)
-    assert rows[-1]["s_measured_db"] == pytest.approx(-1.8, abs=0.15)
+    assert table["omega_sideband_hz"][0] == 3e6
+    assert table["s_onchip_db"][-1] == pytest.approx(-3.9, abs=0.15)
+    assert table["s_measured_db"][-1] == pytest.approx(-1.8, abs=0.15)
 
 
 def test_crossing_sweep_feeds_fit_crossing(device_cfg_path, tmp_path, capsys):
@@ -223,9 +258,9 @@ def test_crossing_sweep_feeds_fit_crossing(device_cfg_path, tmp_path, capsys):
         "--fix", f"alpha2={30.0 * MHZ!r}", "--out", str(fit_out),
     ])
     assert code == 0
-    rows = {r["param"]: r for r in read_csv_file(fit_out, {"param": str, "value": float, "stderr": float})}
-    assert rows["kappa_12"]["value"] == pytest.approx(150.0 * MHZ, rel=1e-6)
-    assert rows["alpha1"]["value"] == pytest.approx(30.0 * MHZ, rel=1e-6)
+    fit = fit_values(fit_out)
+    assert fit["kappa_12"] == pytest.approx(150.0 * MHZ, rel=1e-6)
+    assert fit["alpha1"] == pytest.approx(30.0 * MHZ, rel=1e-6)
 
 
 def test_transmission_with_dip_report(device_cfg_path, tmp_path):
@@ -235,16 +270,15 @@ def test_transmission_with_dip_report(device_cfg_path, tmp_path):
         "transmission", "--config", str(device_cfg_path), "--p1", "40", "--p2", "10",
         "--points", "20001", "--out", str(trace_out), "--dip-report", str(dip_out),
     ]) == 0
-    dips = read_csv_file(dip_out, {
+    dips = load_csv(dip_out, {
         "omega_center_rad_s": float, "t_min": float, "fwhm_rad_s": float,
         "regime": str, "eta_c": float,
     })
-    assert len(dips) == 2
-    regimes = {d["regime"] for d in dips}
-    assert regimes <= {"overcoupled", "undercoupled"}
-    lower = min(dips, key=lambda d: d["omega_center_rad_s"])
-    assert lower["regime"] == "overcoupled"
-    assert lower["eta_c"] == pytest.approx(0.696, abs=0.02)
+    assert len(dips["regime"]) == 2
+    assert set(dips["regime"]) <= {"overcoupled", "undercoupled"}
+    lower = int(np.argmin(dips["omega_center_rad_s"]))
+    assert dips["regime"][lower] == "overcoupled"
+    assert dips["eta_c"][lower] == pytest.approx(0.696, abs=0.02)
 
 
 def test_fit_dip_on_trace_file(tmp_path):
@@ -255,9 +289,9 @@ def test_fit_dip_on_trace_file(tmp_path):
     write_csv_file(data, ["omega_rad_s", "t_power"], zip(omega, t))
     out = tmp_path / "dipfit.csv"
     assert run(["fit-dip", "--data", str(data), "--out", str(out)]) == 0
-    rows = {r["param"]: r["value"] for r in read_csv_file(out, {"param": str, "value": float, "stderr": float})}
-    assert rows["t_min"] == pytest.approx(0.2, abs=1e-8)
-    assert rows["fwhm_rad_s"] == pytest.approx(fwhm, rel=1e-8)
+    fit = fit_values(out)
+    assert fit["t_min"] == pytest.approx(0.2, abs=1e-8)
+    assert fit["fwhm_rad_s"] == pytest.approx(fwhm, rel=1e-8)
 
 
 def test_fit_dip_rejects_double_dip_window_exit_5(tmp_path, capsys):
@@ -279,13 +313,97 @@ def test_malformed_csv_exit_4(tmp_path, capsys):
     assert "ringlab: error: data:" in capsys.readouterr().err
 
 
+# --- seeded mutations of the two CSV loaders -----------------------------------------
+
+LOADERS = {
+    # command -> (numeric columns, column -> its alternative name)
+    "fit-dip": (("omega_rad_s", "t_power"), {"omega_rad_s": "wavelength_nm"}),
+    "fit-crossing": (("p1_mw", "p2_mw", "resonance_rad_s"), {"resonance_rad_s": "resonance_nm"}),
+}
+MUTATIONS = ("oops", "nan", "inf", "drop", "add", "rename", "comments")
+
+
+def valid_loader_input(command, device_cfg_path, tmp_path):
+    """Header, rows (as cell strings) and extra arguments of a file `command` accepts."""
+    if command == "fit-dip":
+        omega0, fwhm = 1.2066e15, 6.0 * MHZ
+        omega = omega0 + np.linspace(-6, 6, 41) * fwhm
+        t = 1.0 - 0.8 / (1.0 + 4.0 * (omega - omega0) ** 2 / fwhm**2)
+        return ["omega_rad_s", "t_power"], [[repr(a), repr(b)] for a, b in zip(omega.tolist(), t.tolist())], []
+    data = tmp_path / "crossing.csv"
+    assert run(["crossing-sweep", "--config", str(device_cfg_path),
+                "--p1", "5:55:2.5", "--p2", "10", "--out", str(data)]) == 0
+    header, *rows = (line.split(",") for line in data.read_text(encoding="utf-8").splitlines())
+    return header, rows, ["--fix", f"alpha2={30.0 * MHZ!r}"]
+
+
+def mutate(header, rows, numeric, alternatives, rng):
+    """A copy of a valid table with one seeded defect: its lines and the loader's message."""
+    kind = MUTATIONS[rng.integers(len(MUTATIONS))]
+    header, rows = list(header), [list(row) for row in rows]
+    i = int(rng.integers(len(rows)))
+    if kind in ("oops", "nan", "inf"):
+        name = numeric[rng.integers(len(numeric))]
+        rows[i][header.index(name)] = kind
+        expected = f"row {i + 2}, column {name!r}: " + ("not numeric: 'oops'" if kind == "oops" else "non-finite value")
+    elif kind == "drop":
+        del rows[i][rng.integers(len(header))]
+        expected = f"row {i + 2}: expected {len(header)} cells, got {len(header) - 1}"
+    elif kind == "add":
+        header.append("extra")
+        for row in rows:
+            row.append("1")
+        expected = "unexpected column 'extra'"
+    elif kind == "rename":
+        j = int(rng.integers(len(header)))
+        name, header[j] = header[j], header[j].upper()
+        expected = f"missing column {alternatives.get(name, name)!r}"
+    else:
+        return kind, ["# only comments", "", "#   and a blank line"], "empty file (no header row)"
+    return kind, ["# a comment line is not a row", ",".join(header), *map(",".join, rows)], expected
+
+
+@pytest.mark.parametrize("command", sorted(LOADERS))
+def test_csv_loader_rejects_seeded_mutations(command, device_cfg_path, tmp_path, capsys):
+    numeric, alternatives = LOADERS[command]
+    header, rows, extra = valid_loader_input(command, device_cfg_path, tmp_path)
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join([",".join(header), *map(",".join, rows)]) + "\n", encoding="utf-8")
+    assert run([command, "--data", str(data), *extra, "--out", str(tmp_path / "fit.csv")]) == 0
+    capsys.readouterr()
+    rng = np.random.default_rng(sorted(LOADERS).index(command) + 505)
+    seen = set()
+    for _ in range(40):
+        kind, lines, expected = mutate(header, rows, numeric, alternatives, rng)
+        seen.add(kind)
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run([command, "--data", str(data), *extra]) == 4, (kind, expected)
+        assert capsys.readouterr().err == f"ringlab: error: data: {data}: {expected}\n"
+    assert seen == set(MUTATIONS)
+
+
+@pytest.mark.parametrize("command", sorted(LOADERS))
+def test_csv_loader_accepts_a_byte_order_mark(command, device_cfg_path, tmp_path, capsys):
+    header, rows, extra = valid_loader_input(command, device_cfg_path, tmp_path)
+    text = "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    capsys.readouterr()
+    outputs = []
+    for data in (plain, marked):
+        out = tmp_path / f"fit_{data.name}"
+        assert run([command, "--data", str(data), *extra, "--out", str(out)]) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr().err))
+    assert outputs[1] == outputs[0]
+
+
 def test_shot_cal(tmp_path, capsys):
     out = tmp_path / "cal.csv"
     assert run(["shot-cal", "--powers", "1,2,4,8", "--seed", "3", "--out", str(out)]) == 0
     err = capsys.readouterr().err
     assert "r_squared=" in err
-    rows = read_csv_file(out, {"power": float, "psd_level": float})
-    assert [r["power"] for r in rows] == [1.0, 2.0, 4.0, 8.0]
+    assert load_csv(out, {"power": float, "psd_level": float})["power"] == [1.0, 2.0, 4.0, 8.0]
 
 
 def test_langevin_verify_small(device_cfg_path, tmp_path, capsys):
@@ -299,8 +417,8 @@ def test_langevin_verify_small(device_cfg_path, tmp_path, capsys):
     assert "max |simulated - analytic|" in err
     text = out.read_text()
     assert "# seed=7" in text and "# n_trajectories=10" in text
-    rows = read_csv_file(out, {"freq_hz": float, "psd_shotnoise_units": float, "psd_db": float})
-    assert len(rows) > 100
+    table = load_csv(out, {"freq_hz": float, "psd_shotnoise_units": float, "psd_db": float})
+    assert len(table["freq_hz"]) > 100
 
 
 def test_fit_crossing_accepts_wavelength_data(device_cfg_path, tmp_path):
@@ -310,12 +428,10 @@ def test_fit_crossing_accepts_wavelength_data(device_cfg_path, tmp_path):
         "crossing-sweep", "--config", str(device_cfg_path),
         "--p1", "5:55:2.5", "--p2", "10", "--out", str(data),
     ]) == 0
-    rows = read_csv_file(data, {"p1_mw": float, "p2_mw": float, "branch": str, "resonance_rad_s": float})
+    table = load_csv(data, {"p1_mw": float, "p2_mw": float, "branch": str, "resonance_rad_s": float})
     c = 299792458.0
-    nm_rows = [
-        (r["p1_mw"], r["p2_mw"], r["branch"], 2 * math.pi * c / r["resonance_rad_s"] * 1e9)
-        for r in rows
-    ]
+    nm_rows = zip(table["p1_mw"], table["p2_mw"], table["branch"],
+                  [2 * math.pi * c / omega * 1e9 for omega in table["resonance_rad_s"]])
     nm_data = tmp_path / "crossing_nm.csv"
     write_csv_file(nm_data, ["p1_mw", "p2_mw", "branch", "resonance_nm"], nm_rows)
     fit_out = tmp_path / "fit_nm.csv"
@@ -323,8 +439,7 @@ def test_fit_crossing_accepts_wavelength_data(device_cfg_path, tmp_path):
         "fit-crossing", "--data", str(nm_data),
         "--fix", f"alpha2={30.0 * MHZ!r}", "--out", str(fit_out),
     ]) == 0
-    got = {r["param"]: r for r in read_csv_file(fit_out, {"param": str, "value": float, "stderr": float})}
-    assert got["kappa_12"]["value"] == pytest.approx(150.0 * MHZ, rel=1e-4)
+    assert fit_values(fit_out)["kappa_12"] == pytest.approx(150.0 * MHZ, rel=1e-4)
 
 
 def test_langevin_verify_default_budget_meets_bound(device_cfg_path, tmp_path):
@@ -340,15 +455,15 @@ def test_langevin_verify_default_budget_meets_bound(device_cfg_path, tmp_path):
     )
     gamma_total = float(meta["gamma_total"])
     kappa_eff = float(meta["kappa_eff"])
-    rows = read_csv_file(out, {"freq_hz": float, "psd_shotnoise_units": float, "psd_db": float})
+    table = load_csv(out, {"freq_hz": float, "psd_shotnoise_units": float, "psd_db": float})
     eta = kappa_eff / gamma_total
     worst = 0.0
-    for r in rows:
-        omega = 2 * math.pi * r["freq_hz"]
+    for freq_hz, psd_db in zip(table["freq_hz"], table["psd_db"]):
+        omega = 2 * math.pi * freq_hz
         if omega > 3 * gamma_total:
             continue
         analytic = 1.0 - eta / (1.0 + (omega / gamma_total) ** 2)
-        worst = max(worst, abs(r["psd_db"] - 10 * math.log10(analytic)))
+        worst = max(worst, abs(psd_db - 10 * math.log10(analytic)))
     assert worst <= 0.2
 
 

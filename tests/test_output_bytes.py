@@ -1,0 +1,76 @@
+"""Byte identity: small runs of every table-writing command against pinned digests.
+
+The digests are sha256 of each command's CSV output and of its stderr, as
+the commands write them on CPython 3.11, numpy 2.4 and scipy 1.17.  A refactor that keeps the output contract keeps them; a change
+that moves any output byte on purpose must say why and record new digests.
+The runs take about 0.06 s, plus the first import of scipy.signal.
+"""
+
+import hashlib
+import math
+
+from ringlab.cli import run
+
+MHZ = 2.0 * math.pi * 1e6
+
+# (name, arguments without --out; {cfg}, {dir} are filled in), in run order:
+# fit-crossing reads the crossing-sweep table and fit-dip the transmission trace.
+COMMANDS = [
+    ("crossing-sweep", ["crossing-sweep", "--config", "{cfg}", "--p1", "5:55:2.5", "--p2", "10"]),
+    ("etac-sweep", ["etac-sweep", "--config", "{cfg}", "--branch", "lower", "--p1", "0:50:0.5", "--p2", "10"]),
+    ("squeeze-sweep", ["squeeze-sweep", "--config", "{cfg}", "--branch", "upper", "--p1", "0:50:1", "--p2", "10"]),
+    ("squeeze-spectrum", ["squeeze-spectrum", "--eta-c", "0.7", "--eta-d", "0.6", "--tau-c", "22.5e-9",
+                          "--f", "0:6e6:1e4"]),
+    ("transmission", ["transmission", "--config", "{cfg}", "--p1", "40", "--p2", "10", "--points", "2001",
+                      "--dip-report", "{dir}/dips.csv"]),
+    ("fit-dip", ["fit-dip", "--data", "{dir}/transmission.csv", "--window", "100:300"]),
+    ("fit-crossing", ["fit-crossing", "--data", "{dir}/crossing-sweep.csv", "--fix", f"alpha2={30.0 * MHZ!r}"]),
+    ("shot-cal", ["shot-cal", "--powers", "1,2,4,8", "--seed", "3"]),
+    ("langevin-verify", ["langevin-verify", "--config", "{cfg}", "--seed", "7",
+                         "--trajectories", "3", "--segments", "2"]),
+]
+
+DIGESTS = {
+    "crossing-sweep.csv": "4d69fa2a3e156ff573989b4f1b9d102c2f8a7af967609385ba962b7a9fc31b2b",
+    "crossing-sweep.err": "1f2499d7dc675c28c56decb70b4b3747f277faec206640fa22594796743cf3ea",
+    "etac-sweep.csv": "d9a39947841a14dabeaaed620a19d7f5a9a96c361c61a9a7e31e387f0a81a20f",
+    "etac-sweep.err": "379fc1df5e72126994b377e028a03bcb54c2b7f48903ad215eebd06855cd10d6",
+    "squeeze-sweep.csv": "d66e5511b00d782698ca8ad5533594558f276d9155d1da9532637b47dbccc43b",
+    "squeeze-sweep.err": "b1a7cd7fd614bb53b1251ced588c6444074a753524dfa8e5b11ecf83b7a00cb3",
+    "squeeze-spectrum.csv": "25b8ef6f803cad6eaebfe4bbf288c824392dcfd8693531b26f51d82876d37d33",
+    "squeeze-spectrum.err": "4ac6b166a89a56c0c515171ff8f0aac4a7a6af2bbee79def5b696bb55f37cb92",
+    "transmission.csv": "a7cc7311475a57ea7d8fd5443e39a3e2a46309a50f0c651e81e73ff62ee4fe30",
+    "transmission.err": "a8496a8969bfdac1a489a6516da651f07308d457fdf9239ec6458cf20e1bbf18",
+    "fit-dip.csv": "db5f6f305a425b5c7fcb584869309e0eec363aa36ee01792588ab32b3db12d1c",
+    "fit-dip.err": "17d016f0d442b5174b584b4ddaccd83ab923cb0b5106cab9f3bc69463feacdf4",
+    "fit-crossing.csv": "03283a32e0bc78fc4c3f6e8b4964b5e203b01c0ecde09000182f0c475acd06a2",
+    "fit-crossing.err": "66858ae41c2aab361339ac0978626ee1c43e684cb1136e5100ed6a3151899466",
+    "shot-cal.csv": "1a0e27d533c06e77b9380cf5f6d71bd40603aba8773f4034647961e62c19bfaa",
+    "shot-cal.err": "fd98f1ece250ba55189023684887858e8082bfbe49b43d75e3ce7e32adaf5f9a",
+    "langevin-verify.csv": "94cc7001db7d0cf587952ed29c7219d8bbb2054a6fcc8dbad2aabda4cade8e0e",
+    "langevin-verify.err": "eccbca77273b0b436dde68cafca719d7c006fe7ead8b861cccab37c393c8be35",
+    "dips.csv": "bacdbef93f051ba4f30d57e5271733ad65ebe9a0fff5ad91dd705aece7b3faa7",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def output_digests(cfg, directory, capsys) -> dict[str, str]:
+    """Run COMMANDS in order; digest of each CSV output and stderr."""
+    capsys.readouterr()
+    digests = {}
+    for name, args in COMMANDS:
+        out = directory / f"{name}.csv"
+        args = [arg.format(cfg=cfg, dir=directory) for arg in args]
+        assert run([*args, "--out", str(out)]) == 0, name
+        digests[f"{name}.csv"] = sha256(out.read_bytes())
+        digests[f"{name}.err"] = sha256(capsys.readouterr().err.encode())
+    digests["dips.csv"] = sha256((directory / "dips.csv").read_bytes())
+    return digests
+
+
+def test_outputs_match_pinned_digests(device_cfg_path, tmp_path, capsys):
+    got = output_digests(device_cfg_path, tmp_path, capsys)
+    assert got == DIGESTS
