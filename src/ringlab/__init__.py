@@ -16,12 +16,10 @@ from .devicemodel import (
     DeviceConfig,
     HeaterModel,
     RingParams,
-    ValidatedConfig,
     default_config,
     detection_efficiency,
     heater_detuning,
     load_config,
-    validate_config,
 )
 from .errors import ConfigError, DataError, FitError
 from .fitters import CrossingDataset, FitResult, fit_avoided_crossing, fit_lorentzian_dip, weighted_linear_fit
@@ -48,7 +46,6 @@ __all__ = [
     "SupermodeSolution",
     "TransmissionDip",
     "TransmissionTrace",
-    "ValidatedConfig",
     "analytic_psd",
     "default_config",
     "detection_efficiency",
@@ -68,6 +65,5 @@ __all__ = [
     "supermode_frequencies",
     "supermode_vectors",
     "transmission",
-    "validate_config",
     "weighted_linear_fit",
 ]

@@ -2,7 +2,9 @@
 
 Files are UTF-8, with or without a byte-order mark, comma-separated, one
 header row naming the columns exactly; blank lines and lines starting
-with '#' are skipped.  Tables are read as columns in one pass.  Floats
+with '#' are skipped, and spaces after a comma are not part of the next
+cell, so a quoted cell may follow one.  Tables are read as columns in
+one pass.  Error row numbers are the file's line numbers.  Floats
 are written with 17 significant digits so finite values survive a
 write/read round trip bit-for-bit.
 """
@@ -44,7 +46,15 @@ def load_csv(path: str | Path, columns: dict[str, type],
 def parse_csv(lines: Iterable[str], columns: dict[str, type], source: str = "<string>",
               alternatives: dict[str, str] | None = None) -> dict[str, list]:
     """Columns {name -> list of values} of CSV text given as lines; see load_csv."""
-    reader = csv.reader(line for line in lines if line.strip() and not line.lstrip().startswith("#"))
+    row_number = 0
+
+    def content():
+        nonlocal row_number
+        for row_number, line in enumerate(lines, start=1):
+            if line.strip() and not line.lstrip().startswith("#"):
+                yield line
+
+    reader = csv.reader(content(), skipinitialspace=True)
     header = [cell.strip() for cell in next(reader, ())]
     if not header:
         raise DataError(f"{source}: empty file (no header row)")
@@ -62,7 +72,7 @@ def parse_csv(lines: Iterable[str], columns: dict[str, type], source: str = "<st
             raise DataError(f"{source}: duplicate column {name!r}")
     table = {name: [] for name in header}
     fields = [(name, columns[name], table[name].append) for name in header]
-    for row_number, cells in enumerate(reader, start=2):
+    for cells in reader:
         if len(cells) != len(header):
             raise DataError(f"{source}: row {row_number}: expected {len(header)} cells, got {len(cells)}")
         for (name, kind, append), cell in zip(fields, cells):

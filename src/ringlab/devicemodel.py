@@ -32,8 +32,12 @@ Config file schema (INI syntax, ``#`` comments)::
     [pump]
     wavelength_nm = 1561.1
 
+Values are literal: a ``%`` is an ordinary character, with no
+interpolation.  A key that is not in the schema, a key or section given
+twice, and one field given under two unit suffixes are all refused.
 Parse and validation errors name the offending key with its full dotted
-path.
+path.  A ``DeviceConfig`` checks its physical invariants when it is
+built, so every config that exists is valid, however it was made.
 """
 
 from __future__ import annotations
@@ -51,8 +55,20 @@ C_VACUUM = 299792458.0  # m/s
 
 _TWO_PI = 2.0 * math.pi
 
-# Accepted suffixes for rate/frequency keys and their factor to rad/s.
-_RATE_SUFFIXES = (("_rad_s", 1.0), ("_mhz", _TWO_PI * 1e6), ("_ghz", _TWO_PI * 1e9))
+# The keys of the fixed-key sections: {field: ((unit suffix, factor to
+# internal units), ...)}; a key is a field name plus one of its suffixes.
+_RATE = (("_rad_s", 1.0), ("_mhz", _TWO_PI * 1e6), ("_ghz", _TWO_PI * 1e9))
+_AS_GIVEN = (("", 1.0),)
+_RING_FIELDS = {
+    "radius_um": _AS_GIVEN,
+    "omega0": _RATE,
+    "omega0_offset": _RATE,
+    "gamma_i": _RATE,
+    "heater_alpha": (("_mhz_per_mw", _TWO_PI * 1e6), ("_rad_s_per_mw", 1.0)),
+    "heater_p_max_mw": _AS_GIVEN,
+}
+_COUPLING_FIELDS = {"kappa_ext": _RATE, "kappa_12": _RATE}
+_PUMP_FIELDS = {"wavelength_nm": _AS_GIVEN}
 
 
 @dataclass(frozen=True)
@@ -72,7 +88,6 @@ class HeaterModel:
 class RingParams:
     """One microring: geometry, cold resonance, intrinsic loss, heater."""
 
-    label: str            # "R1" or "R2"
     radius_um: float
     omega0: float         # resonance at zero heater power, rad/s
     gamma_i: float        # intrinsic energy decay rate, rad/s
@@ -102,7 +117,11 @@ class DetectionChain:
 
 @dataclass(frozen=True)
 class DeviceConfig:
-    """Complete physical description of the double-ring device."""
+    """Complete physical description of the double-ring device.
+
+    Building one checks every invariant; ConfigError names the first
+    violated field.
+    """
 
     ring1: RingParams
     ring2: RingParams
@@ -110,13 +129,23 @@ class DeviceConfig:
     detection: DetectionChain
     pump_wavelength_nm: float
 
-
-class ValidatedConfig(DeviceConfig):
-    """A DeviceConfig that has passed validate_config.
-
-    Construct only through validate_config; all ringlab operations that
-    take a config require this type.
-    """
+    def __post_init__(self) -> None:
+        for path, ring in (("ring1", self.ring1), ("ring2", self.ring2)):
+            _positive(ring.radius_um, f"{path}.radius_um", "radius must be positive")
+            _positive(ring.omega0, f"{path}.omega0", "resonance frequency must be positive")
+            _positive(ring.gamma_i, f"{path}.gamma_i", "intrinsic loss must be positive")
+            _require(math.isfinite(ring.heater.alpha), f"{path}.heater.alpha", "tuning coefficient must be finite")
+            _positive(ring.heater.p_max_mw, f"{path}.heater.p_max_mw", "maximum heater power must be positive")
+        _positive(self.coupling.kappa_ext, "coupling.kappa_ext", "external coupling rate must be positive")
+        _positive(self.coupling.kappa_12, "coupling.kappa_12", "inter-ring coupling must be positive")
+        _require(len(self.detection.stages) > 0, "detection.stages", "at least one detection stage required")
+        for name, eff in self.detection.stages:
+            _require(
+                math.isfinite(eff) and 0.0 < eff <= 1.0,
+                f"detection.{name}",
+                f"stage efficiency must be in (0, 1], got {eff!r}",
+            )
+        _check_wavelength(self.pump_wavelength_nm)
 
 
 def db_loss_to_efficiency(loss_db: float) -> float:
@@ -134,58 +163,12 @@ def _require(condition: bool, path: str, message: str) -> None:
         raise ConfigError(f"{path}: {message}")
 
 
-def _check_ring(ring: RingParams, path: str) -> None:
-    _require(ring.label in ("R1", "R2"), f"{path}.label", f"label must be R1 or R2, got {ring.label!r}")
-    _require(math.isfinite(ring.radius_um) and ring.radius_um > 0, f"{path}.radius_um", "radius must be positive")
-    _require(math.isfinite(ring.omega0) and ring.omega0 > 0, f"{path}.omega0", "resonance frequency must be positive")
-    _require(math.isfinite(ring.gamma_i) and ring.gamma_i > 0, f"{path}.gamma_i", "intrinsic loss must be positive")
-    _require(math.isfinite(ring.heater.alpha), f"{path}.heater.alpha", "tuning coefficient must be finite")
-    _require(
-        math.isfinite(ring.heater.p_max_mw) and ring.heater.p_max_mw > 0,
-        f"{path}.heater.p_max_mw",
-        "maximum heater power must be positive",
-    )
+def _positive(value: float, path: str, message: str) -> None:
+    _require(math.isfinite(value) and value > 0, path, message)
 
 
-def validate_config(config: DeviceConfig) -> ValidatedConfig:
-    """Check every invariant of a DeviceConfig and return it as validated.
-
-    Raises ConfigError naming the first violated field.  Idempotent: an
-    already-validated config is returned unchanged.
-    """
-    if isinstance(config, ValidatedConfig):
-        return config
-    _check_ring(config.ring1, "ring1")
-    _check_ring(config.ring2, "ring2")
-    _require(
-        math.isfinite(config.coupling.kappa_ext) and config.coupling.kappa_ext > 0,
-        "coupling.kappa_ext",
-        "external coupling rate must be positive",
-    )
-    _require(
-        math.isfinite(config.coupling.kappa_12) and config.coupling.kappa_12 > 0,
-        "coupling.kappa_12",
-        "inter-ring coupling must be positive",
-    )
-    _require(len(config.detection.stages) > 0, "detection.stages", "at least one detection stage required")
-    for name, eff in config.detection.stages:
-        _require(
-            math.isfinite(eff) and 0.0 < eff <= 1.0,
-            f"detection.{name}",
-            f"stage efficiency must be in (0, 1], got {eff!r}",
-        )
-    _require(
-        math.isfinite(config.pump_wavelength_nm) and config.pump_wavelength_nm > 0,
-        "pump_wavelength_nm",
-        "pump wavelength must be positive",
-    )
-    return ValidatedConfig(
-        ring1=config.ring1,
-        ring2=config.ring2,
-        coupling=config.coupling,
-        detection=config.detection,
-        pump_wavelength_nm=config.pump_wavelength_nm,
-    )
+def _check_wavelength(wavelength_nm: float) -> None:
+    _positive(wavelength_nm, "pump.wavelength_nm", "pump wavelength must be positive")
 
 
 def first_flagged(bad, values):
@@ -239,7 +222,7 @@ def detection_efficiency(chain: DetectionChain) -> float:
     return eta
 
 
-def default_config() -> ValidatedConfig:
+def default_config() -> DeviceConfig:
     """Calibrated default device.
 
     Radii, pump wavelength, and the detection stages are device values;
@@ -253,33 +236,29 @@ def default_config() -> ValidatedConfig:
     mhz = _TWO_PI * 1e6
     heater = HeaterModel(alpha=30.0 * mhz, p_max_mw=100.0)
     ring1 = RingParams(
-        label="R1",
         radius_um=115.0,
         omega0=omega_pump + 750.0 * mhz,
         gamma_i=2.0 * mhz,
         heater=heater,
     )
     ring2 = RingParams(
-        label="R2",
         radius_um=115.0,
         omega0=omega_pump + 300.0 * mhz,
         gamma_i=2.0 * mhz,
         heater=heater,
     )
-    return validate_config(
-        DeviceConfig(
-            ring1=ring1,
-            ring2=ring2,
-            coupling=CouplingParams(kappa_ext=5.0 * mhz, kappa_12=150.0 * mhz),
-            detection=DetectionChain(
-                stages=(
-                    ("grating", 0.85),
-                    ("lens", db_loss_to_efficiency(0.7)),
-                    ("photodiode", 0.80),
-                )
-            ),
-            pump_wavelength_nm=1561.1,
-        )
+    return DeviceConfig(
+        ring1=ring1,
+        ring2=ring2,
+        coupling=CouplingParams(kappa_ext=5.0 * mhz, kappa_12=150.0 * mhz),
+        detection=DetectionChain(
+            stages=(
+                ("grating", 0.85),
+                ("lens", db_loss_to_efficiency(0.7)),
+                ("photodiode", 0.80),
+            )
+        ),
+        pump_wavelength_nm=1561.1,
     )
 
 
@@ -294,107 +273,72 @@ def _parse_float(section: configparser.SectionProxy, key: str, path: str) -> flo
         raise ConfigError(f"{path}.{key}: not a number: {raw!r}") from None
 
 
-def _take_rate(section, path: str, base: str, consumed: set[str]) -> float | None:
-    """Read a rate/frequency field given with any accepted unit suffix."""
-    found = None
-    for suffix, factor in _RATE_SUFFIXES:
-        key = base + suffix
-        if key in section:
-            if found is not None:
-                raise ConfigError(f"{path}.{key}: duplicate unit variants for {base}")
-            found = _parse_float(section, key, path) * factor
-            consumed.add(key)
-    return found
-
-
-def _parse_ring(parser: configparser.ConfigParser, name: str, label: str, omega_pump: float) -> RingParams:
+def _read_section(parser: configparser.ConfigParser, name: str, fields: dict) -> dict:
+    """{field: value in internal units, or None when not given} of the
+    fixed-key section `name`; `fields` maps each field to its accepted
+    (unit suffix, factor) pairs."""
     if name not in parser:
         raise ConfigError(f"{name}: missing section")
     section = parser[name]
-    consumed: set[str] = set()
-
-    if "radius_um" not in section:
-        raise ConfigError(f"{name}.radius_um: missing key")
-    radius_um = _parse_float(section, "radius_um", name)
-    consumed.add("radius_um")
-
-    omega0 = _take_rate(section, name, "omega0", consumed)
-    offset = _take_rate(section, name, "omega0_offset", consumed)
-    if omega0 is not None and offset is not None:
-        raise ConfigError(f"{name}.omega0_rad_s: give omega0 either absolute or as a pump offset, not both")
-    if omega0 is None and offset is None:
-        raise ConfigError(f"{name}.omega0_offset_mhz: missing key (or omega0_rad_s)")
-    if omega0 is None:
-        omega0 = omega_pump + offset
-
-    gamma_i = _take_rate(section, name, "gamma_i", consumed)
-    if gamma_i is None:
-        raise ConfigError(f"{name}.gamma_i_mhz: missing key")
-
-    alpha = None
-    for suffix, factor in (("_mhz_per_mw", _TWO_PI * 1e6), ("_rad_s_per_mw", 1.0)):
-        key = "heater_alpha" + suffix
-        if key in section:
-            alpha = _parse_float(section, key, name) * factor
-            consumed.add(key)
-    if alpha is None:
-        raise ConfigError(f"{name}.heater_alpha_mhz_per_mw: missing key")
-
-    if "heater_p_max_mw" not in section:
-        raise ConfigError(f"{name}.heater_p_max_mw: missing key")
-    p_max = _parse_float(section, "heater_p_max_mw", name)
-    consumed.add("heater_p_max_mw")
-
+    known = {field + suffix for field, units in fields.items() for suffix, _ in units}
     for key in section:
-        if key not in consumed:
+        if key not in known:
             raise ConfigError(f"{name}.{key}: unknown key")
+    values = dict.fromkeys(fields)
+    for field, units in fields.items():
+        for suffix, factor in units:
+            key = field + suffix
+            if key in section:
+                if values[field] is not None:
+                    raise ConfigError(f"{name}.{key}: duplicate unit variants for {field}")
+                values[field] = _parse_float(section, key, name) * factor
+    return values
 
+
+def _parse_ring(parser: configparser.ConfigParser, name: str, omega_pump: float) -> RingParams:
+    ring = _read_section(parser, name, _RING_FIELDS)
+    _require(ring["radius_um"] is not None, f"{name}.radius_um", "missing key")
+    omega0, offset = ring["omega0"], ring["omega0_offset"]
+    _require(
+        omega0 is None or offset is None,
+        f"{name}.omega0_rad_s",
+        "give omega0 either absolute or as a pump offset, not both",
+    )
+    _require(omega0 is not None or offset is not None, f"{name}.omega0_offset_mhz", "missing key (or omega0_rad_s)")
+    _require(ring["gamma_i"] is not None, f"{name}.gamma_i_mhz", "missing key")
+    _require(ring["heater_alpha"] is not None, f"{name}.heater_alpha_mhz_per_mw", "missing key")
+    _require(ring["heater_p_max_mw"] is not None, f"{name}.heater_p_max_mw", "missing key")
     return RingParams(
-        label=label,
-        radius_um=radius_um,
-        omega0=omega0,
-        gamma_i=gamma_i,
-        heater=HeaterModel(alpha=alpha, p_max_mw=p_max),
+        radius_um=ring["radius_um"],
+        omega0=omega0 if omega0 is not None else omega_pump + offset,
+        gamma_i=ring["gamma_i"],
+        heater=HeaterModel(alpha=ring["heater_alpha"], p_max_mw=ring["heater_p_max_mw"]),
     )
 
 
 def parse_config(text: str) -> DeviceConfig:
-    """Parse config file text into an (unvalidated) DeviceConfig."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    """Parse config file text into a DeviceConfig."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         parser.read_string(text)
+    except configparser.DuplicateOptionError as exc:
+        raise ConfigError(f"{exc.section}.{exc.option}: duplicate key") from None
+    except configparser.DuplicateSectionError as exc:
+        raise ConfigError(f"{exc.section}: duplicate section") from None
     except configparser.Error as exc:
         raise ConfigError(f"config syntax: {exc}") from None
 
-    if "pump" not in parser:
-        raise ConfigError("pump: missing section")
-    pump = parser["pump"]
-    if "wavelength_nm" not in pump:
-        raise ConfigError("pump.wavelength_nm: missing key")
-    wavelength_nm = _parse_float(pump, "wavelength_nm", "pump")
-    for key in pump:
-        if key != "wavelength_nm":
-            raise ConfigError(f"pump.{key}: unknown key")
-    if wavelength_nm <= 0:
-        raise ConfigError("pump.wavelength_nm: pump wavelength must be positive")
+    wavelength_nm = _read_section(parser, "pump", _PUMP_FIELDS)["wavelength_nm"]
+    _require(wavelength_nm is not None, "pump.wavelength_nm", "missing key")
+    _check_wavelength(wavelength_nm)
     omega_pump = pump_angular_frequency(wavelength_nm)
 
-    ring1 = _parse_ring(parser, "ring1", "R1", omega_pump)
-    ring2 = _parse_ring(parser, "ring2", "R2", omega_pump)
+    ring1 = _parse_ring(parser, "ring1", omega_pump)
+    ring2 = _parse_ring(parser, "ring2", omega_pump)
 
-    if "coupling" not in parser:
-        raise ConfigError("coupling: missing section")
-    coupling = parser["coupling"]
-    consumed: set[str] = set()
-    kappa_ext = _take_rate(coupling, "coupling", "kappa_ext", consumed)
-    kappa_12 = _take_rate(coupling, "coupling", "kappa_12", consumed)
-    if kappa_ext is None:
-        raise ConfigError("coupling.kappa_ext_mhz: missing key")
-    if kappa_12 is None:
-        raise ConfigError("coupling.kappa_12_mhz: missing key")
-    for key in coupling:
-        if key not in consumed:
-            raise ConfigError(f"coupling.{key}: unknown key")
+    coupling = _read_section(parser, "coupling", _COUPLING_FIELDS)
+    _require(coupling["kappa_ext"] is not None, "coupling.kappa_ext_mhz", "missing key")
+    _require(coupling["kappa_12"] is not None, "coupling.kappa_12_mhz", "missing key")
 
     if "detection" not in parser:
         raise ConfigError("detection: missing section")
@@ -417,18 +361,16 @@ def parse_config(text: str) -> DeviceConfig:
     return DeviceConfig(
         ring1=ring1,
         ring2=ring2,
-        coupling=CouplingParams(kappa_ext=kappa_ext, kappa_12=kappa_12),
+        coupling=CouplingParams(**coupling),
         detection=DetectionChain(stages=tuple(stages)),
         pump_wavelength_nm=wavelength_nm,
     )
 
 
-def load_config(path: str | Path) -> ValidatedConfig:
-    """Read, parse, and validate a device configuration file."""
+def load_config(path: str | Path) -> DeviceConfig:
+    """Read and parse a device configuration file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"config file: {exc}") from None
-    return validate_config(parse_config(text))
-
-
+    return parse_config(text)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devicemodel import ValidatedConfig, readonly_array, ring_frequency
+from .devicemodel import DeviceConfig, readonly_array, ring_frequency
 from .supermodes import solve_both
 
 REGIME_OVERCOUPLED = "overcoupled"
@@ -89,7 +89,7 @@ def bus_transmission(omega, omega1, omega2, gamma1, gamma2, kappa_ext, kappa_12)
     return float(t) if np.isscalar(omega) else t
 
 
-def transmission(config: ValidatedConfig, heater: tuple[float, float], omega):
+def transmission(config: DeviceConfig, heater: tuple[float, float], omega):
     """Power transmission at probe frequency omega for heater powers (p1, p2)."""
     p1, p2 = heater
     return bus_transmission(
@@ -103,14 +103,14 @@ def transmission(config: ValidatedConfig, heater: tuple[float, float], omega):
     )
 
 
-def compute_trace(config: ValidatedConfig, p1_mw: float, p2_mw: float, omega_grid) -> TransmissionTrace:
+def compute_trace(config: DeviceConfig, p1_mw: float, p2_mw: float, omega_grid) -> TransmissionTrace:
     """Sample the model transmission on the given frequency grid."""
     grid = np.asarray(omega_grid, dtype=float)
     t = np.minimum(transmission(config, (p1_mw, p2_mw), grid), 1.0 + PASSIVITY_EPS)
     return TransmissionTrace(omega_grid=grid, t_power=t)
 
 
-def default_scan_grid(config: ValidatedConfig, p1_mw: float, p2_mw: float,
+def default_scan_grid(config: DeviceConfig, p1_mw: float, p2_mw: float,
                       margin_linewidths: float = 10.0, n_points: int = 4001) -> np.ndarray:
     """Frequency grid covering both supermode dips with margin on each side."""
     upper, lower = solve_both(config, p1_mw, p2_mw)
@@ -202,7 +202,7 @@ def eta_c_from_tmin(t_min: float, regime: str) -> float:
     raise ValueError(f"regime must be '{REGIME_OVERCOUPLED}' or '{REGIME_UNDERCOUPLED}', got {regime!r}")
 
 
-def classify_regime(config: ValidatedConfig, heater: tuple[float, float], dip: TransmissionDip) -> str:
+def classify_regime(config: DeviceConfig, heater: tuple[float, float], dip: TransmissionDip) -> str:
     """Resolve a dip's coupling regime from the device model.
 
     The dip is matched to the supermode branch nearest in frequency (it

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .devicemodel import ValidatedConfig, detection_efficiency, first_flagged
+from .devicemodel import DeviceConfig, detection_efficiency, first_flagged
 from .supermodes import eta_c_vs_heater
 
 OMEGA_SIDEBAND_DEFAULT = 2.0 * math.pi * 3e6  # rad/s
@@ -97,7 +97,7 @@ class CouplingSweep(NamedTuple):
 
 
 def squeezing_vs_coupling(
-    config: ValidatedConfig,
+    config: DeviceConfig,
     branch: str,
     p1_grid_mw,
     p2_mw: float,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devicemodel import ValidatedConfig, first_flagged, ring_frequency
+from .devicemodel import DeviceConfig, first_flagged, ring_frequency
 
 BRANCH_UPPER = "upper"
 BRANCH_LOWER = "lower"
@@ -131,7 +131,7 @@ def effective_rates(frac1, frac2, kappa_ext: float, gamma1: float, gamma2: float
     return kappa_eff, gamma_eff, kappa_eff / total, 1.0 / total
 
 
-def solve_both(config: ValidatedConfig, p1_mw, p2_mw) -> tuple[SupermodeSolution, SupermodeSolution]:
+def solve_both(config: DeviceConfig, p1_mw, p2_mw) -> tuple[SupermodeSolution, SupermodeSolution]:
     """(upper, lower) supermode solutions at one heater setting or a grid.
 
     Heater powers are scalars or arrays; a power out of range raises,
@@ -151,7 +151,7 @@ def solve_both(config: ValidatedConfig, p1_mw, p2_mw) -> tuple[SupermodeSolution
     )
 
 
-def solve_branch(config: ValidatedConfig, p1_mw, p2_mw, branch: str) -> SupermodeSolution:
+def solve_branch(config: DeviceConfig, p1_mw, p2_mw, branch: str) -> SupermodeSolution:
     """Full supermode solution for one branch (see solve_both)."""
     if branch not in (BRANCH_UPPER, BRANCH_LOWER):
         raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}")
@@ -159,7 +159,7 @@ def solve_branch(config: ValidatedConfig, p1_mw, p2_mw, branch: str) -> Supermod
     return upper if branch == BRANCH_UPPER else lower
 
 
-def eta_c_vs_heater(config: ValidatedConfig, branch: str, p1_grid_mw, p2_mw: float) -> SupermodeSolution:
+def eta_c_vs_heater(config: DeviceConfig, branch: str, p1_grid_mw, p2_mw: float) -> SupermodeSolution:
     """Coupling-efficiency sweep along one branch versus ring-1 heater power.
 
     One array evaluation of the heater map, the eigenproblem and the

@@ -4,11 +4,11 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is pinned here, nothing is deferred.
 """
 
+import dataclasses
 import math
 import time
 
 import numpy as np
-from helpers import replace_config
 
 from ringlab.cli import run as cli_run
 from ringlab.devicemodel import CouplingParams, default_config, detection_efficiency
@@ -195,7 +195,7 @@ def test_criterion_8_property_suites():
     # passivity of the transmission model over random configs x frequency grids
     cfg = default_config()
     for _ in range(300):
-        test_cfg = replace_config(
+        test_cfg = dataclasses.replace(
             cfg,
             coupling=CouplingParams(
                 kappa_ext=10.0 ** rng.uniform(5.5, 8.5),

@@ -108,6 +108,14 @@ def test_csv_comment_lines_skipped():
 def test_csv_bad_cell_reports_row_and_column():
     with pytest.raises(DataError, match=r"row 3, column 'b'"):
         parse_text("a,b\n1,2\n3,oops\n", {"a": float, "b": float})
+    # the row is the file's line, counting comment and blank lines
+    with pytest.raises(DataError, match=r"row 6, column 'b'"):
+        parse_text("# trace\n\n# rad/s, power\na,b\n1,2\n3,oops\n", {"a": float, "b": float})
+
+
+def test_csv_quoted_cell_after_a_space():
+    columns = parse_text('omega_rad_s, "t_power"\n1, "0.5"\n', {"omega_rad_s": float, "t_power": float})
+    assert columns == {"omega_rad_s": [1.0], "t_power": [0.5]}
 
 
 def test_csv_not_utf8_is_a_data_error(tmp_path, capsys):
@@ -177,6 +185,85 @@ photodiode = 0.80
 [pump]
 wavelength_nm = 1561.1
 """
+
+
+def validate_text(text, tmp_path, capsys):
+    """Exit code and stderr of `ringlab validate` on a config given as text."""
+    cfg = tmp_path / "mutated.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    code = run(["validate", "--config", str(cfg)])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, replacement, message", [
+    ("radius_um = 115.0", "radius_um = 11%5", "ring1.radius_um: not a number: '11%5'"),
+    ("heater_alpha_mhz_per_mw = 30.0", "heater_alpha_mhz_per_mw = 30\nheater_alpha_rad_s_per_mw = 1",
+     "ring1.heater_alpha_rad_s_per_mw: duplicate unit variants for heater_alpha"),
+    *(("wavelength_nm = 1561.1", f"wavelength_nm = {value}", "pump.wavelength_nm: pump wavelength must be positive")
+      for value in ("nan", "inf", "0", "-1")),
+], ids=["percent", "two-alpha-units", "wavelength-nan", "wavelength-inf", "wavelength-0", "wavelength-minus-1"])
+def test_validate_names_the_offending_key(line, replacement, message, device_cfg_path, tmp_path, capsys):
+    text = device_cfg_path.read_text(encoding="utf-8").replace(line, replacement, 1)
+    assert validate_text(text, tmp_path, capsys) == (3, f"ringlab: error: config: {message}\n")
+
+
+CONFIG_MUTATIONS = ("rename", "bad-suffix", "drop", "not-a-number", "duplicate-key", "duplicate-section")
+BAD_UNITS = {"um": "mm", "mhz": "khz", "mw": "w", "nm": "pm"}
+NOT_NUMBERS = ("abc", "1.5.0", "2 MHz", "11%5", "")
+
+
+def config_entries(lines):
+    """(line index, section, key, value) of every key line of a config."""
+    entries, section = [], None
+    for i, line in enumerate(lines):
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif "=" in line and not line.startswith("#"):
+            key, value = (part.strip() for part in line.split("=", 1))
+            entries.append((i, section, key, value))
+    return entries
+
+
+def mutate_config(lines, rng):
+    """A copy of valid config lines with one seeded defect, and the message it must give."""
+    kind = CONFIG_MUTATIONS[rng.integers(len(CONFIG_MUTATIONS))]
+    entries = config_entries(lines)
+    if kind in ("rename", "bad-suffix", "drop"):  # [detection] keys are free-form stage names
+        entries = [entry for entry in entries if entry[1] != "detection"]
+    i, section, key, value = entries[rng.integers(len(entries))]
+    lines = list(lines)
+    if kind == "rename":
+        lines[i] = f"x_{key} = {value}"
+        return kind, lines, f"{section}.x_{key}: unknown key"
+    if kind == "bad-suffix":
+        head, _, unit = key.rpartition("_")
+        lines[i] = f"{head}_{BAD_UNITS[unit]} = {value}"
+        return kind, lines, f"{section}.{head}_{BAD_UNITS[unit]}: unknown key"
+    if kind == "drop":
+        del lines[i]
+        return kind, lines, f"{section}.{key}: missing key" + (" (or omega0_rad_s)" if key.startswith("omega0") else "")
+    if kind == "not-a-number":
+        bad = NOT_NUMBERS[rng.integers(len(NOT_NUMBERS))]
+        lines[i] = f"{key} = {bad}"
+        return kind, lines, f"{section}.{key}: not a number: {bad!r}"
+    if kind == "duplicate-key":
+        lines.insert(i + 1, lines[i])
+        return kind, lines, f"{section}.{key}: duplicate key"
+    return kind, [*lines, f"[{section}]", f"{key} = {value}"], f"{section}: duplicate section"
+
+
+def test_validate_rejects_seeded_key_mutations(device_cfg_path, tmp_path, capsys):
+    lines = device_cfg_path.read_text(encoding="utf-8").splitlines()
+    assert validate_text("\n".join(lines), tmp_path, capsys)[0] == 0
+    rng = np.random.default_rng(606)
+    seen = set()
+    for _ in range(80):
+        kind, mutated, expected = mutate_config(lines, rng)
+        seen.add(kind)
+        assert validate_text("\n".join(mutated) + "\n", tmp_path, capsys) == (
+            3, f"ringlab: error: config: {expected}\n"), kind
+    assert seen == set(CONFIG_MUTATIONS)
 
 
 def test_validate_rejects_duplicate_detection_stage(device_cfg_path, tmp_path, capsys):
@@ -345,10 +432,10 @@ def mutate(header, rows, numeric, alternatives, rng):
     if kind in ("oops", "nan", "inf"):
         name = numeric[rng.integers(len(numeric))]
         rows[i][header.index(name)] = kind
-        expected = f"row {i + 2}, column {name!r}: " + ("not numeric: 'oops'" if kind == "oops" else "non-finite value")
+        expected = f"row {i + 3}, column {name!r}: " + ("not numeric: 'oops'" if kind == "oops" else "non-finite value")
     elif kind == "drop":
         del rows[i][rng.integers(len(header))]
-        expected = f"row {i + 2}: expected {len(header)} cells, got {len(header) - 1}"
+        expected = f"row {i + 3}: expected {len(header)} cells, got {len(header) - 1}"
     elif kind == "add":
         header.append("extra")
         for row in rows:

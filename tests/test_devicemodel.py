@@ -18,18 +18,10 @@ from ringlab.devicemodel import (
     load_config,
     parse_config,
     pump_angular_frequency,
-    validate_config,
 )
 from ringlab.errors import ConfigError
 
 MHZ = 2.0 * math.pi * 1e6
-
-
-def make_config(**overrides) -> DeviceConfig:
-    base = default_config()
-    fields = {f.name: getattr(base, f.name) for f in dataclasses.fields(DeviceConfig)}
-    fields.update(overrides)
-    return DeviceConfig(**fields)
 
 
 # --- validation ---------------------------------------------------------------
@@ -37,31 +29,32 @@ def make_config(**overrides) -> DeviceConfig:
 
 def test_default_config_is_valid():
     cfg = default_config()
-    assert validate_config(cfg) is cfg
+    assert dataclasses.replace(cfg) == cfg
+
+
+def test_direct_construction_is_checked():
+    cfg = default_config()
+    with pytest.raises(ConfigError, match=r"^pump\.wavelength_nm: pump wavelength must be positive$"):
+        DeviceConfig(cfg.ring1, cfg.ring2, cfg.coupling, cfg.detection, math.nan)
 
 
 def test_zero_intrinsic_loss_rejected():
     bad_ring = dataclasses.replace(default_config().ring1, gamma_i=0.0)
     with pytest.raises(ConfigError, match="ring1.gamma_i: intrinsic loss must be positive"):
-        validate_config(make_config(ring1=bad_ring))
+        dataclasses.replace(default_config(), ring1=bad_ring)
 
 
 def test_stage_efficiency_above_one_rejected():
     chain = DetectionChain(stages=(("grating", 0.85), ("lens", 1.2)))
     with pytest.raises(ConfigError, match="detection.lens"):
-        validate_config(make_config(detection=chain))
+        dataclasses.replace(default_config(), detection=chain)
 
 
 def test_nonpositive_rates_rejected():
     with pytest.raises(ConfigError, match="coupling.kappa_12"):
-        validate_config(make_config(coupling=CouplingParams(kappa_ext=1e6, kappa_12=0.0)))
+        dataclasses.replace(default_config(), coupling=CouplingParams(kappa_ext=1e6, kappa_12=0.0))
     with pytest.raises(ConfigError, match="coupling.kappa_ext"):
-        validate_config(make_config(coupling=CouplingParams(kappa_ext=-1e6, kappa_12=1e6)))
-
-
-def test_validation_is_idempotent():
-    validated = validate_config(make_config())
-    assert validate_config(validated) is validated
+        dataclasses.replace(default_config(), coupling=CouplingParams(kappa_ext=-1e6, kappa_12=1e6))
 
 
 # --- heater map ---------------------------------------------------------------
@@ -160,7 +153,7 @@ def test_shipped_config_matches_calibrated_default(device_cfg_path):
 
 
 def test_parse_valid_text_matches_default():
-    assert validate_config(parse_config(VALID_TEXT)) == default_config()
+    assert parse_config(VALID_TEXT) == default_config()
 
 
 def test_parse_units():

@@ -1,10 +1,10 @@
 """Transmission model, dip extraction, T_min -> eta_c."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from helpers import replace_config
 
 from ringlab.devicemodel import CouplingParams, default_config
 from ringlab.spectra import (
@@ -73,7 +73,7 @@ def test_passivity_over_random_configs():
     rng = np.random.default_rng(41)
     cfg = default_config()
     for _ in range(200):
-        test_cfg = replace_config(
+        test_cfg = dataclasses.replace(
             cfg,
             coupling=CouplingParams(
                 kappa_ext=10.0 ** rng.uniform(5.5, 8.5),
@@ -187,7 +187,7 @@ def test_classify_exact_critical_tie_break():
     # kappa_ext = gamma1 + gamma2 makes kappa_eff == gamma_eff exactly at the
     # symmetric point; the documented tie-break is undercoupled
     cfg = default_config()
-    critical = replace_config(
+    critical = dataclasses.replace(
         cfg,
         coupling=CouplingParams(
             kappa_ext=cfg.ring1.gamma_i + cfg.ring2.gamma_i,

@@ -1,10 +1,10 @@
 """Intensity-difference squeezing spectrum, dB bookkeeping, on-chip inference."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from helpers import replace_config
 
 from ringlab.devicemodel import DetectionChain, default_config, detection_efficiency
 from ringlab.squeezing import (
@@ -204,7 +204,7 @@ def test_sweep_monotone_and_endpoints():
 
 
 def test_sweep_collapses_when_detection_is_perfect():
-    cfg = replace_config(default_config(), detection=DetectionChain(stages=(("ideal", 1.0),)))
+    cfg = dataclasses.replace(default_config(), detection=DetectionChain(stages=(("ideal", 1.0),)))
     assert detection_efficiency(cfg.detection) == 1.0
     sweep = squeezing_vs_coupling(cfg, "lower", np.linspace(0, 50, 11), 10.0)
     assert sweep.s_measured_db == pytest.approx(sweep.s_onchip_db, rel=1e-12)

@@ -1,10 +1,10 @@
 """Avoided-crossing eigenproblem, branch fractions, effective rates."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from helpers import replace_config
 
 from ringlab.devicemodel import CouplingParams, default_config
 from ringlab.supermodes import (
@@ -190,7 +190,7 @@ def test_sweep_eta_bounded_by_bus_coupling():
 
 def test_strong_coupling_pins_eta():
     cfg = default_config()
-    strong = replace_config(cfg, coupling=CouplingParams(kappa_ext=cfg.coupling.kappa_ext, kappa_12=1e13))
+    strong = dataclasses.replace(cfg, coupling=CouplingParams(kappa_ext=cfg.coupling.kappa_ext, kappa_12=1e13))
     gamma_bar = 0.5 * (strong.ring1.gamma_i + strong.ring2.gamma_i)
     expected = 0.5 * strong.coupling.kappa_ext / (0.5 * strong.coupling.kappa_ext + gamma_bar)
     etas = eta_c_vs_heater(strong, "lower", np.linspace(0, 50, 11), 10.0).eta_c
