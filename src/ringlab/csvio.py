@@ -4,9 +4,10 @@ Files are UTF-8, with or without a byte-order mark, comma-separated, one
 header row naming the columns exactly; blank lines and lines starting
 with '#' are skipped, and spaces after a comma are not part of the next
 cell, so a quoted cell may follow one.  Tables are read as columns in
-one pass.  Error row numbers are the file's line numbers.  Floats
-are written with 17 significant digits so finite values survive a
-write/read round trip bit-for-bit.
+one pass.  Error row numbers are the file's line numbers.  A table is
+written through one row template, so each column holds one kind of
+value; float columns are written with 17 significant digits so finite
+values survive a write/read round trip bit-for-bit.
 """
 
 from __future__ import annotations
@@ -95,10 +96,18 @@ def parse_csv(lines: Iterable[str], columns: dict[str, type], source: str = "<st
 def write_csv(stream: io.TextIOBase, columns: list[str], rows: Iterable,
               comments: Iterable[str] = ()) -> None:
     """Write optional '#' comment lines, the header, then the rows
-    (sequences in column order).  Output is deterministic for identical input.
+    (sequences in column order, iterated once) through one row template
+    taken from the first row: '%.17g' for a float, '%s' otherwise, as
+    format_value writes them; so each column holds one kind of value.
+    Output is deterministic for identical input.
     """
     for comment in comments:
         stream.write(f"# {comment}\n")
     stream.write(",".join(columns) + "\n")
-    for row in rows:
-        stream.write(",".join(map(format_value, row)) + "\n")
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is not None:
+        template = ",".join("%.17g" if isinstance(value, float) else "%s" for value in first) + "\n"
+        stream.write(template % tuple(first))
+        for row in rows:
+            stream.write(template % tuple(row))

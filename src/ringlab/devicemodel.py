@@ -316,17 +316,25 @@ def _parse_ring(parser: configparser.ConfigParser, name: str, omega_pump: float)
     )
 
 
+def _syntax_error(text: str, line_number: int, problem: str) -> str:
+    line = text.split("\n")[line_number - 1].strip()
+    return f"config syntax: line {line_number}: {problem}: {line!r}"
+
+
 def parse_config(text: str) -> DeviceConfig:
     """Parse config file text into a DeviceConfig."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    # No header can name an empty section, so [DEFAULT] is an ordinary (unknown) section.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.DuplicateOptionError as exc:
         raise ConfigError(f"{exc.section}.{exc.option}: duplicate key") from None
     except configparser.DuplicateSectionError as exc:
         raise ConfigError(f"{exc.section}: duplicate section") from None
-    except configparser.Error as exc:
-        raise ConfigError(f"config syntax: {exc}") from None
+    except configparser.MissingSectionHeaderError as exc:
+        raise ConfigError(_syntax_error(text, exc.lineno, "outside any section")) from None
+    except configparser.ParsingError as exc:
+        raise ConfigError(_syntax_error(text, exc.errors[0][0], "not a key = value line")) from None
 
     wavelength_nm = _read_section(parser, "pump", _PUMP_FIELDS)["wavelength_nm"]
     _require(wavelength_nm is not None, "pump.wavelength_nm", "missing key")

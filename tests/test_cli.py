@@ -85,6 +85,52 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert back == {"a": [a for a, _ in rows], "b": [b for _, b in rows]}
 
 
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+                  2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1.0 / 3.0, 1.2345678901234567e-8,
+                  9007199254740993.0, 1e22, 1e23, -123456789.01234567]
+
+
+def reference_table(columns, rows, comments):
+    """The CSV text of a table, one value at a time: 17 significant digits
+    for floats, str() for everything else."""
+    def cell(value):
+        return format(value, ".17g") if isinstance(value, float) else str(value)
+
+    lines = [f"# {comment}" for comment in comments] + [",".join(columns)]
+    lines += [",".join(map(cell, row)) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def seeded_column(kind, n, rng):
+    if kind == "float":  # Python floats from raw bit patterns (subnormals, nan payloads) and specials
+        bits = rng.integers(0, 2**64, size=n, dtype=np.uint64, endpoint=False)
+        values = bits.view(np.float64).tolist()
+        return [SPECIAL_FLOATS[rng.integers(len(SPECIAL_FLOATS))] if rng.random() < 0.3 else v for v in values]
+    if kind == "numpy float64":  # numpy scalars, some 17-digit decimals, mixed with Python floats
+        values = [np.float64(float(f"{rng.uniform(-1, 1):.16e}")) for _ in range(n)]
+        return [float(v) if rng.random() < 0.2 else v for v in values]
+    if kind == "int":
+        return [int(v) for v in rng.integers(-10**12, 10**12, size=n)]
+    words = ["lower", "upper", "overcoupled", "indeterminate", "50%", "%s", "%%", "-0.0", ""]
+    return [words[i] for i in rng.integers(0, len(words), size=n)]
+
+
+def test_csv_writer_matches_reference_formatter():
+    rng = np.random.default_rng(707)
+    kinds = ["float", "numpy float64", "int", "str"]
+    for case in range(120):
+        n_rows = (0, 1, 2, int(rng.integers(3, 400)))[case % 4]
+        picked = [kinds[i] for i in rng.integers(0, len(kinds), size=int(rng.integers(1, 6)))]
+        names = [f"c{i}" for i in range(len(picked))]
+        rows = list(zip(*(seeded_column(kind, n_rows, rng) for kind in picked))) if n_rows else []
+        comments = [f"case {case}", "kinds " + " ".join(picked)][: case % 3]
+        expected = reference_table(names, rows, comments)
+        for given in (rows, [list(row) for row in rows], (row for row in rows)):
+            stream = io.StringIO()
+            write_csv(stream, names, given, comments)
+            assert stream.getvalue() == expected, (case, picked)
+
+
 def test_csv_missing_column_named():
     with pytest.raises(DataError, match="missing column 'b'"):
         parse_text("a\n1.0\n", {"a": float, "b": float})
@@ -272,6 +318,21 @@ def test_validate_rejects_duplicate_detection_stage(device_cfg_path, tmp_path, c
     cfg.write_text(text)
     assert run(["validate", "--config", str(cfg)]) == 3
     assert capsys.readouterr().err.startswith("ringlab: error: config: detection.lens: ")
+
+
+@pytest.mark.parametrize("default", ["[DEFAULT]\n", "[DEFAULT]\nfoo = 1\n"], ids=["empty", "with-key"])
+def test_validate_default_section_is_an_unknown_section(default, device_cfg_path, tmp_path, capsys):
+    text = default + device_cfg_path.read_text(encoding="utf-8")
+    assert validate_text(text, tmp_path, capsys) == (3, "ringlab: error: config: DEFAULT: unknown section\n")
+
+
+@pytest.mark.parametrize("line, replacement, message", [
+    ("radius_um = 115.0", "radius_um", "line 14: not a key = value line: 'radius_um'"),
+    ("[ring1]", "radius_um = 1\n[ring1]", "line 13: outside any section: 'radius_um = 1'"),
+], ids=["bare-key", "key-above-header"])
+def test_validate_syntax_error_names_the_line(line, replacement, message, device_cfg_path, tmp_path, capsys):
+    text = device_cfg_path.read_text(encoding="utf-8").replace(line, replacement, 1)
+    assert validate_text(text, tmp_path, capsys) == (3, f"ringlab: error: config: config syntax: {message}\n")
 
 
 def test_missing_config_file_exit_3(capsys):

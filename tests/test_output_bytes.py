@@ -1,9 +1,11 @@
-"""Byte identity: small runs of every table-writing command against pinned digests.
+"""Byte identity: small runs of every table-writing command, and two large
+tables, against pinned digests.
 
 The digests are sha256 of each command's CSV output and of its stderr, as
 the commands write them on CPython 3.11, numpy 2.4 and scipy 1.17.  A refactor that keeps the output contract keeps them; a change
 that moves any output byte on purpose must say why and record new digests.
-The runs take about 0.06 s, plus the first import of scipy.signal.
+The small runs take about 0.06 s, plus the first import of scipy.signal;
+the two large tables about 0.2 s.
 """
 
 import hashlib
@@ -52,25 +54,43 @@ DIGESTS = {
     "dips.csv": "bacdbef93f051ba4f30d57e5271733ad65ebe9a0fff5ad91dd705aece7b3faa7",
 }
 
+# Tables of 40 000+ rows, one with a string column, which every row of the
+# CSV writer's loop passes through.
+LARGE_COMMANDS = [
+    ("crossing-sweep", ["crossing-sweep", "--config", "{cfg}", "--p1", "0:50:0.0025", "--p2", "10"]),
+    ("transmission", ["transmission", "--config", "{cfg}", "--p1", "40", "--p2", "10", "--points", "40001"]),
+]
+
+LARGE_DIGESTS = {
+    "crossing-sweep.csv": "a21d182e911e1646e747c815803f1274d03dbeb9231775d6d1dcfdda6518115e",
+    "crossing-sweep.err": "e66aecd8f68b71ea19d54fa0a28689bb4319b545e3ee36ce602e92e9adf55bcf",
+    "transmission.csv": "0332f6512a1ca1dc9d1103026d83f2b5563aee31955aeaf4154a8b3b3114fffb",
+    "transmission.err": "6726f91c904ac2046ec848ad6b0eeb9e99a55f931cf7b5156cae6c542c9cb357",
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def output_digests(cfg, directory, capsys) -> dict[str, str]:
-    """Run COMMANDS in order; digest of each CSV output and stderr."""
+def output_digests(cfg, directory, capsys, commands) -> dict[str, str]:
+    """Run `commands` in order; digest of each CSV output and stderr."""
     capsys.readouterr()
     digests = {}
-    for name, args in COMMANDS:
+    for name, args in commands:
         out = directory / f"{name}.csv"
         args = [arg.format(cfg=cfg, dir=directory) for arg in args]
         assert run([*args, "--out", str(out)]) == 0, name
         digests[f"{name}.csv"] = sha256(out.read_bytes())
         digests[f"{name}.err"] = sha256(capsys.readouterr().err.encode())
-    digests["dips.csv"] = sha256((directory / "dips.csv").read_bytes())
     return digests
 
 
 def test_outputs_match_pinned_digests(device_cfg_path, tmp_path, capsys):
-    got = output_digests(device_cfg_path, tmp_path, capsys)
+    got = output_digests(device_cfg_path, tmp_path, capsys, COMMANDS)
+    got["dips.csv"] = sha256((tmp_path / "dips.csv").read_bytes())
     assert got == DIGESTS
+
+
+def test_large_tables_match_pinned_digests(device_cfg_path, tmp_path, capsys):
+    assert output_digests(device_cfg_path, tmp_path, capsys, LARGE_COMMANDS) == LARGE_DIGESTS
