@@ -6,11 +6,16 @@ stdout); a one-line summary of the key scalars goes to stderr.  Exit
 codes: 0 ok, 2 usage, 3 config, 4 data, 5 numeric/precondition failure.
 Identical invocations (same flags, config, seed) produce byte-identical
 output.
+
+The argument parser is built once per process, on the first `run`, and
+every later `run` reuses it: parsing keeps its state in the namespace it
+returns, so one call leaves nothing behind for the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -36,13 +41,27 @@ exit codes:
 """
 
 
+def finite_float(text: str) -> float:
+    """A number that is neither nan nor infinite: the argparse type of every
+    real-valued flag, and the parse of each number in a range, a NAME=VALUE
+    assignment and a power list.  Non-numeric text raises ValueError, as
+    `float` does."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+finite_float.__name__ = "float"  # argparse names it in "invalid float value: 'x'", as for `float`
+
+
 def parse_range(text: str) -> np.ndarray:
     """start:stop:step grid, inclusive start; stop included when on-grid."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"range must be start:stop:step, got {text!r}")
     try:
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = map(finite_float, parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"range values must be numeric: {text!r}") from None
     if step <= 0:
@@ -71,17 +90,23 @@ def parse_index_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"window indices must be integers: {text!r}") from None
 
 
-def parse_assignments(pairs: list[str] | None) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for pair in pairs or ():
-        name, _, value = pair.partition("=")
-        if not name or not value:
-            raise argparse.ArgumentTypeError(f"expected name=value, got {pair!r}")
-        try:
-            out[name] = float(value)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"value for {name!r} must be numeric: {value!r}") from None
-    return out
+def parse_assignment(pair: str) -> tuple[str, float]:
+    """NAME=VALUE as a (name, value) pair."""
+    name, _, value = pair.partition("=")
+    if not name or not value:
+        raise argparse.ArgumentTypeError(f"expected name=value, got {pair!r}")
+    try:
+        return name, finite_float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"value for {name!r} must be numeric: {value!r}") from None
+
+
+def parse_powers(text: str) -> list[float]:
+    """Comma-separated powers; empty entries are skipped."""
+    try:
+        return [finite_float(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"powers must be numeric: {text!r}") from None
 
 
 def _status(message: str) -> None:
@@ -254,11 +279,10 @@ def cmd_langevin_verify(args) -> int:
 
 
 def cmd_shot_cal(args) -> int:
-    powers = [float(p) for p in args.powers.split(",") if p.strip()]
-    if not powers:
+    if not args.powers:
         raise ValueError("at least one power required")
     levels = langevin.shot_noise_calibration(
-        powers, dt=1.0, duration=args.samples, n_segments=31, seed=args.seed
+        args.powers, dt=1.0, duration=args.samples, n_segments=31, seed=args.seed
     )
     fit = fitters.weighted_linear_fit(
         [p for p, _ in levels], [v for _, v in levels], through_origin=True
@@ -279,8 +303,8 @@ def cmd_fit_crossing(args) -> int:
     ))
     result = fitters.fit_avoided_crossing(
         data,
-        initial=parse_assignments(args.init) or None,
-        fixed=parse_assignments(args.fix) or None,
+        initial=dict(args.init or ()),
+        fixed=dict(args.fix or ()),
     )
     rows = [(name, result.params[name], result.stderr[name]) for name in fitters.CROSSING_PARAMS]
     _write_table(args.out, ["param", "value", "stderr"], rows)
@@ -314,7 +338,13 @@ def cmd_fit_dip(args) -> int:
 # --- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ringlab parser, built on the first call and shared by every later one.
+
+    Each command is set as the name of its cmd_* function, looked up when it
+    runs, so a cmd_* replaced on this module after the build is the one called.
+    """
     parser = argparse.ArgumentParser(
         prog="ringlab",
         description="Coupled double-ring OPO simulator: supermodes, transmission, "
@@ -331,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
             description=help_text + (f"\n\noutput columns: {', '.join(columns)}" if columns else ""),
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
-        p.set_defaults(func=func)
+        p.set_defaults(func=func.__name__)
         return p
 
     p = add("validate", cmd_validate, "Validate a device config file and print its composite efficiency.")
@@ -341,11 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
             "Bus transmission spectrum at one heater setting.",
             ["omega_rad_s", "t_power"])
     p.add_argument("--config", required=True)
-    p.add_argument("--p1", type=float, required=True, help="ring-1 heater power, mW")
-    p.add_argument("--p2", type=float, required=True, help="ring-2 heater power, mW")
+    p.add_argument("--p1", type=finite_float, required=True, help="ring-1 heater power, mW")
+    p.add_argument("--p2", type=finite_float, required=True, help="ring-2 heater power, mW")
     p.add_argument("--omega", type=parse_range, default=None,
                    help="probe grid start:stop:step in rad/s (default: auto around both dips)")
-    p.add_argument("--margin-linewidths", type=float, default=10.0)
+    p.add_argument("--margin-linewidths", type=finite_float, default=10.0)
     p.add_argument("--points", type=int, default=4001)
     p.add_argument("--dip-report", default=None,
                    help="also write dip CSV: omega_center_rad_s,t_min,fwhm_rad_s,regime,eta_c")
@@ -356,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
             ["p1_mw", "p2_mw", "branch", "resonance_rad_s"])
     p.add_argument("--config", required=True)
     p.add_argument("--p1", type=parse_range, required=True, help="heater grid start:stop:step, mW")
-    p.add_argument("--p2", type=float, required=True)
+    p.add_argument("--p2", type=finite_float, required=True)
     p.add_argument("--out", default="-")
 
     p = add("etac-sweep", cmd_etac_sweep,
@@ -365,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--branch", choices=["upper", "lower"], required=True)
     p.add_argument("--p1", type=parse_range, required=True)
-    p.add_argument("--p2", type=float, required=True)
+    p.add_argument("--p2", type=finite_float, required=True)
     p.add_argument("--out", default="-")
 
     p = add("squeeze-sweep", cmd_squeeze_sweep,
@@ -374,16 +404,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--branch", choices=["upper", "lower"], required=True)
     p.add_argument("--p1", type=parse_range, required=True)
-    p.add_argument("--p2", type=float, required=True)
-    p.add_argument("--sideband-mhz", type=float, default=3.0)
+    p.add_argument("--p2", type=finite_float, required=True)
+    p.add_argument("--sideband-mhz", type=finite_float, default=3.0)
     p.add_argument("--out", default="-")
 
     p = add("squeeze-spectrum", cmd_squeeze_spectrum,
             "Squeezing spectrum versus sideband frequency for given efficiencies.",
             ["f_hz", "s_linear", "s_db", "squeezing_factor_db"])
-    p.add_argument("--eta-c", type=float, required=True)
-    p.add_argument("--eta-d", type=float, required=True)
-    p.add_argument("--tau-c", type=float, required=True, help="photon lifetime, s")
+    p.add_argument("--eta-c", type=finite_float, required=True)
+    p.add_argument("--eta-d", type=finite_float, required=True)
+    p.add_argument("--tau-c", type=finite_float, required=True, help="photon lifetime, s")
     p.add_argument("--f", type=parse_range, required=True, help="sideband grid start:stop:step, Hz")
     p.add_argument("--out", default="-")
 
@@ -392,20 +422,20 @@ def build_parser() -> argparse.ArgumentParser:
             ["freq_hz", "psd_shotnoise_units", "psd_db"])
     p.add_argument("--config", required=True)
     p.add_argument("--branch", choices=["upper", "lower"], default="lower")
-    p.add_argument("--p1", type=float, default=50.0)
-    p.add_argument("--p2", type=float, default=10.0)
+    p.add_argument("--p1", type=finite_float, default=50.0)
+    p.add_argument("--p2", type=finite_float, default=10.0)
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--trajectories", type=int, default=200)
     p.add_argument("--segments", type=int, default=94, help="Welch segments per trajectory")
-    p.add_argument("--dt-factor", type=float, default=0.01, help="time step in units of 1/gamma_total")
+    p.add_argument("--dt-factor", type=finite_float, default=0.01, help="time step in units of 1/gamma_total")
     p.add_argument("--out", default="-")
 
     p = add("shot-cal", cmd_shot_cal,
             "Simulated balanced-detection shot-noise calibration versus power.",
             ["power", "psd_level"])
-    p.add_argument("--powers", default="1,2,4,8", help="comma-separated powers")
+    p.add_argument("--powers", type=parse_powers, default="1,2,4,8", help="comma-separated powers")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=float, default=16384.0, help="samples per power")
+    p.add_argument("--samples", type=finite_float, default=16384.0, help="samples per power")
     p.add_argument("--out", default="-")
 
     p = add("fit-crossing", cmd_fit_crossing,
@@ -413,9 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
             "(CSV: p1_mw,p2_mw,branch,resonance_rad_s or resonance_nm).",
             ["param", "value", "stderr"])
     p.add_argument("--data", required=True)
-    p.add_argument("--fix", action="append", metavar="NAME=VALUE",
+    p.add_argument("--fix", action="append", type=parse_assignment, metavar="NAME=VALUE",
                    help="hold a parameter fixed (repeatable)")
-    p.add_argument("--init", action="append", metavar="NAME=VALUE",
+    p.add_argument("--init", action="append", type=parse_assignment, metavar="NAME=VALUE",
                    help="override the automatic starting value (repeatable)")
     p.add_argument("--out", default="-")
 
@@ -436,13 +466,12 @@ def _error(category: str, exc: Exception) -> None:
 
 def run(argv=None) -> int:
     """Execute one command line; returns the process exit status."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except ConfigError as exc:
         _error("config", exc)
         return 3

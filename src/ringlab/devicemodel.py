@@ -321,6 +321,21 @@ def _syntax_error(text: str, line_number: int, problem: str) -> str:
     return f"config syntax: line {line_number}: {problem}: {line!r}"
 
 
+def _folded_line(text: str) -> int | None:
+    """Number of the first line configparser took as a continuation: an
+    indented line below a key line, blank and comment lines skipped."""
+    key_indent = None  # indentation of the last key line; None after a header
+    for number, line in enumerate(text.split("\n"), 1):
+        content = line.strip()
+        if not content or content.startswith(("#", ";")):
+            continue
+        indent = len(line) - len(line.lstrip())
+        if key_indent is not None and indent > key_indent:
+            return number
+        key_indent = None if content.startswith("[") else indent
+    return None
+
+
 def parse_config(text: str) -> DeviceConfig:
     """Parse config file text into a DeviceConfig."""
     # No header can name an empty section, so [DEFAULT] is an ordinary (unknown) section.
@@ -335,6 +350,9 @@ def parse_config(text: str) -> DeviceConfig:
         raise ConfigError(_syntax_error(text, exc.lineno, "outside any section")) from None
     except configparser.ParsingError as exc:
         raise ConfigError(_syntax_error(text, exc.errors[0][0], "not a key = value line")) from None
+    folded = _folded_line(text)
+    if folded is not None:
+        raise ConfigError(_syntax_error(text, folded, "indented line"))
 
     wavelength_nm = _read_section(parser, "pump", _PUMP_FIELDS)["wavelength_nm"]
     _require(wavelength_nm is not None, "pump.wavelength_nm", "missing key")

@@ -315,7 +315,8 @@ def fit_avoided_crossing(
     rank-deficient Jacobian.
     """
     fixed = dict(fixed or {})
-    for name in fixed:
+    initial = dict(initial or {})
+    for name in (*fixed, *initial):
         if name not in CROSSING_PARAMS:
             raise ValueError(f"unknown parameter {name!r}")
     free = [name for name in CROSSING_PARAMS if name not in fixed]
@@ -323,7 +324,7 @@ def fit_avoided_crossing(
         raise ValueError("no free parameters to fit")
 
     start = auto_initial_guess(data)
-    start.update(initial or {})
+    start.update(initial)
     start.update(fixed)
 
     sign = np.where(np.asarray(data.branch) == "upper", 1.0, -1.0)

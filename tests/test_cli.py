@@ -5,13 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ringlab
-from ringlab.cli import RANGE_MAX_POINTS, parse_range, run
+from ringlab.cli import RANGE_MAX_POINTS, build_parser, parse_range, run
 from ringlab.csvio import load_csv, parse_csv, write_csv
 from ringlab.errors import DataError
 
@@ -335,6 +336,23 @@ def test_validate_syntax_error_names_the_line(line, replacement, message, device
     assert validate_text(text, tmp_path, capsys) == (3, f"ringlab: error: config: config syntax: {message}\n")
 
 
+@pytest.mark.parametrize("line, replacement, folded", [
+    ("radius_um = 115.0", "radius_um = 115.0\n   gamma_i_mhz = 3", "line 15: indented line: 'gamma_i_mhz = 3'"),
+    ("photodiode = 0.80", "photodiode = 0.80\n  0.9", "line 35: indented line: '0.9'"),
+    ("photodiode = 0.80", "photodiode = 0.80\n\n  # a note\n\n  0.9", "line 38: indented line: '0.9'"),
+    ("radius_um = 115.0", "  radius_um = 115.0", None),
+    ("gamma_i_mhz = 2.0", "gamma_i_mhz = 2.0\n    # an indented comment", None),
+], ids=["key-under-a-key", "value-under-a-key", "after-blank-and-comment", "first-key", "comment"])
+def test_validate_refuses_indented_lines_that_would_fold(line, replacement, folded, device_cfg_path, tmp_path,
+                                                         capsys):
+    text = device_cfg_path.read_text(encoding="utf-8").replace(line, replacement, 1)
+    code, err = validate_text(text, tmp_path, capsys)
+    if folded is None:  # an indented first key and indented comments parse as before
+        assert code == 0 and err.startswith("config ok: ")
+    else:
+        assert (code, err) == (3, f"ringlab: error: config: config syntax: {folded}\n")
+
+
 def test_missing_config_file_exit_3(capsys):
     assert run(["validate", "--config", "/no/such/file.cfg"]) == 3
 
@@ -627,3 +645,205 @@ def test_monte_carlo_commands_byte_identical(device_cfg_path, tmp_path):
         assert run(args + ["--out", str(a)]) == 0
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_fit_crossing_unknown_parameter_exit_5(device_cfg_path, tmp_path, capsys):
+    data = tmp_path / "crossing.csv"
+    assert run(["crossing-sweep", "--config", str(device_cfg_path), "--p1", "5:55:2.5", "--p2", "10",
+                "--out", str(data)]) == 0
+    for flag in ("--init", "--fix"):
+        out = tmp_path / f"fit{flag}.csv"
+        capsys.readouterr()
+        assert run(["fit-crossing", "--data", str(data), flag, "bogus=1", "--out", str(out)]) == 5, flag
+        assert capsys.readouterr().err == "ringlab: error: numeric: unknown parameter 'bogus'\n"
+        assert not out.exists()
+
+
+# --- non-finite numbers are usage errors -------------------------------------------
+
+# (flag, command line with {v} where the number goes), one per real-valued flag,
+# per part of a range, per NAME=VALUE assignment and per power-list entry.
+NON_FINITE_CASES = [
+    ("--p1", ["transmission", "--config", "{cfg}", "--p1={v}", "--p2", "10"]),
+    ("--p2", ["transmission", "--config", "{cfg}", "--p1", "40", "--p2={v}"]),
+    ("--omega", ["transmission", "--config", "{cfg}", "--p1", "40", "--p2", "10", "--omega={v}:2e15:1e9"]),
+    ("--margin-linewidths", ["transmission", "--config", "{cfg}", "--p1", "40", "--p2", "10",
+                             "--margin-linewidths={v}"]),
+    ("--p1", ["crossing-sweep", "--config", "{cfg}", "--p1={v}:1:0.1", "--p2", "10"]),
+    ("--p1", ["crossing-sweep", "--config", "{cfg}", "--p1=0:{v}:0.1", "--p2", "10"]),
+    ("--p1", ["crossing-sweep", "--config", "{cfg}", "--p1=0:1:{v}", "--p2", "10"]),
+    ("--p2", ["crossing-sweep", "--config", "{cfg}", "--p1", "0:1:0.5", "--p2={v}"]),
+    ("--p2", ["etac-sweep", "--config", "{cfg}", "--branch", "lower", "--p1", "0:1:0.5", "--p2={v}"]),
+    ("--sideband-mhz", ["squeeze-sweep", "--config", "{cfg}", "--branch", "lower", "--p1", "0:1:0.5",
+                        "--p2", "10", "--sideband-mhz={v}"]),
+    ("--eta-c", ["squeeze-spectrum", "--eta-c={v}", "--eta-d", "0.5", "--tau-c", "1e-8", "--f", "0:1e6:1e5"]),
+    ("--eta-d", ["squeeze-spectrum", "--eta-c", "0.5", "--eta-d={v}", "--tau-c", "1e-8", "--f", "0:1e6:1e5"]),
+    ("--tau-c", ["squeeze-spectrum", "--eta-c", "0.5", "--eta-d", "0.5", "--tau-c={v}", "--f", "0:1e6:1e5"]),
+    ("--f", ["squeeze-spectrum", "--eta-c", "0.5", "--eta-d", "0.5", "--tau-c", "1e-8", "--f=0:{v}:1e5"]),
+    ("--p1", ["langevin-verify", "--config", "{cfg}", "--p1={v}"]),
+    ("--p2", ["langevin-verify", "--config", "{cfg}", "--p2={v}"]),
+    ("--dt-factor", ["langevin-verify", "--config", "{cfg}", "--dt-factor={v}"]),
+    ("--powers", ["shot-cal", "--powers=1,{v},4"]),
+    ("--samples", ["shot-cal", "--samples={v}"]),
+    ("--fix", ["fit-crossing", "--data", "{cfg}", "--fix=kappa_12={v}"]),
+    ("--init", ["fit-crossing", "--data", "{cfg}", "--init=alpha1={v}"]),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag, argv", NON_FINITE_CASES,
+                         ids=[" ".join([argv[0], *(a.replace("{v}", "V") for a in argv if "{v}" in a)]) for _, argv in NON_FINITE_CASES])
+def test_non_finite_flag_value_is_a_usage_error(flag, argv, value, device_cfg_path, tmp_path, capsys):
+    command, out = argv[0], tmp_path / "out.csv"
+    capsys.readouterr()
+    assert run([command, "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n")[0] + "\n"
+    args = [arg.format(cfg=device_cfg_path, v=value) for arg in argv]
+    assert run([*args, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert not out.exists()
+    assert captured.out == ""
+    assert captured.err == f"{usage}ringlab {command}: error: argument {flag}: not a finite number: {value!r}\n"
+
+
+# --- one parser per process ---------------------------------------------------------
+
+# Runs of every kind: tables, a failing fit, usage errors and help, with
+# repeatable flags given, repeated and left out.  {out} is the CSV path.
+ALPHA2 = f"alpha2={30.0 * MHZ!r}"
+REUSE_RUNS = [
+    ["validate", "--config", "{cfg}"],
+    ["fit-crossing", "--data", "{data}", "--fix", ALPHA2, "--out", "{out}"],
+    ["fit-crossing", "--data", "{data}", "--fix", ALPHA2, "--init", f"kappa_12={140.0 * MHZ!r}", "--out", "{out}"],
+    ["fit-crossing", "--data", "{data}", "--out", "{out}"],  # alpha2 free: rank-deficient, exit 5
+    ["etac-sweep", "--config", "{cfg}", "--branch", "lower", "--p1", "0:50:0.5", "--p2", "10", "--out", "{out}"],
+    ["crossing-sweep", "--config", "{cfg}", "--p1", "1:2", "--p2", "10"],
+    ["etac-sweep", "--help"],
+    ["squeeze-spectrum", "--eta-c", "0.7", "--eta-d", "0.6", "--tau-c", "22.5e-9", "--f", "0:6e6:1e5",
+     "--out", "{out}"],
+    ["bogus"],
+    ["shot-cal", "--powers", "1,2,4", "--seed", "1", "--samples", "4096", "--out", "{out}"],
+    ["fit-crossing", "--data", "{data}", "--fix", ALPHA2, "--fix", f"kappa_12={150.0 * MHZ!r}", "--out", "{out}"],
+    ["squeeze-sweep", "--config", "{cfg}", "--branch", "upper", "--p1", "0:50:1", "--p2", "10", "--out", "{out}"],
+    [],
+]
+
+
+@pytest.fixture
+def crossing_data(device_cfg_path, tmp_path):
+    data = tmp_path / "crossing.csv"
+    assert run(["crossing-sweep", "--config", str(device_cfg_path), "--p1", "5:55:2.5", "--p2", "10",
+                "--out", str(data)]) == 0
+    return data
+
+
+def run_bytes(argv, out, capsys):
+    """Exit status, CSV bytes, stdout and stderr of one run."""
+    out.unlink(missing_ok=True)
+    capsys.readouterr()
+    status = run(argv)
+    captured = capsys.readouterr()
+    return status, out.read_bytes() if out.exists() else None, captured.out, captured.err
+
+
+def test_shared_parser_gives_the_bytes_of_a_fresh_one(device_cfg_path, crossing_data, tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    out = tmp_path / "out.csv"
+    runs = [[a.format(cfg=device_cfg_path, data=crossing_data, out=out) for a in argv] for argv in REUSE_RUNS]
+    fresh = []
+    for argv in runs:
+        build_parser.cache_clear()
+        fresh.append(run_bytes(argv, out, capsys))
+    assert [f[0] for f in fresh] == [0, 0, 0, 5, 0, 2, 0, 0, 2, 0, 0, 0, 2]
+
+    build_parser.cache_clear()
+    order = [*range(len(runs)), *reversed(range(len(runs)))]
+    assert [run_bytes(runs[i], out, capsys) for i in order] == [fresh[i] for i in order]
+    assert build_parser.cache_info().misses == 1
+
+
+def test_repeatable_flags_start_empty_on_every_parse(crossing_data, tmp_path, capsys):
+    parser = build_parser()
+    assert run(["fit-crossing", "--data", str(crossing_data), "--fix", ALPHA2, "--init", "kappa_12=1e9",
+                "--out", str(tmp_path / "fit.csv")]) == 0
+    assert build_parser() is parser
+    args = parser.parse_args(["fit-crossing", "--data", "x.csv"])
+    assert (args.fix, args.init) == (None, None)
+    args = parser.parse_args(["fit-crossing", "--data", "x.csv", "--fix", "alpha1=2"])
+    assert (args.fix, args.init) == ([("alpha1", 2.0)], None)
+
+
+def test_usage_error_and_help_leave_the_parser_usable(device_cfg_path, tmp_path, capsys):
+    out = tmp_path / "etac.csv"
+    argv = ["etac-sweep", "--config", str(device_cfg_path), "--branch", "upper", "--p1", "0:50:2.5", "--p2", "10",
+            "--out", str(out)]
+    build_parser.cache_clear()
+    first = run_bytes(argv, out, capsys)
+    assert first[0] == 0
+    for detour in (["etac-sweep", "--branch", "sideways"], ["etac-sweep", "--help"], ["--help"],
+                   ["fit-crossing", "--fix", "bogus"]):
+        assert run_bytes(detour, out, capsys)[0] in (0, 2)
+        assert run_bytes(argv, out, capsys) == first
+
+
+def test_threads_run_different_commands_at_once(device_cfg_path, crossing_data, tmp_path, capsys):
+    cfg = str(device_cfg_path)
+    jobs = {  # more threads than this host may have cores, each on its own command
+        "etac": ["etac-sweep", "--config", cfg, "--branch", "lower", "--p1", "0:50:0.01", "--p2", "10"],
+        "fit": ["fit-crossing", "--data", str(crossing_data), "--fix", ALPHA2, "--init", "kappa_12=1e9"],
+        "spectrum": ["squeeze-spectrum", "--eta-c", "0.7", "--eta-d", "0.6", "--tau-c", "22.5e-9",
+                     "--f", "0:6e6:1e3"],
+        "crossing": ["crossing-sweep", "--config", cfg, "--p1", "0:50:0.05", "--p2", "12"],
+    }
+    expected = {}
+    for name, argv in jobs.items():
+        build_parser.cache_clear()
+        out = tmp_path / f"{name}-serial.csv"
+        assert run([*argv, "--out", str(out)]) == 0
+        expected[name] = out.read_bytes()
+
+    build_parser.cache_clear()  # the threads may race to build it
+    start = threading.Barrier(len(jobs))
+    got = {}
+
+    def worker(name, argv, repeats=3):
+        start.wait(timeout=60)
+        for i in range(repeats):
+            out = tmp_path / f"{name}-{i}.csv"
+            got[name, i] = run([*argv, "--out", str(out)]), out.read_bytes()
+
+    threads = [threading.Thread(target=worker, args=item) for item in jobs.items()]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == {(name, i): (0, expected[name]) for name in jobs for i in range(3)}
+
+
+def test_cli_import_builds_no_parser():
+    code = ("import argparse\n"
+            "made = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda self, *a, **k: made.append(1) or init(self, *a, **k)\n"
+            "import ringlab.cli\n"
+            "print(len(made), ringlab.cli.build_parser.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": str(Path(ringlab.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+    assert out.split() == ["0", "0"]
+
+
+def test_command_replaced_after_the_build_is_the_one_run(device_cfg_path, monkeypatch):
+    from ringlab import cli
+
+    build_parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: calls.append(args.config) or 7)
+    assert run(["validate", "--config", str(device_cfg_path)]) == 7
+    assert calls == [str(device_cfg_path)]

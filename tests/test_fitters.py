@@ -193,6 +193,11 @@ def test_unknown_fixed_parameter_rejected():
         fit_avoided_crossing(synthetic_crossing(), fixed={"bogus": 1.0})
 
 
+def test_unknown_initial_parameter_rejected():
+    with pytest.raises(ValueError, match="unknown parameter 'bogus'"):
+        fit_avoided_crossing(synthetic_crossing(), initial={"bogus": 1.0})
+
+
 # --- Lorentzian dip fit ---------------------------------------------------------------
 
 

@@ -1,5 +1,5 @@
-"""Byte identity: small runs of every table-writing command, and two large
-tables, against pinned digests.
+"""Byte identity: small runs of every table-writing command, two large
+tables, and the help pages and usage errors, against pinned digests.
 
 The digests are sha256 of each command's CSV output and of its stderr, as
 the commands write them on CPython 3.11, numpy 2.4 and scipy 1.17.  A refactor that keeps the output contract keeps them; a change
@@ -94,3 +94,56 @@ def test_outputs_match_pinned_digests(device_cfg_path, tmp_path, capsys):
 
 def test_large_tables_match_pinned_digests(device_cfg_path, tmp_path, capsys):
     assert output_digests(device_cfg_path, tmp_path, capsys, LARGE_COMMANDS) == LARGE_DIGESTS
+
+# Runs that end inside argparse: the help pages and the usage errors, whose
+# bytes depend only on the parser.  Help is wrapped to the terminal width,
+# so the runs are made at COLUMNS=80.
+COMMAND_NAMES = ["validate", "transmission", "crossing-sweep", "etac-sweep", "squeeze-sweep",
+                 "squeeze-spectrum", "langevin-verify", "shot-cal", "fit-crossing", "fit-dip"]
+
+USAGE_RUNS = [
+    ("help", ["--help"]),
+    *[(f"{name} --help", [name, "--help"]) for name in COMMAND_NAMES],
+    ("no command", []),
+    ("unknown command", ["bogus"]),
+    ("unknown flag", ["validate", "--config", "device.cfg", "--bogus"]),
+    ("missing required flag", ["validate"]),
+    ("malformed range", ["crossing-sweep", "--config", "device.cfg", "--p1", "1:2", "--p2", "10"]),
+]
+
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"  # sha256 of no bytes
+
+# name -> (exit status, sha256 of stdout, sha256 of stderr)
+USAGE_DIGESTS = {
+    "help": (0, "9f9ca0489c58f9754b49e69cc4bf42e80288633165bdcec8d681622965ac4933", EMPTY),
+    "validate --help": (0, "31338255e42079c646a341c8566d80b54ca27ff6b3e19ee7b9fc92dbd63bb31b", EMPTY),
+    "transmission --help": (0, "cc065cd64b67b7af8679784585b23f05363e49107494a7e5d93355039ee29393", EMPTY),
+    "crossing-sweep --help": (0, "8cadb589f02b7f7d5f65576d779c49e6cde58be11cede22b9d5539e11327f107", EMPTY),
+    "etac-sweep --help": (0, "4fe3427659ed33654bba8090944ed0728865ef5ba5e88fab9e3c9147e057f83e", EMPTY),
+    "squeeze-sweep --help": (0, "d36158b158f89a93be527cc0911668440b0172ebefac6f198e150c9a9be09348", EMPTY),
+    "squeeze-spectrum --help": (0, "afa12035a88322d29c3eb3786390aaab4a9b18bc0dcd4ec4383a8b4f92873f99", EMPTY),
+    "langevin-verify --help": (0, "6cd517ed39fb83b12485eb2ee46a9d3ad078881ae706108ac2d238b174d06f94", EMPTY),
+    "shot-cal --help": (0, "a15fbdad81494419e735e314d5a64ef538fd8a6f9e090b790d862c75f867101d", EMPTY),
+    "fit-crossing --help": (0, "7cfcc66e5acbd54c97415b2710ec43a250a504d3750957759dd504f71ccb5712", EMPTY),
+    "fit-dip --help": (0, "b42a568b4cd84e8664a15820574bc0d7e40167e9498c49a02b571f8487695fd3", EMPTY),
+    "no command": (2, EMPTY, "03e124e9ee744f1b7e5b872e2151a43f0c2ef6dc20aa7bc3ad81680b44a5ede7"),
+    "unknown command": (2, EMPTY, "e765a09dbf995a34bf8eafa0be8efc4e6d2d558c651da4a2d0b241514c77db42"),
+    "unknown flag": (2, EMPTY, "007e7ac1ce0282b014395bfbca3b64e9e9e653bf24b2be27002d75435e2d5c64"),
+    "missing required flag": (2, EMPTY, "4c7aab233dd1d3473ab2b09a9da4bb080ed905afd8c96c8c469b1c9402a9c633"),
+    "malformed range": (2, EMPTY, "3d4c5d396ecc54d6e04ff8a6d184fb6db125ab878f712b7db74a99387b87fbe5"),
+}
+
+
+def usage_digests(capsys, monkeypatch) -> dict[str, tuple[int, str, str]]:
+    monkeypatch.setenv("COLUMNS", "80")
+    capsys.readouterr()
+    digests = {}
+    for name, argv in USAGE_RUNS:
+        status = run(argv)
+        captured = capsys.readouterr()
+        digests[name] = (status, sha256(captured.out.encode()), sha256(captured.err.encode()))
+    return digests
+
+
+def test_help_and_usage_errors_match_pinned_digests(capsys, monkeypatch):
+    assert usage_digests(capsys, monkeypatch) == USAGE_DIGESTS
