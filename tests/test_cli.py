@@ -708,8 +708,9 @@ def test_non_finite_flag_value_is_a_usage_error(flag, argv, value, device_cfg_pa
 
 # --- one parser per process ---------------------------------------------------------
 
-# Runs of every kind: tables, a failing fit, usage errors and help, with
-# repeatable flags given, repeated and left out.  {out} is the CSV path.
+# Runs of every kind: tables, a failing fit, usage errors and help, each
+# followed by a normal run, with repeatable flags given, repeated and left
+# out.  {out} is the CSV path.
 ALPHA2 = f"alpha2={30.0 * MHZ!r}"
 REUSE_RUNS = [
     ["validate", "--config", "{cfg}"],
@@ -719,6 +720,8 @@ REUSE_RUNS = [
     ["etac-sweep", "--config", "{cfg}", "--branch", "lower", "--p1", "0:50:0.5", "--p2", "10", "--out", "{out}"],
     ["crossing-sweep", "--config", "{cfg}", "--p1", "1:2", "--p2", "10"],
     ["etac-sweep", "--help"],
+    ["etac-sweep", "--config", "{cfg}", "--branch", "sideways", "--p1", "0:50:0.5", "--p2", "10"],
+    ["fit-crossing", "--data", "{data}", "--fix", "bogus", "--out", "{out}"],
     ["squeeze-spectrum", "--eta-c", "0.7", "--eta-d", "0.6", "--tau-c", "22.5e-9", "--f", "0:6e6:1e5",
      "--out", "{out}"],
     ["bogus"],
@@ -755,7 +758,7 @@ def test_shared_parser_gives_the_bytes_of_a_fresh_one(device_cfg_path, crossing_
     for argv in runs:
         build_parser.cache_clear()
         fresh.append(run_bytes(argv, out, capsys))
-    assert [f[0] for f in fresh] == [0, 0, 0, 5, 0, 2, 0, 0, 2, 0, 0, 0, 2]
+    assert [f[0] for f in fresh] == [0, 0, 0, 5, 0, 2, 0, 2, 2, 0, 2, 0, 0, 0, 2]
 
     build_parser.cache_clear()
     order = [*range(len(runs)), *reversed(range(len(runs)))]
@@ -772,19 +775,6 @@ def test_repeatable_flags_start_empty_on_every_parse(crossing_data, tmp_path, ca
     assert (args.fix, args.init) == (None, None)
     args = parser.parse_args(["fit-crossing", "--data", "x.csv", "--fix", "alpha1=2"])
     assert (args.fix, args.init) == ([("alpha1", 2.0)], None)
-
-
-def test_usage_error_and_help_leave_the_parser_usable(device_cfg_path, tmp_path, capsys):
-    out = tmp_path / "etac.csv"
-    argv = ["etac-sweep", "--config", str(device_cfg_path), "--branch", "upper", "--p1", "0:50:2.5", "--p2", "10",
-            "--out", str(out)]
-    build_parser.cache_clear()
-    first = run_bytes(argv, out, capsys)
-    assert first[0] == 0
-    for detour in (["etac-sweep", "--branch", "sideways"], ["etac-sweep", "--help"], ["--help"],
-                   ["fit-crossing", "--fix", "bogus"]):
-        assert run_bytes(detour, out, capsys)[0] in (0, 2)
-        assert run_bytes(argv, out, capsys) == first
 
 
 def test_threads_run_different_commands_at_once(device_cfg_path, crossing_data, tmp_path, capsys):
