@@ -18,6 +18,7 @@ import argparse
 import functools
 import itertools
 import math
+import re
 import sys
 
 import numpy as np
@@ -30,6 +31,7 @@ RANGE_REL_TOL = 1e-9          # stop is included when on-grid within this
 RANGE_MAX_POINTS = 10**7      # larger grids are refused before any allocation
 SEGMENT_SAMPLES = 4096        # Welch segment length for langevin-verify
 WRITE_BLOCK = 4096            # array values converted to Python floats at a time
+NEGATIVE_NUMBER = re.compile(r"^-\.?\d")  # an argument that starts so is a value
 
 EXIT_CODES_HELP = """\
 exit codes:
@@ -53,6 +55,22 @@ def finite_float(text: str) -> float:
 
 
 finite_float.__name__ = "float"  # argparse names it in "invalid float value: 'x'", as for `float`
+
+
+def _positive(kind):
+    """The argparse type of a count or margin flag: a `kind` value above zero."""
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # "invalid int value: 'x'", as for `int`
+    return parse
+
+
+positive_int = _positive(int)
+positive_float = _positive(finite_float)
 
 
 def parse_range(text: str) -> np.ndarray:
@@ -361,6 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
             description=help_text + (f"\n\noutput columns: {', '.join(columns)}" if columns else ""),
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
+        # "-1e-8" and "-.5:0:0.1" are values, not options: no ringlab option starts that way
+        p._negative_number_matcher = NEGATIVE_NUMBER
         p.set_defaults(func=func.__name__)
         return p
 
@@ -375,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p2", type=finite_float, required=True, help="ring-2 heater power, mW")
     p.add_argument("--omega", type=parse_range, default=None,
                    help="probe grid start:stop:step in rad/s (default: auto around both dips)")
-    p.add_argument("--margin-linewidths", type=finite_float, default=10.0)
-    p.add_argument("--points", type=int, default=4001)
+    p.add_argument("--margin-linewidths", type=positive_float, default=10.0)
+    p.add_argument("--points", type=positive_int, default=4001)
     p.add_argument("--dip-report", default=None,
                    help="also write dip CSV: omega_center_rad_s,t_min,fwhm_rad_s,regime,eta_c")
     p.add_argument("--out", default="-")
@@ -425,8 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1", type=finite_float, default=50.0)
     p.add_argument("--p2", type=finite_float, default=10.0)
     p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--trajectories", type=int, default=200)
-    p.add_argument("--segments", type=int, default=94, help="Welch segments per trajectory")
+    p.add_argument("--trajectories", type=positive_int, default=200)
+    p.add_argument("--segments", type=positive_int, default=94, help="Welch segments per trajectory")
     p.add_argument("--dt-factor", type=finite_float, default=0.01, help="time step in units of 1/gamma_total")
     p.add_argument("--out", default="-")
 
@@ -435,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
             ["power", "psd_level"])
     p.add_argument("--powers", type=parse_powers, default="1,2,4,8", help="comma-separated powers")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=finite_float, default=16384.0, help="samples per power")
+    p.add_argument("--samples", type=positive_float, default=16384.0, help="samples per power")
     p.add_argument("--out", default="-")
 
     p = add("fit-crossing", cmd_fit_crossing,

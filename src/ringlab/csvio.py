@@ -3,8 +3,13 @@
 Files are UTF-8, with or without a byte-order mark, comma-separated, one
 header row naming the columns exactly; blank lines and lines starting
 with '#' are skipped, and spaces after a comma are not part of the next
-cell, so a quoted cell may follow one.  Tables are read as columns in
-one pass.  Error row numbers are the file's line numbers.  A table is
+cell, so a quoted cell may follow one.  Tables are read as columns.  A
+table whose columns are all float (a `fit-dip` trace) is parsed by
+numpy's C reader; one with a str or int column (a `fit-crossing` table),
+and any all-float table numpy refuses or finds a non-finite value in, is
+read one cell at a time, which names the fault or reads what only
+`float` does (`1_0`, non-ASCII digits, quoted cells).  Both give the
+same values.  Error row numbers are the file's line numbers.  A table is
 written through one row template, so each column holds one kind of
 value; float columns are written with 17 significant digits so finite
 values survive a write/read round trip bit-for-bit.
@@ -14,9 +19,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import DataError
 
@@ -46,17 +54,38 @@ def load_csv(path: str | Path, columns: dict[str, type],
 
 def parse_csv(lines: Iterable[str], columns: dict[str, type], source: str = "<string>",
               alternatives: dict[str, str] | None = None) -> dict[str, list]:
-    """Columns {name -> list of values} of CSV text given as lines; see load_csv."""
-    row_number = 0
+    """Columns {name -> list of values} of CSV text given as lines; see load_csv.
 
-    def content():
-        nonlocal row_number
-        for row_number, line in enumerate(lines, start=1):
-            if line.strip() and not line.lstrip().startswith("#"):
-                yield line
-
-    reader = csv.reader(content(), skipinitialspace=True)
+    A seekable text stream is read from where it stands and, if the cell
+    reader is needed, again from its start; any other iterable is read
+    into a list first.
+    """
+    rereadable = isinstance(lines, io.TextIOBase) and lines.seekable()
+    if not rereadable:
+        lines = list(lines)
+    content = filter(_is_content, lines)
+    reader = csv.reader(content, skipinitialspace=True)
     header = [cell.strip() for cell in next(reader, ())]
+    columns = _schema(header, columns, source, alternatives)
+    if all(kind is float for kind in columns.values()):
+        table = _read_floats(content, header)  # the data lines: csv reads no further than the header
+        if table is not None:
+            return table
+    if rereadable:
+        lines.seek(0)
+    return _read_cells(lines, header, columns, source)
+
+
+def _is_content(line: str) -> bool:
+    """Whether a line is a header or data line: neither blank nor a '#' comment."""
+    return line.lstrip()[:1] not in "#"
+
+
+def _schema(header: list[str], columns: dict[str, type], source: str,
+            alternatives: dict[str, str] | None) -> dict[str, type]:
+    """The schema of a table with this header, each alternative name that
+    the header gives put in place of its column; a header that does not
+    name exactly the schema's columns, once each, is a DataError."""
     if not header:
         raise DataError(f"{source}: empty file (no header row)")
     for name, other in (alternatives or {}).items():
@@ -71,6 +100,40 @@ def parse_csv(lines: Iterable[str], columns: dict[str, type], source: str = "<st
     for name in header:
         if header.count(name) > 1:
             raise DataError(f"{source}: duplicate column {name!r}")
+    return columns
+
+
+def _read_floats(rows: Iterator[str], header: list[str]) -> dict[str, list] | None:
+    """The columns of all-float data lines, parsed by numpy's C reader; None
+    if there are none, numpy refuses them or a value is not finite, so that
+    the cell-by-cell reader names the fault or reads what only `float` does
+    (`1_0`, non-ASCII digits, quoted cells)."""
+    first = next(rows, None)
+    if first is None:  # numpy would warn of no data
+        return None
+    try:
+        values = np.loadtxt(itertools.chain([first], rows), delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    if values.shape[1] != len(header) or not np.isfinite(values).all():
+        return None
+    return dict(zip(header, values.T.tolist()))
+
+
+def _read_cells(lines: Iterable[str], header: list[str], columns: dict[str, type],
+                source: str) -> dict[str, list]:
+    """The columns of a table read one cell at a time; errors name the file
+    line, the column and the cell."""
+    row_number = 0
+
+    def content():
+        nonlocal row_number
+        for row_number, line in enumerate(lines, start=1):
+            if _is_content(line):
+                yield line
+
+    reader = csv.reader(content(), skipinitialspace=True)
+    next(reader)  # the header, checked by parse_csv
     table = {name: [] for name in header}
     fields = [(name, columns[name], table[name].append) for name in header]
     for cells in reader:

@@ -160,13 +160,11 @@ def find_dips(trace: TransmissionTrace, threshold: float = DIP_THRESHOLD,
     """
     omega = trace.omega_grid
     t = trace.t_power
-    n = t.size
+    mid = t[1:-1]
+    # below threshold and no higher than either neighbour; on a plateau only its first sample
+    candidates = np.flatnonzero((mid < threshold) & (mid < t[:-2]) & (mid <= t[2:])) + 1
     dips: list[TransmissionDip] = []
-    for i in range(1, n - 1):
-        if t[i] >= threshold or t[i] > t[i - 1] or t[i] > t[i + 1]:
-            continue
-        if t[i] == t[i - 1]:  # plateau: count only its first sample
-            continue
+    for i in candidates.tolist():
         center, t_min = _quadratic_vertex(omega[i - 1 : i + 2], t[i - 1 : i + 2])
         t_min = max(t_min, 0.0)
         level = 0.5 * (baseline + t_min)

@@ -1,17 +1,20 @@
 """Command-line interface: ranges, CSV schemas, exit codes, determinism."""
 
+import csv
 import io
 import math
 import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ringlab
+from ringlab import csvio
 from ringlab.cli import RANGE_MAX_POINTS, build_parser, parse_range, run
 from ringlab.csvio import load_csv, parse_csv, write_csv
 from ringlab.errors import DataError
@@ -183,6 +186,88 @@ def test_csv_alternative_column_matched_on_header_cells():
     # a header cell merely containing the name is not the column
     with pytest.raises(DataError, match="s: missing column 'nm'"):
         parse("omega_x,t\n1,2\n")
+
+
+# --- the numpy reader of all-float tables against csv + float -------------------------
+
+
+def reference_read(text):
+    """Columns of CSV text, one cell at a time through csv and float: blank
+    and '#' lines skipped, the first row the header."""
+    lines = [line for line in io.StringIO(text) if line.strip() and not line.lstrip().startswith("#")]
+    header, *rows = csv.reader(lines, skipinitialspace=True)
+    return {name.strip(): [float(row[j].strip()) for row in rows] for j, name in enumerate(header)}
+
+
+def bits(table):
+    return {name: [value.hex() for value in values] for name, values in table.items()}
+
+
+def seeded_float_text(rng, n_rows, names):
+    """CSV text of an all-float table with seeded values (raw bit patterns,
+    subnormals, -0.0, 17-digit and short forms) and seeded layout (comment
+    and blank lines, CRLF ends, spaces after commas, a last line without
+    an end)."""
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308, 0.1, 1e22,
+                9007199254740993.0, 1.2345678901234567e-8]
+    end = "\r\n" if rng.random() < 0.3 else "\n"
+    lines = ["# a comment above the header", ""][: int(rng.integers(0, 3))] + [", ".join(names)]
+    for _ in range(n_rows):
+        cells = []
+        for _ in names:
+            value = rng.integers(0, 2**64, dtype=np.uint64).view(np.float64)
+            if not np.isfinite(value) or rng.random() < 0.3:
+                value = specials[rng.integers(len(specials))]
+            form = ("%.17g", "%r", "%.12e", "%g")[rng.integers(4)]
+            cells.append(form % float(value))
+        lines.append((", " if rng.random() < 0.2 else ",").join(cells))
+        if rng.random() < 0.05:
+            lines.append(("   ", "# between rows", "  # indented comment")[rng.integers(3)])
+    return end.join(lines) + ("" if rng.random() < 0.2 else end)
+
+
+def test_float_tables_read_bit_for_bit_as_csv_and_float(tmp_path, monkeypatch):
+    # the cell-by-cell reader must not be needed for any of these tables
+    monkeypatch.setattr(csvio, "_read_cells", lambda *args: pytest.fail("fell back to the cell reader"))
+    rng = np.random.default_rng(909)
+    path = tmp_path / "t.csv"
+    for case in range(150):
+        names = ["omega_rad_s", "t_power", "x", "y"][: int(rng.integers(1, 5))]
+        text = seeded_float_text(rng, (1, 2, int(rng.integers(3, 300)))[case % 3], names)
+        schema = dict.fromkeys(names, float)
+        expected = bits(reference_read(text))
+        assert bits(parse_csv(io.StringIO(text), schema)) == expected, case
+        path.write_text(("\ufeff" if case % 2 else "") + text, encoding="utf-8", newline="")  # a BOM on every other file
+        assert bits(load_csv(path, schema)) == expected, case
+
+
+@pytest.mark.parametrize("text, values", [
+    ("a,b\n1_0,2\n", [10.0, 2.0]),
+    ('a,b\n1, "2.5"\n', [1.0, 2.5]),
+    ("a,b\n\u0661\u0662,\uff13\n", [12.0, 3.0]),  # Arabic-Indic and fullwidth digits
+    ("a,b\n1,2\n3_0,4\n", [1.0, 30.0, 2.0, 4.0]),
+], ids=["underscore", "quoted-after-space", "non-ascii-digits", "underscore-after-a-numpy-row"])
+def test_float_cells_numpy_refuses_read_as_float_does(text, values):
+    n = len(values) // 2
+    expected = {"a": values[:n], "b": values[n:]}
+    assert expected == reference_read(text)
+    # from a stream read again from its start, a list, and a generator read once
+    for lines in (io.StringIO(text), io.StringIO(text).readlines(), iter(io.StringIO(text).readlines())):
+        assert parse_csv(lines, {"a": float, "b": float}) == expected
+
+
+def test_float_table_edge_cases_keep_their_reading():
+    schema = {"a": float, "b": float}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "input contained no data" warning included
+        assert parse_text("a,b\n# no rows\n\n", schema) == {"a": [], "b": []}
+    # a '#' after a value is part of the cell, not a comment
+    with pytest.raises(DataError, match=r"^<string>: row 2, column 'b': not numeric: '2 # note'$"):
+        parse_text("a,b\n1,2 # note\n", schema)
+    with pytest.raises(DataError, match=r"^<string>: row 4, column 'a': non-finite value$"):
+        parse_text("a,b\n1,2\n\n1e999,3\n", schema)
+    with pytest.raises(DataError, match=r"^<string>: row 3: expected 2 cells, got 3$"):
+        parse_text("a,b\n# c\n1,2,3\n4,5,6\n", schema)
 
 
 # --- commands ----------------------------------------------------------------------
@@ -704,6 +789,54 @@ def test_non_finite_flag_value_is_a_usage_error(flag, argv, value, device_cfg_pa
     assert not out.exists()
     assert captured.out == ""
     assert captured.err == f"{usage}ringlab {command}: error: argument {flag}: not a finite number: {value!r}\n"
+
+
+# --- counts and margins must be positive ---------------------------------------------
+
+TRANSMISSION = ["transmission", "--config", "{cfg}", "--p1", "40", "--p2", "10"]
+POSITIVE_CASES = [
+    ("--points", TRANSMISSION, ["-3", "0"]),
+    ("--margin-linewidths", TRANSMISSION, ["-1", "0", "-0.0"]),
+    ("--samples", ["shot-cal"], ["-5", "0"]),
+    ("--trajectories", ["langevin-verify", "--config", "{cfg}"], ["-2", "0"]),
+    ("--segments", ["langevin-verify", "--config", "{cfg}"], ["0", "-1"]),
+]
+
+
+@pytest.mark.parametrize("flag, argv, values", POSITIVE_CASES, ids=[flag for flag, _, _ in POSITIVE_CASES])
+def test_non_positive_count_or_margin_is_a_usage_error(flag, argv, values, device_cfg_path, tmp_path, capsys):
+    command, out = argv[0], tmp_path / "out.csv"
+    capsys.readouterr()
+    assert run([command, "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n")[0] + "\n"
+    args = [arg.format(cfg=device_cfg_path) for arg in argv]
+    for value in values:
+        assert run([*args, flag, value, "--out", str(out)]) == 2, value
+        captured = capsys.readouterr()
+        assert not out.exists()
+        assert captured.out == ""
+        assert captured.err == f"{usage}ringlab {command}: error: argument {flag}: must be positive: {value!r}\n"
+
+
+# --- a negative number is a value, also in exponent form -------------------------------
+
+SQUEEZE = ["squeeze-spectrum", "--eta-c", "0.7", "--eta-d", "0.6", "--tau-c", "22.5e-9", "--f", "0:1e6:5e5"]
+
+
+@pytest.mark.parametrize("flag, value, status", [
+    ("--tau-c", "-1e-8", 5),
+    ("--eta-c", "-.5", 5),
+    ("--f", "-1e3:1e3:500", 0),
+    ("--eta-d", "-5E-1", 5),
+])
+def test_negative_value_after_a_space_is_the_flag_value(flag, value, status, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    given = SQUEEZE[:SQUEEZE.index(flag)] + SQUEEZE[SQUEEZE.index(flag) + 2:] + ["--out", str(out)]
+    spaced = run_bytes([*given, flag, value], out, capsys)
+    joined = run_bytes([*given, f"{flag}={value}"], out, capsys)
+    assert spaced == joined
+    assert spaced[0] == status
+    assert "expected one argument" not in spaced[3]
 
 
 # --- one parser per process ---------------------------------------------------------

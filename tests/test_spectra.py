@@ -136,6 +136,65 @@ def test_find_dips_flags_overlap():
     assert all(d.overlapping for d in dips)
 
 
+def loop_dips(trace, threshold, baseline=1.0):
+    """find_dips one sample at a time: every local minimum below threshold
+    (on a plateau its first sample), refined, then sorted and flagged."""
+    omega, t = trace.omega_grid.tolist(), trace.t_power.tolist()
+    dips = []
+    for i in range(1, len(t) - 1):
+        if t[i] >= threshold or t[i] > t[i - 1] or t[i] > t[i + 1] or t[i] == t[i - 1]:
+            continue
+        y0, y1, y2 = t[i - 1], t[i], t[i + 1]
+        denom = y0 - 2.0 * y1 + y2
+        if denom <= 0.0:
+            center, t_min = omega[i], y1
+        else:
+            center = omega[i] + 0.5 * (y0 - y2) / denom * 0.5 * (omega[i + 1] - omega[i - 1])
+            t_min = y1 - 0.125 * (y0 - y2) ** 2 / denom
+        t_min = max(t_min, 0.0)
+        level = 0.5 * (baseline + t_min)
+        edges = []
+        for step in (-1, 1):
+            j = i
+            while 0 <= j + step < len(t) and t[j + step] < level:
+                j += step
+            if not 0 <= j + step < len(t):
+                break
+            k = j + step
+            edges.append(omega[k] if t[k] == t[j] else omega[j] + (level - t[j]) / (t[k] - t[j]) * (omega[k] - omega[j]))
+        if len(edges) == 2:
+            dips.append([center, t_min, edges[1] - edges[0], False])
+    dips.sort(key=lambda d: d[0])
+    for a, b in zip(dips, dips[1:]):
+        if b[0] - a[0] < 3.0 * max(a[2], b[2]):
+            a[3] = b[3] = True
+    return [tuple(d) for d in dips]
+
+
+def test_find_dips_matches_a_plain_loop_on_seeded_traces():
+    rng = np.random.default_rng(2024)
+    found = 0
+    for case in range(300):
+        n = int(rng.integers(3, 600))
+        omega = 1e15 + np.cumsum(rng.uniform(0.5, 2.0, n)) * 1e6
+        t = 1.0 - rng.uniform(0.0, 0.05, n)
+        for _ in range(int(rng.integers(0, 5))):  # dips, some near the edges or each other
+            center, width = omega[rng.integers(n)], rng.uniform(2.0, 60.0) * 1e6
+            t -= rng.uniform(0.1, 0.9) / (1.0 + 4.0 * (omega - center) ** 2 / width**2)
+        levels = (20, 200, 10**6)[case % 3]  # coarse levels make plateaus
+        t = np.round(np.clip(t, 0.0, 1.0) * levels) / levels
+        if case % 4 == 1:
+            t[0] = t[-1] = 0.0  # minima at both edges are never dips
+        if case % 5 == 2:
+            t[1:4] = t[1]  # a plateau next to the edge
+        trace = TransmissionTrace(omega_grid=omega, t_power=t)
+        threshold = (0.99, 0.5, 1.0)[case % 3]
+        got = [(d.omega_center, d.t_min, d.fwhm, d.overlapping) for d in find_dips(trace, threshold)]
+        assert got == loop_dips(trace, threshold), case
+        found += len(got)
+    assert found > 300
+
+
 # --- eta_c from T_min -----------------------------------------------------------
 
 
