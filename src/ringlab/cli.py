@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import re
 import sys
@@ -30,7 +29,6 @@ from .errors import ConfigError, DataError, FitError
 RANGE_REL_TOL = 1e-9          # stop is included when on-grid within this
 RANGE_MAX_POINTS = 10**7      # larger grids are refused before any allocation
 SEGMENT_SAMPLES = 4096        # Welch segment length for langevin-verify
-WRITE_BLOCK = 4096            # array values converted to Python floats at a time
 NEGATIVE_NUMBER = re.compile(r"^-\.?\d")  # an argument that starts so is a value
 
 EXIT_CODES_HELP = """\
@@ -120,36 +118,29 @@ def parse_assignment(pair: str) -> tuple[str, float]:
 
 
 def parse_powers(text: str) -> list[float]:
-    """Comma-separated powers; empty entries are skipped."""
+    """Comma-separated powers, at least one, none negative; empty entries are skipped."""
     try:
-        return [finite_float(p) for p in text.split(",") if p.strip()]
+        powers = [finite_float(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"powers must be numeric: {text!r}") from None
+    if not powers:
+        raise argparse.ArgumentTypeError(f"at least one power required: {text!r}")
+    if min(powers) < 0:
+        raise argparse.ArgumentTypeError(f"powers must be non-negative: {text!r}")
+    return powers
 
 
 def _status(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _write_table(path: str, header: list[str], rows, comments=()) -> None:
-    """Stream a CSV table to `path` ('-' is stdout), one row at a time."""
+def _write_table(path: str, header: list[str], columns, comments=()) -> None:
+    """Write a CSV table given as columns (see csvio.write_csv) to `path` ('-' is stdout)."""
     if path == "-":
-        write_csv(sys.stdout, header, rows, comments)
+        write_csv(sys.stdout, header, columns, comments)
         return
     with open(path, "w", encoding="utf-8", newline="") as stream:
-        write_csv(stream, header, rows, comments)
-
-
-def _rows(*columns):
-    """CSV rows from columns; arrays go out as Python floats, which format faster."""
-    return zip(*(_floats(c) if isinstance(c, np.ndarray) else c for c in columns))
-
-
-def _floats(array: np.ndarray):
-    """The values of `array` as Python floats, converted WRITE_BLOCK at a time
-    so that a table never exists whole as Python objects."""
-    blocks = range(0, array.size, WRITE_BLOCK)
-    return itertools.chain.from_iterable(array[i:i + WRITE_BLOCK].tolist() for i in blocks)
+        write_csv(stream, header, columns, comments)
 
 
 def _load_columns(path: str, schema: dict[str, type], frequency: str, wavelength: str) -> dict:
@@ -159,7 +150,7 @@ def _load_columns(path: str, schema: dict[str, type], frequency: str, wavelength
     """
     columns = load_csv(path, schema, {frequency: wavelength})
     if wavelength in columns:
-        columns[frequency] = devicemodel.pump_angular_frequency(np.array(columns.pop(wavelength)))
+        columns[frequency] = devicemodel.pump_angular_frequency(columns.pop(wavelength))
     return columns
 
 
@@ -188,7 +179,7 @@ def cmd_transmission(args) -> int:
                                          margin_linewidths=args.margin_linewidths,
                                          n_points=args.points)
     trace = spectra.compute_trace(config, args.p1, args.p2, grid)
-    _write_table(args.out, ["omega_rad_s", "t_power"], _rows(trace.omega_grid, trace.t_power))
+    _write_table(args.out, ["omega_rad_s", "t_power"], (trace.omega_grid, trace.t_power))
     dips = spectra.find_dips(trace)
     if args.dip_report is not None:
         rows = []
@@ -199,7 +190,8 @@ def cmd_transmission(args) -> int:
                 regime = spectra.classify_regime(config, (args.p1, args.p2), dip)
                 eta = spectra.eta_c_from_tmin(dip.t_min, regime)
             rows.append((dip.omega_center, dip.t_min, dip.fwhm, regime, eta))
-        _write_table(args.dip_report, ["omega_center_rad_s", "t_min", "fwhm_rad_s", "regime", "eta_c"], rows)
+        header = ["omega_center_rad_s", "t_min", "fwhm_rad_s", "regime", "eta_c"]
+        _write_table(args.dip_report, header, list(zip(*rows)) or [()] * len(header))  # no dips: the header
     _status(f"transmission: {trace.omega_grid.size} points, {len(dips)} dip(s)")
     return 0
 
@@ -207,13 +199,12 @@ def cmd_transmission(args) -> int:
 def cmd_crossing_sweep(args) -> int:
     config = devicemodel.load_config(args.config)
     upper, lower = supermodes.solve_both(config, args.p1, args.p2)
-    _write_table(args.out, ["p1_mw", "p2_mw", "branch", "resonance_rad_s"], _rows(
-        np.repeat(args.p1, 2),
-        itertools.repeat(args.p2),
-        itertools.cycle(("lower", "upper")),
-        np.column_stack([lower.omega, upper.omega]).ravel(),
+    omega = np.column_stack([lower.omega, upper.omega]).ravel()
+    del upper, lower  # their other arrays are not written: free them before the table is
+    _write_table(args.out, ["p1_mw", "p2_mw", "branch", "resonance_rad_s"], (
+        np.repeat(args.p1, 2), args.p2, ("lower", "upper") * args.p1.size, omega,
     ))
-    min_split = float(np.min(upper.omega - lower.omega))
+    min_split = float(np.min(omega[1::2] - omega[0::2]))
     _status(f"crossing-sweep: {2 * args.p1.size} rows, minimum splitting {format_value(min_split)} rad/s")
     return 0
 
@@ -221,7 +212,7 @@ def cmd_crossing_sweep(args) -> int:
 def cmd_etac_sweep(args) -> int:
     config = devicemodel.load_config(args.config)
     sol = supermodes.eta_c_vs_heater(config, args.branch, args.p1, args.p2)
-    _write_table(args.out, ["p1_mw", "omega_rad_s", "eta_c", "tau_c_s"], _rows(args.p1, sol.omega, sol.eta_c, sol.tau_c))
+    _write_table(args.out, ["p1_mw", "omega_rad_s", "eta_c", "tau_c_s"], (args.p1, sol.omega, sol.eta_c, sol.tau_c))
     _status(
         "etac-sweep: eta_c from {} to {} over {} points".format(
             format_value(float(sol.eta_c[0])), format_value(float(sol.eta_c[-1])), sol.eta_c.size
@@ -234,9 +225,8 @@ def cmd_squeeze_sweep(args) -> int:
     config = devicemodel.load_config(args.config)
     omega_sideband = 2.0 * math.pi * args.sideband_mhz * 1e6
     sweep = squeezing.squeezing_vs_coupling(config, args.branch, args.p1, args.p2, omega_sideband)
-    _write_table(args.out, ["eta_c", "s_measured_db", "s_onchip_db", "omega_sideband_hz", "tau_c_s"], _rows(
-        sweep.eta_c, sweep.s_measured_db, sweep.s_onchip_db,
-        itertools.repeat(sweep.omega_sideband_hz), sweep.tau_c_s,
+    _write_table(args.out, ["eta_c", "s_measured_db", "s_onchip_db", "omega_sideband_hz", "tau_c_s"], (
+        sweep.eta_c, sweep.s_measured_db, sweep.s_onchip_db, sweep.omega_sideband_hz, sweep.tau_c_s,
     ))
     _status(
         "squeeze-sweep: at eta_c={} measured {} dB, on-chip {} dB".format(
@@ -251,7 +241,7 @@ def cmd_squeeze_sweep(args) -> int:
 def cmd_squeeze_spectrum(args) -> int:
     s = squeezing.squeezing_level(args.eta_c, args.eta_d, args.tau_c, 2.0 * math.pi * args.f)
     s_db = squeezing.db_from_linear(s)
-    _write_table(args.out, ["f_hz", "s_linear", "s_db", "squeezing_factor_db"], _rows(args.f, s, s_db, -s_db))
+    _write_table(args.out, ["f_hz", "s_linear", "s_db", "squeezing_factor_db"], (args.f, s, s_db, -s_db))
     i = int(np.argmin(s_db))
     _status(f"squeeze-spectrum: minimum {format_value(float(s_db[i]))} dB at f={format_value(float(args.f[i]))} Hz")
     return 0
@@ -286,7 +276,7 @@ def cmd_langevin_verify(args) -> int:
     ]
     psd = simulated.psd_normalized
     _write_table(args.out, ["freq_hz", "psd_shotnoise_units", "psd_db"],
-                 _rows(simulated.freq_grid, psd, squeezing.db_from_linear(psd)), comments=metadata)
+                 (simulated.freq_grid, psd, squeezing.db_from_linear(psd)), comments=metadata)
     _status(
         "langevin-verify: max |simulated - analytic| = {} dB over {} frequencies "
         "(omega <= 3*gamma_total), eta_c={}".format(
@@ -297,15 +287,10 @@ def cmd_langevin_verify(args) -> int:
 
 
 def cmd_shot_cal(args) -> int:
-    if not args.powers:
-        raise ValueError("at least one power required")
-    levels = langevin.shot_noise_calibration(
-        args.powers, dt=1.0, duration=args.samples, n_segments=31, seed=args.seed
-    )
-    fit = fitters.weighted_linear_fit(
-        [p for p, _ in levels], [v for _, v in levels], through_origin=True
-    )
-    _write_table(args.out, ["power", "psd_level"], levels)
+    powers, psd = zip(*langevin.shot_noise_calibration(args.powers, dt=1.0, duration=args.samples,
+                                                       n_segments=31, seed=args.seed))
+    fit = fitters.weighted_linear_fit(powers, psd, through_origin=True)
+    _write_table(args.out, ["power", "psd_level"], (powers, psd))
     _status(
         "shot-cal: slope={} r_squared={} (line through origin)".format(
             format_value(fit.slope), format_value(fit.r_squared)
@@ -324,29 +309,28 @@ def cmd_fit_crossing(args) -> int:
         initial=dict(args.init or ()),
         fixed=dict(args.fix or ()),
     )
-    rows = [(name, result.params[name], result.stderr[name]) for name in fitters.CROSSING_PARAMS]
-    _write_table(args.out, ["param", "value", "stderr"], rows)
+    names = fitters.CROSSING_PARAMS
+    values, errors = [result.params[name] for name in names], [result.stderr[name] for name in names]
+    _write_table(args.out, ["param", "value", "stderr"], (names, values, errors))
     _status(f"fit-crossing: converged in {result.n_iterations} iterations, "
             f"residual_rms={format_value(result.residual_rms)} rad/s")
-    for name, value, err in rows:
+    for name, value, err in zip(names, values, errors):
         _status(f"  {name:>10s} = {format_value(value)} +- {format_value(err)}")
     return 0
 
 
 def cmd_fit_dip(args) -> int:
     columns = _load_columns(args.data, {"omega_rad_s": float, "t_power": float}, "omega_rad_s", "wavelength_nm")
-    omega, t = np.array(columns["omega_rad_s"]), np.array(columns["t_power"])
+    omega, t = columns["omega_rad_s"], columns["t_power"]
     order = np.argsort(omega)
     trace = spectra.TransmissionTrace(omega_grid=omega[order], t_power=t[order])
     window = args.window if args.window is not None else (0, trace.omega_grid.size)
     result = fitters.fit_lorentzian_dip(trace, window)
-    rows = [
-        ("omega0_rad_s", result.omega0, result.stderr["omega0"]),
-        ("t_min", result.t_min, result.stderr["t_min"]),
-        ("fwhm_rad_s", result.fwhm, result.stderr["fwhm"]),
-        ("baseline", result.baseline, result.stderr["baseline"]),
-    ]
-    _write_table(args.out, ["param", "value", "stderr"], rows)
+    _write_table(args.out, ["param", "value", "stderr"], (
+        ("omega0_rad_s", "t_min", "fwhm_rad_s", "baseline"),
+        (result.omega0, result.t_min, result.fwhm, result.baseline),
+        [result.stderr[name] for name in ("omega0", "t_min", "fwhm", "baseline")],
+    ))
     note = " (model mismatch: structured residuals)" if result.mismatch_warning else ""
     _status(f"fit-dip: converged in {result.n_iterations} iterations, "
             f"t_min={format_value(result.t_min)}{note}")

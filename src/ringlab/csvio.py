@@ -3,16 +3,16 @@
 Files are UTF-8, with or without a byte-order mark, comma-separated, one
 header row naming the columns exactly; blank lines and lines starting
 with '#' are skipped, and spaces after a comma are not part of the next
-cell, so a quoted cell may follow one.  Tables are read as columns.  A
-table whose columns are all float (a `fit-dip` trace) is parsed by
-numpy's C reader; one with a str or int column (a `fit-crossing` table),
-and any all-float table numpy refuses or finds a non-finite value in, is
-read one cell at a time, which names the fault or reads what only
-`float` does (`1_0`, non-ASCII digits, quoted cells).  Both give the
-same values.  Error row numbers are the file's line numbers.  A table is
-written through one row template, so each column holds one kind of
-value; float columns are written with 17 significant digits so finite
-values survive a write/read round trip bit-for-bit.
+cell, so a quoted cell may follow one.  Tables are columns, float ones
+read as float64 arrays.  A table whose columns are all float (a `fit-dip`
+trace) is parsed by numpy's C reader; one with a str or int column (a
+`fit-crossing` table), and any all-float table numpy refuses or finds a
+non-finite value in, is read one cell at a time, which names the fault
+or reads what only `float` does (`1_0`, non-ASCII digits, quoted cells).
+Both give the same values.  Error row numbers are the file's line
+numbers.  A table is written through one row template, a block of rows
+per `%`, so each column holds one kind of value; floats get 17
+significant digits so finite values survive a write/read round trip.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ import numpy as np
 
 from .errors import DataError
 
+WRITE_BLOCK = 4096                      # table rows formatted and written at a time
+SEQUENCES = (np.ndarray, list, tuple)   # the kinds of a table column of cells
+
 
 def format_value(value) -> str:
     if isinstance(value, float):
@@ -36,11 +39,12 @@ def format_value(value) -> str:
 
 
 def load_csv(path: str | Path, columns: dict[str, type],
-             alternatives: dict[str, str] | None = None) -> dict[str, list]:
+             alternatives: dict[str, str] | None = None) -> dict[str, np.ndarray | list]:
     """Read the columns of a file under a strict schema {column name -> float | str | int}.
 
     The header must contain exactly the schema's columns (any order);
-    errors name the offending column and row.  `alternatives` maps a
+    errors name the offending column and row, and a float column is a
+    float64 array, a str or int column a list.  `alternatives` maps a
     schema column to another name it may be given under instead.
     """
     try:
@@ -53,8 +57,8 @@ def load_csv(path: str | Path, columns: dict[str, type],
 
 
 def parse_csv(lines: Iterable[str], columns: dict[str, type], source: str = "<string>",
-              alternatives: dict[str, str] | None = None) -> dict[str, list]:
-    """Columns {name -> list of values} of CSV text given as lines; see load_csv.
+              alternatives: dict[str, str] | None = None) -> dict[str, np.ndarray | list]:
+    """Columns {name -> values} of CSV text given as lines; see load_csv.
 
     A seekable text stream is read from where it stands and, if the cell
     reader is needed, again from its start; any other iterable is read
@@ -103,7 +107,7 @@ def _schema(header: list[str], columns: dict[str, type], source: str,
     return columns
 
 
-def _read_floats(rows: Iterator[str], header: list[str]) -> dict[str, list] | None:
+def _read_floats(rows: Iterator[str], header: list[str]) -> dict[str, np.ndarray] | None:
     """The columns of all-float data lines, parsed by numpy's C reader; None
     if there are none, numpy refuses them or a value is not finite, so that
     the cell-by-cell reader names the fault or reads what only `float` does
@@ -117,11 +121,11 @@ def _read_floats(rows: Iterator[str], header: list[str]) -> dict[str, list] | No
         return None
     if values.shape[1] != len(header) or not np.isfinite(values).all():
         return None
-    return dict(zip(header, values.T.tolist()))
+    return dict(zip(header, values.T))
 
 
 def _read_cells(lines: Iterable[str], header: list[str], columns: dict[str, type],
-                source: str) -> dict[str, list]:
+                source: str) -> dict[str, np.ndarray | list]:
     """The columns of a table read one cell at a time; errors name the file
     line, the column and the cell."""
     row_number = 0
@@ -153,24 +157,36 @@ def _read_cells(lines: Iterable[str], header: list[str], columns: dict[str, type
             if kind is float and not math.isfinite(value):
                 raise DataError(f"{source}: row {row_number}, column {name!r}: non-finite value")
             append(value)
-    return table
+    return {name: np.array(values) if columns[name] is float else values for name, values in table.items()}
 
 
-def write_csv(stream: io.TextIOBase, columns: list[str], rows: Iterable,
+def write_csv(stream: io.TextIOBase, columns: list[str], table: Iterable,
               comments: Iterable[str] = ()) -> None:
-    """Write optional '#' comment lines, the header, then the rows
-    (sequences in column order, iterated once) through one row template
-    taken from the first row: '%.17g' for a float, '%s' otherwise, as
-    format_value writes them; so each column holds one kind of value.
-    Output is deterministic for identical input.
+    """Write optional '#' comment lines, the header, then the table's
+    columns (iterated once): each a 1-d array, list or tuple of cells, or
+    one value for every row, formatted once into the row template.  A
+    column of cells takes '%.17g' if its first cell is a float (numpy
+    float64 included), '%s' otherwise, as format_value writes them.  Rows
+    go out WRITE_BLOCK at a time, one '%' and one write per block.  Columns
+    of cells of different lengths, or none, are a ValueError.
     """
+    table = list(table)
+    cells = [column for column in table if isinstance(column, SEQUENCES)]
+    lengths = sorted({len(column) for column in cells})
+    if len(lengths) != 1:
+        raise ValueError(f"table columns of different lengths: {lengths}" if lengths
+                         else "table has no column of cells, only single values")
     for comment in comments:
         stream.write(f"# {comment}\n")
     stream.write(",".join(columns) + "\n")
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is not None:
-        template = ",".join("%.17g" if isinstance(value, float) else "%s" for value in first) + "\n"
-        stream.write(template % tuple(first))
-        for row in rows:
-            stream.write(template % tuple(row))
+    n_rows = lengths[0]
+    if not n_rows:
+        return
+    template = ",".join(("%.17g" if isinstance(column[0], float) else "%s") if isinstance(column, SEQUENCES)
+                        else format_value(column).replace("%", "%%") for column in table) + "\n"
+    block = np.empty((min(n_rows, WRITE_BLOCK), len(cells)), dtype=object)
+    for start in range(0, n_rows, WRITE_BLOCK):
+        k = min(WRITE_BLOCK, n_rows - start)
+        for j, column in enumerate(cells):
+            block[:k, j] = column[start:start + k]
+        stream.write((template * k) % tuple(block[:k].ravel().tolist()))

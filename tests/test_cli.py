@@ -72,21 +72,33 @@ def test_cli_import_leaves_scipy_signal_unloaded():
 # --- CSV io ------------------------------------------------------------------------
 
 
-def write_csv_file(path, columns, rows):
+def write_csv_file(path, header, columns):
     with open(path, "w", encoding="utf-8", newline="") as stream:
-        write_csv(stream, columns, rows)
+        write_csv(stream, header, columns)
 
 
 def parse_text(text, schema):
     return parse_csv(io.StringIO(text), schema)
 
 
+def assert_columns(table, expected):
+    """`table` has exactly the columns of `expected` ({name: list}), in any
+    order: a column of floats as a float64 array equal to it, value for
+    value, any other column as an equal list."""
+    assert table.keys() == expected.keys()
+    for name, values in expected.items():
+        if all(isinstance(value, float) for value in values):
+            assert isinstance(table[name], np.ndarray) and table[name].dtype == np.float64, name
+            assert np.array_equal(table[name], values), name
+        else:
+            assert type(table[name]) is list and table[name] == values, name
+
+
 def test_csv_round_trip_is_exact(tmp_path):
     path = tmp_path / "t.csv"
-    rows = [(1.0 / 3.0, 2.0**-52), (math.pi * 1e15, -1.2345678901234567e-8)]
-    write_csv_file(path, ["a", "b"], rows)
-    back = load_csv(path, {"a": float, "b": float})
-    assert back == {"a": [a for a, _ in rows], "b": [b for _, b in rows]}
+    a, b = [1.0 / 3.0, math.pi * 1e15], [2.0**-52, -1.2345678901234567e-8]
+    write_csv_file(path, ["a", "b"], (a, b))
+    assert_columns(load_csv(path, {"a": float, "b": float}), {"a": a, "b": b})
 
 
 SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
@@ -119,20 +131,64 @@ def seeded_column(kind, n, rng):
     return [words[i] for i in rng.integers(0, len(words), size=n)]
 
 
+ARRAY_DTYPES = {"float": np.float64, "numpy float64": np.float64, "int": np.int64, "str": object}
+STR_CONSTANTS = ["50%", "%s", "%%"]
+
+
+def column_forms(picked, columns):
+    """One table's columns as lists, tuples, ndarrays and a generator."""
+    return [columns, [tuple(column) for column in columns],
+            [np.array(column, dtype=ARRAY_DTYPES[kind]) for kind, column in zip(picked, columns)],
+            (column for column in columns)]
+
+
+def written(names, table, comments=()):
+    stream = io.StringIO()
+    write_csv(stream, names, table, comments)
+    return stream.getvalue()
+
+
 def test_csv_writer_matches_reference_formatter():
     rng = np.random.default_rng(707)
     kinds = ["float", "numpy float64", "int", "str"]
+    constants_seen = set()
     for case in range(120):
         n_rows = (0, 1, 2, int(rng.integers(3, 400)))[case % 4]
         picked = [kinds[i] for i in rng.integers(0, len(kinds), size=int(rng.integers(1, 6)))]
         names = [f"c{i}" for i in range(len(picked))]
-        rows = list(zip(*(seeded_column(kind, n_rows, rng) for kind in picked))) if n_rows else []
+        columns = [seeded_column(kind, n_rows, rng) for kind in picked] if n_rows else [[] for _ in picked]
         comments = [f"case {case}", "kinds " + " ".join(picked)][: case % 3]
-        expected = reference_table(names, rows, comments)
-        for given in (rows, [list(row) for row in rows], (row for row in rows)):
-            stream = io.StringIO()
-            write_csv(stream, names, given, comments)
-            assert stream.getvalue() == expected, (case, picked)
+        expected = reference_table(names, list(zip(*columns)), comments)
+        for given in column_forms(picked, columns):
+            assert written(names, given, comments) == expected, (case, picked)
+        if not n_rows or len(columns) == 1:
+            continue
+        # each column in turn all equal, given as a single value beside the other columns
+        for j, kind in enumerate(picked):
+            for value in [columns[j][0], *(STR_CONSTANTS if kind == "str" else ())]:
+                constants_seen.add(value)
+                equal = [*columns[:j], [value] * n_rows, *columns[j + 1:]]
+                expected = reference_table(names, list(zip(*equal)), comments)
+                for given in column_forms(picked, equal):
+                    given = list(given)
+                    given[j] = value
+                    assert written(names, given, comments) == expected, (case, picked, j, value)
+    assert constants_seen.issuperset(STR_CONSTANTS)
+
+
+@pytest.mark.parametrize("table", [
+    ([1.0, 2.0], [3.0]),
+    (np.arange(3.0), ("a", "b"), 1.0),
+    ([], [1]),
+    (1.0, "x"),
+    (),
+], ids=["lists", "array-tuple-constant", "empty-and-one", "all-constant", "no-columns"])
+def test_csv_writer_refuses_ragged_or_constant_tables(table):
+    stream = io.StringIO()
+    names = [f"c{i}" for i in range(len(table))]
+    with pytest.raises(ValueError, match="different lengths" if any(map(np.ndim, table)) else "no column of cells"):
+        write_csv(stream, names, table)
+    assert stream.getvalue() == ""
 
 
 def test_csv_missing_column_named():
@@ -152,7 +208,7 @@ def test_csv_duplicate_column_named():
 
 def test_csv_comment_lines_skipped():
     columns = parse_text("# note\na,b\n# another\n1,2\n", {"a": float, "b": float})
-    assert columns == {"a": [1.0], "b": [2.0]}
+    assert_columns(columns, {"a": [1.0], "b": [2.0]})
 
 
 def test_csv_bad_cell_reports_row_and_column():
@@ -165,7 +221,7 @@ def test_csv_bad_cell_reports_row_and_column():
 
 def test_csv_quoted_cell_after_a_space():
     columns = parse_text('omega_rad_s, "t_power"\n1, "0.5"\n', {"omega_rad_s": float, "t_power": float})
-    assert columns == {"omega_rad_s": [1.0], "t_power": [0.5]}
+    assert_columns(columns, {"omega_rad_s": [1.0], "t_power": [0.5]})
 
 
 def test_csv_not_utf8_is_a_data_error(tmp_path, capsys):
@@ -179,8 +235,8 @@ def test_csv_alternative_column_matched_on_header_cells():
     def parse(text):
         return parse_csv(io.StringIO(text), {"omega": float, "t": float}, "s", {"omega": "nm"})
 
-    assert parse("nm,t\n1,2\n") == {"nm": [1.0], "t": [2.0]}
-    assert parse("t,omega\n1,2\n") == {"t": [1.0], "omega": [2.0]}
+    assert_columns(parse("nm,t\n1,2\n"), {"nm": [1.0], "t": [2.0]})
+    assert_columns(parse("t,omega\n1,2\n"), {"t": [1.0], "omega": [2.0]})
     with pytest.raises(DataError, match="s: unexpected column 'nm'"):
         parse("omega,nm,t\n1,2,3\n")
     # a header cell merely containing the name is not the column
@@ -192,15 +248,16 @@ def test_csv_alternative_column_matched_on_header_cells():
 
 
 def reference_read(text):
-    """Columns of CSV text, one cell at a time through csv and float: blank
-    and '#' lines skipped, the first row the header."""
+    """Columns of CSV text as float64 arrays, one cell at a time through csv
+    and float: blank and '#' lines skipped, the first row the header."""
     lines = [line for line in io.StringIO(text) if line.strip() and not line.lstrip().startswith("#")]
     header, *rows = csv.reader(lines, skipinitialspace=True)
-    return {name.strip(): [float(row[j].strip()) for row in rows] for j, name in enumerate(header)}
+    return {name.strip(): np.array([float(row[j].strip()) for row in rows]) for j, name in enumerate(header)}
 
 
 def bits(table):
-    return {name: [value.hex() for value in values] for name, values in table.items()}
+    """Each column's dtype and the bits of its values, the columns arrays."""
+    return {name: (values.dtype, [value.hex() for value in values.tolist()]) for name, values in table.items()}
 
 
 def seeded_float_text(rng, n_rows, names):
@@ -250,17 +307,17 @@ def test_float_tables_read_bit_for_bit_as_csv_and_float(tmp_path, monkeypatch):
 def test_float_cells_numpy_refuses_read_as_float_does(text, values):
     n = len(values) // 2
     expected = {"a": values[:n], "b": values[n:]}
-    assert expected == reference_read(text)
+    assert_columns(reference_read(text), expected)
     # from a stream read again from its start, a list, and a generator read once
     for lines in (io.StringIO(text), io.StringIO(text).readlines(), iter(io.StringIO(text).readlines())):
-        assert parse_csv(lines, {"a": float, "b": float}) == expected
+        assert_columns(parse_csv(lines, {"a": float, "b": float}), expected)
 
 
 def test_float_table_edge_cases_keep_their_reading():
     schema = {"a": float, "b": float}
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's "input contained no data" warning included
-        assert parse_text("a,b\n# no rows\n\n", schema) == {"a": [], "b": []}
+        assert_columns(parse_text("a,b\n# no rows\n\n", schema), {"a": [], "b": []})
     # a '#' after a value is part of the cell, not a comment
     with pytest.raises(DataError, match=r"^<string>: row 2, column 'b': not numeric: '2 # note'$"):
         parse_text("a,b\n1,2 # note\n", schema)
@@ -456,7 +513,7 @@ def test_etac_sweep_output(device_cfg_path, tmp_path):
     etas = load_csv(out, {"p1_mw": float, "omega_rad_s": float, "eta_c": float, "tau_c_s": float})["eta_c"]
     assert len(etas) == 101
     assert min(etas) <= 0.12 and max(etas) >= 0.68
-    assert etas == sorted(etas)
+    assert np.array_equal(etas, np.sort(etas))
 
 
 def test_squeeze_spectrum_value_at_3mhz(tmp_path):
@@ -467,7 +524,7 @@ def test_squeeze_spectrum_value_at_3mhz(tmp_path):
     ])
     assert code == 0
     table = load_csv(out, {"f_hz": float, "s_linear": float, "s_db": float, "squeezing_factor_db": float})
-    i = table["f_hz"].index(3e6)
+    i = table["f_hz"].tolist().index(3e6)
     x = 2 * math.pi * 3e6 * 22.5e-9
     expected_db = 10 * math.log10(1 - 0.7 / (1 + x * x))
     assert table["s_db"][i] == pytest.approx(expected_db, abs=1e-9)
@@ -537,7 +594,7 @@ def test_fit_dip_on_trace_file(tmp_path):
     omega = omega0 + np.linspace(-6, 6, 801) * fwhm
     t = 1.0 - 0.8 / (1.0 + 4.0 * (omega - omega0) ** 2 / fwhm**2)
     data = tmp_path / "trace.csv"
-    write_csv_file(data, ["omega_rad_s", "t_power"], zip(omega, t))
+    write_csv_file(data, ["omega_rad_s", "t_power"], (omega, t))
     out = tmp_path / "dipfit.csv"
     assert run(["fit-dip", "--data", str(data), "--out", str(out)]) == 0
     fit = fit_values(out)
@@ -552,7 +609,7 @@ def test_fit_dip_rejects_double_dip_window_exit_5(tmp_path, capsys):
          - 0.5 / (1.0 + 4.0 * (omega - omega0 + 4e7) ** 2 / fwhm**2)
          - 0.5 / (1.0 + 4.0 * (omega - omega0 - 4e7) ** 2 / fwhm**2))
     data = tmp_path / "two.csv"
-    write_csv_file(data, ["omega_rad_s", "t_power"], zip(omega, np.clip(t, 0, 1)))
+    write_csv_file(data, ["omega_rad_s", "t_power"], (omega, np.clip(t, 0, 1)))
     assert run(["fit-dip", "--data", str(data)]) == 5
     assert "ringlab: error: numeric:" in capsys.readouterr().err
 
@@ -654,7 +711,8 @@ def test_shot_cal(tmp_path, capsys):
     assert run(["shot-cal", "--powers", "1,2,4,8", "--seed", "3", "--out", str(out)]) == 0
     err = capsys.readouterr().err
     assert "r_squared=" in err
-    assert load_csv(out, {"power": float, "psd_level": float})["power"] == [1.0, 2.0, 4.0, 8.0]
+    assert_columns({"power": load_csv(out, {"power": float, "psd_level": float})["power"]},
+                   {"power": [1.0, 2.0, 4.0, 8.0]})
 
 
 def test_langevin_verify_small(device_cfg_path, tmp_path, capsys):
@@ -681,10 +739,10 @@ def test_fit_crossing_accepts_wavelength_data(device_cfg_path, tmp_path):
     ]) == 0
     table = load_csv(data, {"p1_mw": float, "p2_mw": float, "branch": str, "resonance_rad_s": float})
     c = 299792458.0
-    nm_rows = zip(table["p1_mw"], table["p2_mw"], table["branch"],
-                  [2 * math.pi * c / omega * 1e9 for omega in table["resonance_rad_s"]])
+    nm = 2 * math.pi * c / table["resonance_rad_s"] * 1e9
     nm_data = tmp_path / "crossing_nm.csv"
-    write_csv_file(nm_data, ["p1_mw", "p2_mw", "branch", "resonance_nm"], nm_rows)
+    write_csv_file(nm_data, ["p1_mw", "p2_mw", "branch", "resonance_nm"],
+                   (table["p1_mw"], table["p2_mw"], table["branch"], nm))
     fit_out = tmp_path / "fit_nm.csv"
     assert run([
         "fit-crossing", "--data", str(nm_data),
@@ -816,6 +874,35 @@ def test_non_positive_count_or_margin_is_a_usage_error(flag, argv, values, devic
         assert not out.exists()
         assert captured.out == ""
         assert captured.err == f"{usage}ringlab {command}: error: argument {flag}: must be positive: {value!r}\n"
+
+
+# --- shot-cal powers: at least one, none negative --------------------------------------
+
+
+@pytest.mark.parametrize("value, message", [
+    (",", "at least one power required: ','"),
+    (" , ,", "at least one power required: ' , ,'"),
+    ("1,-1,2", "powers must be non-negative: '1,-1,2'"),
+    ("-0.5", "powers must be non-negative: '-0.5'"),
+])
+def test_bad_power_list_is_a_usage_error(value, message, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert run(["shot-cal", "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n")[0] + "\n"
+    assert run(["shot-cal", "--powers", value, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert not out.exists()
+    assert captured.out == ""
+    assert captured.err == f"{usage}ringlab shot-cal: error: argument --powers: {message}\n"
+
+
+def test_shot_cal_zero_power_is_valid(tmp_path):
+    out = tmp_path / "cal.csv"
+    assert run(["shot-cal", "--powers", "0,-0.0,1,2,4", "--samples", "4096", "--out", str(out)]) == 0
+    table = load_csv(out, {"power": float, "psd_level": float})
+    assert_columns({"power": table["power"]}, {"power": [0.0, -0.0, 1.0, 2.0, 4.0]})
+    assert table["psd_level"][0] == table["psd_level"][1] == 0.0
 
 
 # --- a negative number is a value, also in exponent form -------------------------------

@@ -1,5 +1,6 @@
 """Byte identity: small runs of every table-writing command, two large
-tables, and the help pages and usage errors, against pinned digests.
+tables, a dip report of no dips, a table written to stdout, and the help
+pages and usage errors, against pinned digests.
 
 The digests are sha256 of each command's CSV output and of its stderr, as
 the commands write them on CPython 3.11, numpy 2.4 and scipy 1.17.  A refactor that keeps the output contract keeps them; a change
@@ -10,6 +11,8 @@ the two large tables about 0.2 s.
 
 import hashlib
 import math
+
+import pytest
 
 from ringlab.cli import run
 
@@ -94,6 +97,37 @@ def test_outputs_match_pinned_digests(device_cfg_path, tmp_path, capsys):
 
 def test_large_tables_match_pinned_digests(device_cfg_path, tmp_path, capsys):
     assert output_digests(device_cfg_path, tmp_path, capsys, LARGE_COMMANDS) == LARGE_DIGESTS
+
+
+# A probe grid far below both dips: the dip report is its header alone.
+NO_DIPS = [("no-dips", ["transmission", "--config", "{cfg}", "--p1", "40", "--p2", "10",
+                        "--omega", "1206600000000000:1206600100000000:1e6", "--dip-report", "{dir}/dips.csv"])]
+
+NO_DIPS_DIGESTS = {
+    "no-dips.csv": "d35b8adcfa4aa9ceb35cecae01bd1f794dcb3669fab5717e915db9c2313aed61",
+    "no-dips.err": "9272a9c1c9270721c1c149168900b4f76ac691af2f372bf4e03a426a15321ed4",
+    "dips.csv": "d24a5086ee0e831f21fef0f001684778ac6784e56597164b7f2ead3b28f7a6c2",
+}
+
+
+def test_report_of_no_dips_is_its_header(device_cfg_path, tmp_path, capsys):
+    got = output_digests(device_cfg_path, tmp_path, capsys, NO_DIPS)
+    report = (tmp_path / "dips.csv").read_bytes()
+    got["dips.csv"] = sha256(report)
+    assert got == NO_DIPS_DIGESTS
+    assert report == b"omega_center_rad_s,t_min,fwhm_rad_s,regime,eta_c\n"
+
+
+@pytest.mark.parametrize("commands, digests", [(COMMANDS, DIGESTS), (LARGE_COMMANDS, LARGE_DIGESTS)],
+                         ids=["small", "large"])
+def test_table_on_stdout_is_the_file(commands, digests, device_cfg_path, capsys):
+    # --out - writes the bytes that --out FILE writes: the pinned crossing-sweep digests
+    args = [arg.format(cfg=device_cfg_path) for arg in dict(commands)["crossing-sweep"]]
+    capsys.readouterr()
+    assert run([*args, "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    assert sha256(captured.out.encode()) == digests["crossing-sweep.csv"]
+    assert sha256(captured.err.encode()) == digests["crossing-sweep.err"]
 
 # Runs that end inside argparse: the help pages and the usage errors, whose
 # bytes depend only on the parser.  Help is wrapped to the terminal width,
