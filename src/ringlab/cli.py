@@ -55,20 +55,25 @@ def finite_float(text: str) -> float:
 finite_float.__name__ = "float"  # argparse names it in "invalid float value: 'x'", as for `float`
 
 
-def _positive(kind):
-    """The argparse type of a count or margin flag: a `kind` value above zero."""
+def _checked(kind, accept, requirement: str):
+    """The argparse type of a flag whose `kind` value must pass `accept`,
+    refused as "must be <requirement>"."""
     def parse(text: str):
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}: {text!r}")
         return value
 
     parse.__name__ = kind.__name__  # "invalid int value: 'x'", as for `int`
     return parse
 
 
-positive_int = _positive(int)
-positive_float = _positive(finite_float)
+positive_int = _checked(int, lambda value: value > 0, "positive")
+positive_float = _checked(finite_float, lambda value: value > 0, "positive")
+non_negative_int = _checked(int, lambda value: value >= 0, "non-negative")
+# shot-cal rounds --samples to a count, which must fill its Welch segments
+shot_cal_samples = _checked(positive_float, lambda value: round(value) >= langevin.SHOT_CAL_MIN_SAMPLES,
+                            f"at least {langevin.SHOT_CAL_MIN_SAMPLES}")
 
 
 def parse_range(text: str) -> np.ndarray:
@@ -198,9 +203,10 @@ def cmd_transmission(args) -> int:
 
 def cmd_crossing_sweep(args) -> int:
     config = devicemodel.load_config(args.config)
-    upper, lower = supermodes.solve_both(config, args.p1, args.p2)
-    omega = np.column_stack([lower.omega, upper.omega]).ravel()
-    del upper, lower  # their other arrays are not written: free them before the table is
+    omega1 = devicemodel.ring_frequency(config.ring1, args.p1)
+    omega2 = devicemodel.ring_frequency(config.ring2, args.p2)
+    upper, lower = supermodes.supermode_frequencies(omega1, omega2, config.coupling.kappa_12)
+    omega = np.column_stack([lower, upper]).ravel()
     _write_table(args.out, ["p1_mw", "p2_mw", "branch", "resonance_rad_s"], (
         np.repeat(args.p1, 2), args.p2, ("lower", "upper") * args.p1.size, omega,
     ))
@@ -287,9 +293,8 @@ def cmd_langevin_verify(args) -> int:
 
 
 def cmd_shot_cal(args) -> int:
-    powers, psd = zip(*langevin.shot_noise_calibration(args.powers, dt=1.0, duration=args.samples,
-                                                       n_segments=31, seed=args.seed))
-    fit = fitters.weighted_linear_fit(powers, psd, through_origin=True)
+    powers, psd = zip(*langevin.shot_noise_calibration(args.powers, duration=args.samples, seed=args.seed))
+    fit = fitters.weighted_linear_fit(powers, psd)
     _write_table(args.out, ["power", "psd_level"], (powers, psd))
     _status(
         "shot-cal: slope={} r_squared={} (line through origin)".format(
@@ -344,8 +349,9 @@ def cmd_fit_dip(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The ringlab parser, built on the first call and shared by every later one.
 
-    Each command is set as the name of its cmd_* function, looked up when it
-    runs, so a cmd_* replaced on this module after the build is the one called.
+    Each command is set as the name of its cmd_* function, made from the
+    command's name and looked up when it runs, so a cmd_* replaced on this
+    module, before or after the build, is the one called.
     """
     parser = argparse.ArgumentParser(
         prog="ringlab",
@@ -356,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add(name, func, help_text, columns=None):
+    def add(name, help_text, columns=None):
         p = sub.add_parser(
             name,
             help=help_text,
@@ -365,14 +371,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
         # "-1e-8" and "-.5:0:0.1" are values, not options: no ringlab option starts that way
         p._negative_number_matcher = NEGATIVE_NUMBER
-        p.set_defaults(func=func.__name__)
+        p.set_defaults(func="cmd_" + name.replace("-", "_"))
         return p
 
-    p = add("validate", cmd_validate, "Validate a device config file and print its composite efficiency.")
+    p = add("validate", "Validate a device config file and print its composite efficiency.")
     p.add_argument("--config", required=True)
 
-    p = add("transmission", cmd_transmission,
-            "Bus transmission spectrum at one heater setting.",
+    p = add("transmission", "Bus transmission spectrum at one heater setting.",
             ["omega_rad_s", "t_power"])
     p.add_argument("--config", required=True)
     p.add_argument("--p1", type=finite_float, required=True, help="ring-1 heater power, mW")
@@ -385,16 +390,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write dip CSV: omega_center_rad_s,t_min,fwhm_rad_s,regime,eta_c")
     p.add_argument("--out", default="-")
 
-    p = add("crossing-sweep", cmd_crossing_sweep,
-            "Both supermode branch frequencies versus ring-1 heater power.",
+    p = add("crossing-sweep", "Both supermode branch frequencies versus ring-1 heater power.",
             ["p1_mw", "p2_mw", "branch", "resonance_rad_s"])
     p.add_argument("--config", required=True)
     p.add_argument("--p1", type=parse_range, required=True, help="heater grid start:stop:step, mW")
     p.add_argument("--p2", type=finite_float, required=True)
     p.add_argument("--out", default="-")
 
-    p = add("etac-sweep", cmd_etac_sweep,
-            "Coupling efficiency along one branch versus ring-1 heater power.",
+    p = add("etac-sweep", "Coupling efficiency along one branch versus ring-1 heater power.",
             ["p1_mw", "omega_rad_s", "eta_c", "tau_c_s"])
     p.add_argument("--config", required=True)
     p.add_argument("--branch", choices=["upper", "lower"], required=True)
@@ -402,8 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p2", type=finite_float, required=True)
     p.add_argument("--out", default="-")
 
-    p = add("squeeze-sweep", cmd_squeeze_sweep,
-            "Measured and inferred on-chip squeezing along a heater sweep.",
+    p = add("squeeze-sweep", "Measured and inferred on-chip squeezing along a heater sweep.",
             ["eta_c", "s_measured_db", "s_onchip_db", "omega_sideband_hz", "tau_c_s"])
     p.add_argument("--config", required=True)
     p.add_argument("--branch", choices=["upper", "lower"], required=True)
@@ -412,8 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sideband-mhz", type=finite_float, default=3.0)
     p.add_argument("--out", default="-")
 
-    p = add("squeeze-spectrum", cmd_squeeze_spectrum,
-            "Squeezing spectrum versus sideband frequency for given efficiencies.",
+    p = add("squeeze-spectrum", "Squeezing spectrum versus sideband frequency for given efficiencies.",
             ["f_hz", "s_linear", "s_db", "squeezing_factor_db"])
     p.add_argument("--eta-c", type=finite_float, required=True)
     p.add_argument("--eta-d", type=finite_float, required=True)
@@ -421,29 +422,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", type=parse_range, required=True, help="sideband grid start:stop:step, Hz")
     p.add_argument("--out", default="-")
 
-    p = add("langevin-verify", cmd_langevin_verify,
-            "Stochastic verification of the squeezing spectrum at one operating point.",
+    p = add("langevin-verify", "Stochastic verification of the squeezing spectrum at one operating point.",
             ["freq_hz", "psd_shotnoise_units", "psd_db"])
     p.add_argument("--config", required=True)
     p.add_argument("--branch", choices=["upper", "lower"], default="lower")
     p.add_argument("--p1", type=finite_float, default=50.0)
     p.add_argument("--p2", type=finite_float, default=10.0)
-    p.add_argument("--seed", type=int, default=12345)
+    p.add_argument("--seed", type=non_negative_int, default=12345)
     p.add_argument("--trajectories", type=positive_int, default=200)
     p.add_argument("--segments", type=positive_int, default=94, help="Welch segments per trajectory")
     p.add_argument("--dt-factor", type=finite_float, default=0.01, help="time step in units of 1/gamma_total")
     p.add_argument("--out", default="-")
 
-    p = add("shot-cal", cmd_shot_cal,
-            "Simulated balanced-detection shot-noise calibration versus power.",
+    p = add("shot-cal", "Simulated balanced-detection shot-noise calibration versus power.",
             ["power", "psd_level"])
     p.add_argument("--powers", type=parse_powers, default="1,2,4,8", help="comma-separated powers")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=positive_float, default=16384.0, help="samples per power")
+    p.add_argument("--seed", type=non_negative_int, default=0)
+    p.add_argument("--samples", type=shot_cal_samples, default=16384.0, help="samples per power")
     p.add_argument("--out", default="-")
 
-    p = add("fit-crossing", cmd_fit_crossing,
-            "Fit the avoided-crossing model to branch resonance data "
+    p = add("fit-crossing", "Fit the avoided-crossing model to branch resonance data "
             "(CSV: p1_mw,p2_mw,branch,resonance_rad_s or resonance_nm).",
             ["param", "value", "stderr"])
     p.add_argument("--data", required=True)
@@ -453,8 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the automatic starting value (repeatable)")
     p.add_argument("--out", default="-")
 
-    p = add("fit-dip", cmd_fit_dip,
-            "Fit one Lorentzian dip in a trace CSV (omega_rad_s,t_power or wavelength_nm,t_power).",
+    p = add("fit-dip", "Fit one Lorentzian dip in a trace CSV (omega_rad_s,t_power or wavelength_nm,t_power).",
             ["param", "value", "stderr"])
     p.add_argument("--data", required=True)
     p.add_argument("--window", type=parse_index_range, default=None, help="index window start:stop")

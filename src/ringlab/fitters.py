@@ -70,10 +70,6 @@ class CrossingDataset:
         object.__setattr__(self, "branch", branch)
         object.__setattr__(self, "resonance_rad_s", res)
 
-    @property
-    def n_rows(self) -> int:
-        return self.p1_mw.size
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -104,10 +100,11 @@ class DipFitResult:
 
 @dataclass(frozen=True)
 class LinearFitResult:
+    """Straight line through the origin: slope, its standard error, and
+    r_squared against the uncentered total sum of squares."""
+
     slope: float
-    intercept: float
     slope_stderr: float
-    intercept_stderr: float
     r_squared: float
 
 
@@ -367,14 +364,10 @@ def _count_deep_minima(t: np.ndarray) -> int:
     depth = t.max() - t.min()
     enter = t.min() + 0.4 * depth
     leave = t.min() + 0.6 * depth
-    count, inside = 0, False
-    for value in t:
-        if not inside and value < enter:
-            count += 1
-            inside = True
-        elif inside and value > leave:
-            inside = False
-    return count
+    # the samples that cross the band, True where they enter it; a dip
+    # begins at each one whose predecessor left (or that has none)
+    entering = t[(t < enter) | (t > leave)] < enter
+    return int(entering[:1].sum()) + int(np.count_nonzero(entering[1:] > entering[:-1]))
 
 
 def fit_lorentzian_dip(trace: TransmissionTrace, window: tuple[int, int]) -> DipFitResult:
@@ -446,12 +439,11 @@ def fit_lorentzian_dip(trace: TransmissionTrace, window: tuple[int, int]) -> Dip
 # --- linear fit ----------------------------------------------------------------
 
 
-def weighted_linear_fit(x, y, through_origin: bool = False, weights=None) -> LinearFitResult:
-    """(Weighted) least-squares straight line.
+def weighted_linear_fit(x, y, weights=None) -> LinearFitResult:
+    """(Weighted) least-squares straight line through the origin.
 
-    With through_origin the intercept is pinned at 0 and r_squared uses
-    the uncentered total sum of squares, the standard convention for
-    origin-constrained fits; otherwise ordinary centered r_squared.
+    r_squared uses the uncentered total sum of squares, the standard
+    convention for origin-constrained fits.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -463,36 +455,13 @@ def weighted_linear_fit(x, y, through_origin: bool = False, weights=None) -> Lin
     if np.ptp(x) == 0.0:
         raise ValueError("degenerate x: all values equal")
 
-    if through_origin:
-        sxx = float(w @ (x * x))
-        slope = float(w @ (x * y)) / sxx
-        resid = y - slope * x
-        chi2 = float(w @ (resid * resid))
-        sigma2 = chi2 / (x.size - 1)
-        ss_tot = float(w @ (y * y))
-        r_squared = 1.0 - chi2 / ss_tot if ss_tot > 0 else 1.0
-        return LinearFitResult(
-            slope=slope,
-            intercept=0.0,
-            slope_stderr=math.sqrt(sigma2 / sxx),
-            intercept_stderr=0.0,
-            r_squared=r_squared,
-        )
-
-    sw = float(w.sum())
-    xbar = float(w @ x) / sw
-    ybar = float(w @ y) / sw
-    sxx = float(w @ ((x - xbar) ** 2))
-    slope = float(w @ ((x - xbar) * (y - ybar))) / sxx
-    intercept = ybar - slope * xbar
-    resid = y - slope * x - intercept
+    sxx = float(w @ (x * x))
+    slope = float(w @ (x * y)) / sxx
+    resid = y - slope * x
     chi2 = float(w @ (resid * resid))
-    sigma2 = chi2 / (x.size - 2)
-    ss_tot = float(w @ ((y - ybar) ** 2))
+    ss_tot = float(w @ (y * y))
     return LinearFitResult(
         slope=slope,
-        intercept=intercept,
-        slope_stderr=math.sqrt(sigma2 / sxx),
-        intercept_stderr=math.sqrt(sigma2 * (1.0 / sw + xbar**2 / sxx)),
+        slope_stderr=math.sqrt(chi2 / (x.size - 1) / sxx),
         r_squared=1.0 - chi2 / ss_tot if ss_tot > 0 else 1.0,
     )

@@ -42,6 +42,8 @@ from .devicemodel import readonly_array
 from .squeezing import squeezing_level
 
 MIN_SEGMENT_SAMPLES = 16
+SHOT_CAL_SEGMENTS = 31          # Welch segments per power in shot_noise_calibration
+SHOT_CAL_MIN_SAMPLES = (SHOT_CAL_SEGMENTS + 1) * (MIN_SEGMENT_SAMPLES // 2)  # the fewest that fill them
 LANGEVIN_MAX_WORKERS = 4        # trajectory threads per run; each holds three n_steps-long series at most
 WELCH_BLOCK_BYTES = 1 << 19     # windowed samples transformed at once by output_psd
 
@@ -266,21 +268,17 @@ def analytic_psd(kappa_eff: float, gamma_total: float, freq_grid) -> NoiseSpectr
     return NoiseSpectrum(freq_grid=f, psd_normalized=s, n_segments=0)
 
 
-def shot_noise_calibration(
-    power_grid,
-    dt: float = 1.0,
-    duration: float = 16384.0,
-    n_segments: int = 31,
-    seed: int = 0,
-) -> list[tuple[float, float]]:
+def shot_noise_calibration(power_grid, duration: float = 16384.0, seed: int = 0) -> list[tuple[float, float]]:
     """Balanced-detection shot-noise levels versus optical power.
 
     Each power P produces two independent white photocurrent streams of
-    PSD P/2 (a 50:50 split); the PSD of their difference averages to P.
-    Returns (power, mean PSD level) per grid point; the levels fall on a
-    line through the origin up to estimator variance.
+    PSD P/2 (a 50:50 split), sampled at unit spacing for `duration`
+    samples (rounded; at least SHOT_CAL_MIN_SAMPLES); the PSD of their
+    difference, Welch-averaged over SHOT_CAL_SEGMENTS segments, averages
+    to P.  Returns (power, mean PSD level) per grid point; the levels fall
+    on a line through the origin up to estimator variance.
     """
-    n = int(round(duration / dt))
+    n = int(round(duration))
     levels = []
     for index, power in enumerate(power_grid):
         power = float(power)
@@ -290,9 +288,9 @@ def shot_noise_calibration(
             levels.append((power, 0.0))
             continue
         children = np.random.SeedSequence(entropy=seed, spawn_key=(index,)).spawn(2)
-        scale = np.sqrt(0.5 * power / dt)
+        scale = np.sqrt(0.5 * power)
         s1 = scale * np.random.default_rng(children[0]).standard_normal(n)
         s2 = scale * np.random.default_rng(children[1]).standard_normal(n)
-        spectrum = output_psd(s1 - s2, dt, n_segments)
+        spectrum = output_psd(s1 - s2, 1.0, SHOT_CAL_SEGMENTS)
         levels.append((power, float(spectrum.psd_normalized.mean())))
     return levels

@@ -147,13 +147,12 @@ def _half_crossing(omega: np.ndarray, t: np.ndarray, i_min: int, level: float, d
     return None
 
 
-def find_dips(trace: TransmissionTrace, threshold: float = DIP_THRESHOLD,
-              baseline: float = 1.0) -> list[TransmissionDip]:
+def find_dips(trace: TransmissionTrace, threshold: float = DIP_THRESHOLD) -> list[TransmissionDip]:
     """Locate and refine resonance dips in a transmission trace.
 
     Local minima below `threshold` are refined by a 3-point quadratic fit;
-    the fwhm comes from the half-depth crossings relative to `baseline`
-    (model traces are normalized to a far-detuned plateau of 1).  Dips
+    the fwhm comes from the half-depth crossings relative to a baseline
+    of 1 (model traces are normalized to a far-detuned plateau of 1).  Dips
     whose half-depth crossings fall outside the trace are dropped; dips
     separated by less than 3x the wider fwhm are flagged as overlapping.
     An empty list (flat trace) is not an error.
@@ -167,7 +166,7 @@ def find_dips(trace: TransmissionTrace, threshold: float = DIP_THRESHOLD,
     for i in candidates.tolist():
         center, t_min = _quadratic_vertex(omega[i - 1 : i + 2], t[i - 1 : i + 2])
         t_min = max(t_min, 0.0)
-        level = 0.5 * (baseline + t_min)
+        level = 0.5 * (1.0 + t_min)
         left = _half_crossing(omega, t, i, level, -1)
         right = _half_crossing(omega, t, i, level, +1)
         if left is None or right is None:

@@ -43,17 +43,15 @@ _hypot = np.frompyfunc(math.hypot, 2, 1)
 class SupermodeSolution:
     """One supermode branch at one heater setting, or along a heater grid.
 
-    frac1/frac2 are the energy fractions in ring 1 / ring 2 (sum to 1);
+    frac1 is the branch's energy fraction in ring 1, the ring on the bus;
     kappa_eff and gamma_eff are the branch's external and intrinsic energy
     decay rates; eta_c = kappa_eff/(kappa_eff + gamma_eff) is the coupling
     efficiency and tau_c = 1/(kappa_eff + gamma_eff) the photon lifetime.
     Fields are floats for scalar heater powers and arrays for a grid.
     """
 
-    branch: str
     omega: float | np.ndarray
     frac1: float | np.ndarray
-    frac2: float | np.ndarray
     kappa_eff: float | np.ndarray
     gamma_eff: float | np.ndarray
     eta_c: float | np.ndarray
@@ -88,6 +86,16 @@ def supermode_frequencies(omega1, omega2, kappa_12: float):
     return mean + radius, mean - radius
 
 
+def _ring1_fraction(delta, radius, kappa_12: float, branch: str):
+    """Ring-1 energy fraction of one branch, from crossing_geometry's
+    delta and radius (see supermode_vectors)."""
+    k2 = kappa_12 * kappa_12
+    # R + |delta| is R - delta where it is selected, and never 0 elsewhere
+    t = np.where(delta < 0.0, k2 / (radius + np.abs(delta)), delta + radius)
+    t2 = t * t
+    return _float_or_array((t2 if branch == BRANCH_UPPER else k2) / (k2 + t2))
+
+
 def supermode_vectors(omega1, omega2, kappa_12: float):
     """Energy fractions ((frac1, frac2) upper, (frac1, frac2) lower).
 
@@ -100,14 +108,8 @@ def supermode_vectors(omega1, omega2, kappa_12: float):
     """
     _check_kappa(kappa_12)
     _, delta, radius = crossing_geometry(omega1, omega2, kappa_12)
-    k2 = kappa_12 * kappa_12
-    # R + |delta| is R - delta where it is selected, and never 0 elsewhere
-    t = np.where(delta < 0.0, k2 / (radius + np.abs(delta)), delta + radius)
-    t2 = t * t
-    norm = k2 + t2
-    frac1_lower = _float_or_array(k2 / norm)
-    frac1_upper = _float_or_array(t2 / norm)
-    return (frac1_upper, 1.0 - frac1_upper), (frac1_lower, 1.0 - frac1_lower)
+    upper, lower = (_ring1_fraction(delta, radius, kappa_12, branch) for branch in (BRANCH_UPPER, BRANCH_LOWER))
+    return (upper, 1.0 - upper), (lower, 1.0 - lower)
 
 
 def effective_rates(frac1, frac2, kappa_ext: float, gamma1: float, gamma2: float):
@@ -131,32 +133,27 @@ def effective_rates(frac1, frac2, kappa_ext: float, gamma1: float, gamma2: float
     return kappa_eff, gamma_eff, kappa_eff / total, 1.0 / total
 
 
-def solve_both(config: DeviceConfig, p1_mw, p2_mw) -> tuple[SupermodeSolution, SupermodeSolution]:
-    """(upper, lower) supermode solutions at one heater setting or a grid.
+def solve_branch(config: DeviceConfig, p1_mw, p2_mw, branch: str) -> SupermodeSolution:
+    """Full supermode solution for one branch at one heater setting or a grid.
 
     Heater powers are scalars or arrays; a power out of range raises,
     naming the first such value in grid order (ring 1 before ring 2).
     """
-    omega1 = ring_frequency(config.ring1, p1_mw)
-    omega2 = ring_frequency(config.ring2, p2_mw)
-    kappa_12 = config.coupling.kappa_12
-    rates = (config.coupling.kappa_ext, config.ring1.gamma_i, config.ring2.gamma_i)
-    return tuple(
-        SupermodeSolution(branch, omega, frac1, frac2, *effective_rates(frac1, frac2, *rates))
-        for branch, omega, (frac1, frac2) in zip(
-            (BRANCH_UPPER, BRANCH_LOWER),
-            supermode_frequencies(omega1, omega2, kappa_12),
-            supermode_vectors(omega1, omega2, kappa_12),
-        )
-    )
-
-
-def solve_branch(config: DeviceConfig, p1_mw, p2_mw, branch: str) -> SupermodeSolution:
-    """Full supermode solution for one branch (see solve_both)."""
     if branch not in (BRANCH_UPPER, BRANCH_LOWER):
         raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}")
-    upper, lower = solve_both(config, p1_mw, p2_mw)
-    return upper if branch == BRANCH_UPPER else lower
+    kappa_12 = config.coupling.kappa_12  # positive: DeviceConfig checks it
+    mean, delta, radius = crossing_geometry(
+        ring_frequency(config.ring1, p1_mw), ring_frequency(config.ring2, p2_mw), kappa_12
+    )
+    frac1 = _ring1_fraction(delta, radius, kappa_12, branch)
+    rates = effective_rates(frac1, 1.0 - frac1,
+                            config.coupling.kappa_ext, config.ring1.gamma_i, config.ring2.gamma_i)
+    return SupermodeSolution(mean + radius if branch == BRANCH_UPPER else mean - radius, frac1, *rates)
+
+
+def solve_both(config: DeviceConfig, p1_mw, p2_mw) -> tuple[SupermodeSolution, SupermodeSolution]:
+    """(upper, lower) supermode solutions (see solve_branch)."""
+    return solve_branch(config, p1_mw, p2_mw, BRANCH_UPPER), solve_branch(config, p1_mw, p2_mw, BRANCH_LOWER)
 
 
 def eta_c_vs_heater(config: DeviceConfig, branch: str, p1_grid_mw, p2_mw: float) -> SupermodeSolution:

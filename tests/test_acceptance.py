@@ -159,7 +159,7 @@ def test_criterion_6_crossing_fitter_recovery():
 def test_criterion_7_shot_noise_linearity():
     start = time.monotonic()
     levels = shot_noise_calibration([1.0, 2.0, 4.0, 8.0], seed=20260809)
-    fit = weighted_linear_fit([p for p, _ in levels], [v for _, v in levels], through_origin=True)
+    fit = weighted_linear_fit([p for p, _ in levels], [v for _, v in levels])
     elapsed = time.monotonic() - start
     ok = fit.r_squared > 0.999 and elapsed < 10.0
     report(7, ok, f"through-origin fit: slope={fit.slope:.4f}, R^2={fit.r_squared:.6f}", elapsed)

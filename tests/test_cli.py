@@ -571,6 +571,16 @@ def test_crossing_sweep_feeds_fit_crossing(device_cfg_path, tmp_path, capsys):
     assert fit["alpha1"] == pytest.approx(30.0 * MHZ, rel=1e-6)
 
 
+def test_crossing_sweep_solves_only_the_branch_frequencies(device_cfg_path, tmp_path, count_calls):
+    from ringlab import supermodes
+
+    calls = count_calls(supermodes, "crossing_geometry", "effective_rates")
+    out = tmp_path / "crossing.csv"
+    assert run(["crossing-sweep", "--config", str(device_cfg_path), "--p1", "0:50:0.5", "--p2", "10",
+                "--out", str(out)]) == 0
+    assert calls == {"crossing_geometry": 1, "effective_rates": 0}
+
+
 def test_transmission_with_dip_report(device_cfg_path, tmp_path):
     trace_out = tmp_path / "trace.csv"
     dip_out = tmp_path / "dips.csv"
@@ -874,6 +884,35 @@ def test_non_positive_count_or_margin_is_a_usage_error(flag, argv, values, devic
         assert not out.exists()
         assert captured.out == ""
         assert captured.err == f"{usage}ringlab {command}: error: argument {flag}: must be positive: {value!r}\n"
+
+
+@pytest.mark.parametrize("argv", [["shot-cal"], ["langevin-verify", "--config", "{cfg}"]],
+                         ids=["shot-cal", "langevin-verify"])
+def test_negative_seed_is_a_usage_error(argv, device_cfg_path, tmp_path, capsys):
+    command, out = argv[0], tmp_path / "out.csv"
+    capsys.readouterr()
+    assert run([command, "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n")[0] + "\n"
+    args = [arg.format(cfg=device_cfg_path) for arg in argv]
+    assert run([*args, "--seed", "-1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert not out.exists()
+    assert captured.out == ""
+    assert captured.err == f"{usage}ringlab {command}: error: argument --seed: must be non-negative: '-1'\n"
+
+
+def test_too_few_shot_cal_samples_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert run(["shot-cal", "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n")[0] + "\n"
+    for value in ("100", "255", "255.4", "0.5"):  # counted after rounding: 256 fills 31 half-overlapping segments
+        assert run(["shot-cal", "--samples", value, "--out", str(out)]) == 2, value
+        captured = capsys.readouterr()
+        assert not out.exists()
+        assert captured.err == f"{usage}ringlab shot-cal: error: argument --samples: must be at least 256: {value!r}\n"
+    for value in ("256", "255.5"):
+        assert run(["shot-cal", "--samples", value, "--out", str(out)]) == 0, value
 
 
 # --- shot-cal powers: at least one, none negative --------------------------------------

@@ -331,7 +331,7 @@ def test_shot_noise_levels_scale_linearly():
 
 def test_shot_noise_line_through_origin():
     levels = shot_noise_calibration([1.0, 2.0, 4.0, 8.0], seed=3)
-    fit = weighted_linear_fit([p for p, _ in levels], [v for _, v in levels], through_origin=True)
+    fit = weighted_linear_fit([p for p, _ in levels], [v for _, v in levels])
     assert fit.r_squared > 0.999
     # each point consistent with the fitted line within 3 estimator sigmas
     for power, level in levels:

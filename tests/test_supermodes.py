@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from ringlab.devicemodel import CouplingParams, default_config
+from ringlab import supermodes
+from ringlab.devicemodel import CouplingParams, default_config, ring_frequency
 from ringlab.supermodes import (
     effective_rates,
     eta_c_vs_heater,
+    solve_both,
     solve_branch,
     supermode_frequencies,
     supermode_vectors,
@@ -223,11 +225,58 @@ def test_array_solution_matches_scalar_calls_bit_for_bit():
         sol = solve_branch(cfg, grid, 10.0, branch)
         scalar = [solve_branch(cfg, float(p1), 10.0, branch) for p1 in grid]
         zero_d = [solve_branch(cfg, np.asarray(p1), 10.0, branch) for p1 in grid[::50]]
-        for name in ("omega", "frac1", "frac2", "kappa_eff", "gamma_eff", "eta_c", "tau_c"):
+        for name in ("omega", "frac1", "kappa_eff", "gamma_eff", "eta_c", "tau_c"):
             column = getattr(sol, name)
             assert column.tolist() == [getattr(s, name) for s in scalar], f"{branch}.{name}"
             assert column[::50].tolist() == [float(getattr(s, name)) for s in zero_d], f"{branch}.{name}"
             assert type(getattr(scalar[0], name)) is float
+
+
+def two_branch_path(cfg, p1, p2) -> dict:
+    """Each branch's fields from supermode_frequencies, supermode_vectors
+    and effective_rates, all evaluated for both branches at once."""
+    omega1, omega2 = ring_frequency(cfg.ring1, p1), ring_frequency(cfg.ring2, p2)
+    kappa_12 = cfg.coupling.kappa_12
+    rates = (cfg.coupling.kappa_ext, cfg.ring1.gamma_i, cfg.ring2.gamma_i)
+    return {
+        branch: (omega, frac1, *effective_rates(frac1, frac2, *rates))
+        for branch, omega, (frac1, frac2) in zip(
+            ("upper", "lower"),
+            supermode_frequencies(omega1, omega2, kappa_12),
+            supermode_vectors(omega1, omega2, kappa_12),
+        )
+    }
+
+
+def test_solves_match_the_two_branch_path_bit_for_bit():
+    cfg = default_config()
+    rng = np.random.default_rng(4242)
+    scalars = rng.uniform(0.0, 100.0, 30)
+    grids = [rng.uniform(0.0, 100.0, 400), np.linspace(0.0, 100.0, 1001) + rng.uniform(0.0, 0.1)]
+    grids[1][-1] = 100.0
+    names = ("omega", "frac1", "kappa_eff", "gamma_eff", "eta_c", "tau_c")
+    for p2 in rng.uniform(0.0, 100.0, 3):
+        for p1 in [*map(float, scalars), *map(np.asarray, scalars[:10]), *grids]:
+            expected = two_branch_path(cfg, p1, p2)
+            upper, lower = solve_both(cfg, p1, p2)
+            for branch, paired in (("upper", upper), ("lower", lower)):
+                sols = [solve_branch(cfg, p1, p2, branch), paired]
+                if np.ndim(p1):
+                    sols.append(eta_c_vs_heater(cfg, branch, p1, p2))
+                for sol in sols:
+                    for name, want in zip(names, expected[branch]):
+                        got = getattr(sol, name)
+                        assert type(got) is type(want), (branch, name)
+                        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (branch, name)
+
+
+def test_one_branch_solve_evaluates_the_geometry_once(count_calls):
+    calls = count_calls(supermodes, "crossing_geometry", "effective_rates")
+    cfg = default_config()
+    solve_branch(cfg, np.linspace(0.0, 50.0, 101), 10.0, "lower")
+    assert calls == {"crossing_geometry": 1, "effective_rates": 1}
+    solve_both(cfg, 25.0, 10.0)
+    assert calls == {"crossing_geometry": 3, "effective_rates": 3}
 
 
 def test_array_heater_error_names_first_offending_power():
@@ -246,7 +295,6 @@ def test_solution_invariants():
     for p1 in (0.0, 12.5, 25.0, 40.0, 50.0):
         for branch in ("upper", "lower"):
             sol = solve_branch(cfg, p1, 10.0, branch)
-            assert sol.frac1 + sol.frac2 == pytest.approx(1.0, abs=1e-12)
             assert 0.0 < sol.eta_c < 1.0
             assert sol.tau_c > 0
             assert sol.eta_c == pytest.approx(sol.kappa_eff / (sol.kappa_eff + sol.gamma_eff), rel=1e-15)
