@@ -123,7 +123,8 @@ def parse_assignment(pair: str) -> tuple[str, float]:
 
 
 def parse_powers(text: str) -> list[float]:
-    """Comma-separated powers, at least one, none negative; empty entries are skipped."""
+    """Comma-separated powers, none negative; empty entries are skipped.  The
+    calibration line through the origin needs two of them, one positive."""
     try:
         powers = [finite_float(p) for p in text.split(",") if p.strip()]
     except ValueError:
@@ -132,6 +133,10 @@ def parse_powers(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"at least one power required: {text!r}")
     if min(powers) < 0:
         raise argparse.ArgumentTypeError(f"powers must be non-negative: {text!r}")
+    if len(powers) < 2:
+        raise argparse.ArgumentTypeError(f"at least two powers required: {text!r}")
+    if max(powers) == 0:
+        raise argparse.ArgumentTypeError(f"at least one power must be positive: {text!r}")
     return powers
 
 

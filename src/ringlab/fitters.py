@@ -33,8 +33,6 @@ _FTOL = 1e-10
 _XTOL = 1e-14
 _LAMBDA_MAX = 1e15
 _RANK_RTOL = 1e-10
-_EPS = np.finfo(float).eps
-_TINY = np.finfo(float).smallest_subnormal
 GUESS_BLOCK_BYTES = 8 << 20  # distance block of auto_initial_guess
 
 
@@ -225,18 +223,13 @@ def _crossing_jacobian(params: dict[str, float], p1, p2, sign, free: list[str]) 
 
 def _nearest_rows(p1, p2, upper, lower) -> np.ndarray:
     """For each row in `upper`, the position in `lower` of the row nearest
-    in (p1, p2), the first one on a tie.
+    in (p1, p2): the first smallest squared distance d*d + e*e.
 
-    Squared distances are formed a block of upper rows at a time (at most
-    GUESS_BLOCK_BYTES).  The array square x*x and the scalar x**2 (libm
-    pow) can differ in the last bit, so where rows at other (p1, p2) come
-    within that rounding of the nearest, the pick is redone over them with
-    the scalar distance: every pick is that of a loop taking
-    min(lower, key=(p1[j] - p1[i])**2 + (p2[j] - p2[i])**2).
+    Distances are formed a block of upper rows at a time (at most
+    GUESS_BLOCK_BYTES).
     """
     p1_low, p2_low = p1[lower], p2[lower]
-    per_row = 3 * 8 * lower.size  # two float arrays and a bool mask, rounded up
-    rows = max(1, GUESS_BLOCK_BYTES // per_row)
+    rows = max(1, GUESS_BLOCK_BYTES // (2 * 8 * lower.size))  # two float arrays per row
     picks = np.empty(upper.size, dtype=np.intp)
     for start in range(0, upper.size, rows):
         block = upper[start:start + rows]
@@ -247,13 +240,6 @@ def _nearest_rows(p1, p2, upper, lower) -> np.ndarray:
         d += e
         del e
         picks[start:start + block.size] = np.argmin(d, axis=1)
-        near = d <= d.min(axis=1, keepdims=True) * (1.0 + 16 * _EPS) + 16 * _TINY
-        for r in np.flatnonzero(near.sum(axis=1) > 1):
-            i = block[r]
-            cand = np.flatnonzero(near[r])
-            _, first = np.unique(np.column_stack([p1_low[cand], p2_low[cand]]), axis=0, return_index=True)
-            cand = cand[np.sort(first)]  # rows at equal (p1, p2) tie: keep the first of each
-            picks[start + r] = min(cand, key=lambda j: (p1_low[j] - p1[i]) ** 2 + (p2_low[j] - p2[i]) ** 2)
     return picks
 
 
@@ -442,20 +428,20 @@ def fit_lorentzian_dip(trace: TransmissionTrace, window: tuple[int, int]) -> Dip
 def weighted_linear_fit(x, y, weights=None) -> LinearFitResult:
     """(Weighted) least-squares straight line through the origin.
 
-    r_squared uses the uncentered total sum of squares, the standard
-    convention for origin-constrained fits.
+    Needs at least two points, not all at x = 0, so that one degree of
+    freedom is left for slope_stderr.  r_squared uses the uncentered total
+    sum of squares, the standard convention for origin-constrained fits.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.size != y.size or x.size < 3:
-        raise ValueError("need at least 3 (x, y) points")
+    if x.size != y.size or x.size < 2:
+        raise ValueError("need at least 2 (x, y) points")
     w = np.ones_like(x) if weights is None else np.asarray(weights, dtype=float)
     if np.any(w <= 0):
         raise ValueError("weights must be positive")
-    if np.ptp(x) == 0.0:
-        raise ValueError("degenerate x: all values equal")
-
     sxx = float(w @ (x * x))
+    if not sxx > 0.0:
+        raise ValueError("degenerate x: all values zero")
     slope = float(w @ (x * y)) / sxx
     resid = y - slope * x
     chi2 = float(w @ (resid * resid))

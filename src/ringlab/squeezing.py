@@ -27,10 +27,6 @@ from .supermodes import eta_c_vs_heater
 
 OMEGA_SIDEBAND_DEFAULT = 2.0 * math.pi * 3e6  # rad/s
 
-# math.log10 applied elementwise: np.log10 differs in the last bit on about
-# a fifth of the values, and the dB tables keep the scalar formula's bytes.
-_log10 = np.frompyfunc(math.log10, 1, 1)
-
 
 def _reject(bad, values, message: str) -> None:
     """ValueError naming the first of `values` flagged in the mask `bad`."""
@@ -42,8 +38,8 @@ def _reject(bad, values, message: str) -> None:
 def db_from_linear(s_linear):
     """Linear power ratio to dB (10*log10); scalar or array."""
     _reject(np.asarray(s_linear) <= 0, s_linear, "linear value must be positive")
-    db = 10.0 * _log10(s_linear)
-    return db.astype(float) if isinstance(db, np.ndarray) else db
+    db = 10.0 * np.log10(s_linear)
+    return float(db) if db.ndim == 0 else db
 
 
 def linear_from_db(s_db: float) -> float:
@@ -62,7 +58,9 @@ def squeezing_level(eta_c, eta_d, tau_c, omega_sideband):
         eta = np.asarray(eta)
         _reject(~((0.0 <= eta) & (eta <= 1.0)), eta, f"{name} must be in [0, 1]")
     _reject(np.asarray(tau_c) <= 0, tau_c, "tau_c must be positive")
-    return 1.0 - eta_c * eta_d * lorentzian_rolloff(omega_sideband * tau_c)
+    with np.errstate(over="ignore"):  # W*tau_c past the float range: the roll-off is 0, its limit
+        rolloff = lorentzian_rolloff(omega_sideband * tau_c)
+    return 1.0 - eta_c * eta_d * rolloff
 
 
 def infer_onchip(s_measured_linear: float, eta_d: float, omega_tau_product: float = 0.0) -> float:

@@ -33,11 +33,6 @@ from .devicemodel import DeviceConfig, first_flagged, ring_frequency
 BRANCH_UPPER = "upper"
 BRANCH_LOWER = "lower"
 
-# math.hypot applied elementwise: np.hypot rounds differently in the last
-# bit on about 0.2 % of points, and the sweep tables keep the scalar
-# formula's bytes.
-_hypot = np.frompyfunc(math.hypot, 2, 1)
-
 
 @dataclass(frozen=True)
 class SupermodeSolution:
@@ -76,7 +71,7 @@ def crossing_geometry(omega1, omega2, kappa_12):
     kappa_12 <= 0, which the branches see only through its square.
     """
     delta = 0.5 * (omega1 - omega2)
-    return 0.5 * (omega1 + omega2), delta, _float_or_array(_hypot(delta, kappa_12))
+    return 0.5 * (omega1 + omega2), delta, _float_or_array(np.hypot(delta, kappa_12))
 
 
 def supermode_frequencies(omega1, omega2, kappa_12: float):

@@ -538,6 +538,16 @@ def test_squeeze_spectrum_reports_where_the_minimum_is(capsys):
     assert capsys.readouterr().err.strip().endswith(" dB at f=0 Hz")
 
 
+@pytest.mark.parametrize("tau_c", ["1e300", "1e150"])  # W*tau_c, or its square, past the float range
+def test_roll_off_overflow_prints_only_the_summary(tau_c):
+    argv = ["squeeze-spectrum", "--eta-c", "0.5", "--eta-d", "1", "--tau-c", tau_c, "--f", "1e10:1e10:1"]
+    env = {**os.environ, "PYTHONPATH": str(Path(ringlab.__file__).parents[1]), "PYTHONWARNINGS": "default"}
+    done = subprocess.run([sys.executable, "-m", "ringlab.cli", *argv], capture_output=True, text=True, env=env)
+    assert done.returncode == 0
+    assert done.stdout == "f_hz,s_linear,s_db,squeezing_factor_db\n10000000000,1,0,-0\n"
+    assert done.stderr == "squeeze-spectrum: minimum 0 dB at f=10000000000 Hz\n"
+
+
 def test_squeeze_sweep_output(device_cfg_path, tmp_path):
     out = tmp_path / "sw.csv"
     assert run([
@@ -915,7 +925,7 @@ def test_too_few_shot_cal_samples_is_a_usage_error(tmp_path, capsys):
         assert run(["shot-cal", "--samples", value, "--out", str(out)]) == 0, value
 
 
-# --- shot-cal powers: at least one, none negative --------------------------------------
+# --- shot-cal powers: at least two, none negative, one positive ------------------------
 
 
 @pytest.mark.parametrize("value, message", [
@@ -923,6 +933,8 @@ def test_too_few_shot_cal_samples_is_a_usage_error(tmp_path, capsys):
     (" , ,", "at least one power required: ' , ,'"),
     ("1,-1,2", "powers must be non-negative: '1,-1,2'"),
     ("-0.5", "powers must be non-negative: '-0.5'"),
+    ("5", "at least two powers required: '5'"),
+    ("0,0", "at least one power must be positive: '0,0'"),
 ])
 def test_bad_power_list_is_a_usage_error(value, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
@@ -934,6 +946,15 @@ def test_bad_power_list_is_a_usage_error(value, message, tmp_path, capsys):
     assert not out.exists()
     assert captured.out == ""
     assert captured.err == f"{usage}ringlab shot-cal: error: argument --powers: {message}\n"
+
+
+@pytest.mark.parametrize("value", ["1,2", "0,1", "2,2,2"])
+def test_shot_cal_line_through_two_or_equal_powers(value, tmp_path, capsys):
+    out = tmp_path / "cal.csv"
+    capsys.readouterr()
+    assert run(["shot-cal", "--powers", value, "--samples", "256", "--out", str(out)]) == 0
+    assert capsys.readouterr().err.startswith("shot-cal: slope=")
+    assert load_csv(out, {"power": float, "psd_level": float})["power"].tolist() == [float(p) for p in value.split(",")]
 
 
 def test_shot_cal_zero_power_is_valid(tmp_path):

@@ -143,39 +143,53 @@ def test_dataset_invariants():
 
 
 def _nearest_by_loop(p1, p2, upper, lower):
-    """The pick of the original per-row loop: min over lower rows of the scalar
-    squared distance, the first one on a tie (position within `lower`)."""
+    """Position in `lower` of the smallest squared distance d*d + e*e from
+    each upper row, by a plain loop: the first one on a tie."""
     picks = []
     for i in upper:
-        j = min(lower, key=lambda j: (p1[j] - p1[i]) ** 2 + (p2[j] - p2[i]) ** 2)
-        picks.append(int(np.flatnonzero(lower == j)[0]))
+        best, pick = math.inf, -1
+        for k, j in enumerate(lower):
+            d, e = p1[j] - p1[i], p2[j] - p2[i]
+            if d * d + e * e < best:
+                best, pick = d * d + e * e, k
+        picks.append(pick)
     return np.array(picks)
 
 
-def test_nearest_rows_match_the_scalar_loop_with_ties(monkeypatch):
+def test_nearest_rows_take_the_first_smallest_distance(monkeypatch):
     rng = np.random.default_rng(17)
-    n = 2000
-    # a coarse grid repeats points exactly (ties between equal and between
-    # mirrored points); the continuous rows seldom tie
-    grid_p1 = rng.integers(0, 12, n).astype(float)
-    grid_p2 = rng.choice([8.0, 10.0, 12.0], n)
-    smooth_p1 = rng.uniform(0.0, 50.0, n)
-    smooth_p2 = rng.uniform(5.0, 15.0, n)
-    mixed = rng.random(n) < 0.5
-    p1 = np.where(mixed, grid_p1, smooth_p1)
-    p2 = np.where(mixed, grid_p2, smooth_p2)
-    # Two points at equal array distance x*x + y*y from (0, 0), of which the
-    # second is nearer by the scalar x**2 (libm pow) on glibc: the original
-    # loop picks the second, a plain array argmin the first.
+    # upper rows at odd and lower rows at even p1 of a coarse grid: an upper
+    # row between two lower ones ties at equal distance (mirrored ties), and
+    # lower rows repeat points (ties between rows at equal (p1, p2)); the
+    # continuous rows seldom tie
+    n_grid, n_smooth = 160, 60
+    grid_upper = rng.random(n_grid) < 0.4
+    grid_p1 = 2.0 * rng.integers(0, 6, n_grid) + grid_upper
+    grid_p2 = rng.choice([8.0, 10.0, 12.0], n_grid)
+    order = rng.permutation(n_grid + n_smooth)
+    p1 = np.concatenate([grid_p1, rng.uniform(0.0, 12.0, n_smooth)])[order]
+    p2 = np.concatenate([grid_p2, rng.uniform(7.0, 13.0, n_smooth)])[order]
+    branch = np.concatenate([grid_upper, rng.random(n_smooth) < 0.5])[order].astype(int)
+    # an upper row at (0, 0), then two lower rows at other points and the
+    # same array distance from it: the first is the pick
     p1 = np.append(p1, [0.0, 1.0407826543186804, 1.475225152189749])
     p2 = np.append(p2, [0.0, 1.0801719615271275, 0.2714972381935621])
-    branch = np.append(rng.integers(0, 2, n), [1, 0, 0])
+    branch = np.append(branch, [1, 0, 0])
     upper, lower = np.flatnonzero(branch == 1), np.flatnonzero(branch == 0)
     expected = _nearest_by_loop(p1, p2, upper, lower)
-    assert np.array_equal(fitters._nearest_rows(p1, p2, upper, lower), expected)
-    # small blocks whose size does not divide the row count
-    monkeypatch.setattr(fitters, "GUESS_BLOCK_BYTES", 7 * 3 * 8 * lower.size)
-    assert np.array_equal(fitters._nearest_rows(p1, p2, upper, lower), expected)
+
+    dist = (p1[lower] - p1[upper, None]) ** 2 + (p2[lower] - p2[upper, None]) ** 2
+    ties = dist == dist.min(axis=1, keepdims=True)
+    points = list(zip(p1[lower], p2[lower]))
+    tied = [{points[k] for k in np.flatnonzero(row)} for row in ties if row.sum() > 1]
+    assert sum(len(at) == 1 for at in tied) >= 10  # rows at equal (p1, p2)
+    assert sum(len(at) > 1 for at in tied) >= 10   # mirrored or equidistant points
+    assert dist[-1, -2] == dist[-1, -1] and expected[-1] == lower.size - 2  # the first of the pair
+
+    assert upper.size % 7 != 0
+    for block_bytes in (fitters.GUESS_BLOCK_BYTES, 7 * 2 * 8 * lower.size, 1):  # 1 byte: one row a block
+        monkeypatch.setattr(fitters, "GUESS_BLOCK_BYTES", block_bytes)
+        assert np.array_equal(fitters._nearest_rows(p1, p2, upper, lower), expected), block_bytes
 
 
 def test_auto_guess_coupling_from_nearest_pair():
@@ -291,17 +305,10 @@ def test_lorentzian_rejects_window_with_two_dips():
 
 
 def test_linear_exact():
-    x = np.arange(1.0, 9.0)
-    fit = weighted_linear_fit(x, 2.0 * x)
-    assert fit.slope == pytest.approx(2.0, rel=1e-14)
-    assert fit.r_squared == pytest.approx(1.0, abs=1e-14)
-
-
-def test_linear_through_origin_exact():
-    x = np.array([1.0, 2.0, 4.0, 8.0])
-    fit = weighted_linear_fit(x, 3.0 * x)
-    assert fit.slope == pytest.approx(3.0, rel=1e-14)
-    assert fit.r_squared == pytest.approx(1.0, abs=1e-14)
+    for x, slope in ((np.arange(1.0, 9.0), 2.0), (np.array([1.0, 2.0, 4.0, 8.0]), 3.0)):
+        fit = weighted_linear_fit(x, slope * x)
+        assert fit.slope == pytest.approx(slope, rel=1e-14)
+        assert fit.r_squared == pytest.approx(1.0, abs=1e-14)
 
 
 def test_linear_noisy_slope_within_stderr():
@@ -315,4 +322,14 @@ def test_linear_noisy_slope_within_stderr():
 
 def test_linear_degenerate_x_rejected():
     with pytest.raises(ValueError, match="degenerate"):
-        weighted_linear_fit([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+        weighted_linear_fit([0.0, -0.0, 0.0], [1.0, 2.0, 3.0])
+
+
+def test_linear_two_points_and_equal_x_fit():
+    fit = weighted_linear_fit([1.0, 2.0], [1.0, 2.5])
+    assert fit.slope == pytest.approx(6.0 / 5.0, rel=1e-14)
+    assert fit.slope_stderr > 0.0
+    fit = weighted_linear_fit([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+    assert fit.slope == pytest.approx(1.0, rel=1e-14)
+    with pytest.raises(ValueError, match="at least 2"):
+        weighted_linear_fit([1.0], [1.0])
