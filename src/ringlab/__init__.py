@@ -16,7 +16,6 @@ from .devicemodel import (
     DeviceConfig,
     HeaterModel,
     RingParams,
-    default_config,
     detection_efficiency,
     heater_detuning,
     load_config,
@@ -26,7 +25,7 @@ from .fitters import CrossingDataset, FitResult, fit_avoided_crossing, fit_loren
 from .langevin import LangevinRun, NoiseSpectrum, analytic_psd, output_psd, simulate_difference_quadrature
 from .spectra import TransmissionDip, TransmissionTrace, eta_c_from_tmin, find_dips, transmission
 from .squeezing import infer_onchip, squeezing_level, squeezing_vs_coupling
-from .supermodes import SupermodeSolution, effective_rates, eta_c_vs_heater, supermode_frequencies, supermode_vectors
+from .supermodes import SupermodeSolution, effective_rates, eta_c_vs_heater, supermode_frequencies
 
 __version__ = "0.1.0"
 
@@ -47,7 +46,6 @@ __all__ = [
     "TransmissionDip",
     "TransmissionTrace",
     "analytic_psd",
-    "default_config",
     "detection_efficiency",
     "effective_rates",
     "eta_c_from_tmin",
@@ -63,7 +61,6 @@ __all__ = [
     "squeezing_level",
     "squeezing_vs_coupling",
     "supermode_frequencies",
-    "supermode_vectors",
     "transmission",
     "weighted_linear_fit",
 ]

@@ -56,17 +56,12 @@ def load_csv(path: str | Path, columns: dict[str, type],
         raise DataError(f"{path}: not UTF-8 text") from None
 
 
-def parse_csv(lines: Iterable[str], columns: dict[str, type], source: str = "<string>",
+def parse_csv(lines: io.TextIOBase, columns: dict[str, type], source: str = "<string>",
               alternatives: dict[str, str] | None = None) -> dict[str, np.ndarray | list]:
-    """Columns {name -> values} of CSV text given as lines; see load_csv.
-
-    A seekable text stream is read from where it stands and, if the cell
-    reader is needed, again from its start; any other iterable is read
-    into a list first.
+    """Columns {name -> values} of CSV text in a seekable text stream; see
+    load_csv.  The stream is read from where it stands and, if the cell
+    reader is needed, again from its start.
     """
-    rereadable = isinstance(lines, io.TextIOBase) and lines.seekable()
-    if not rereadable:
-        lines = list(lines)
     content = filter(_is_content, lines)
     reader = csv.reader(content, skipinitialspace=True)
     header = [cell.strip() for cell in next(reader, ())]
@@ -75,8 +70,7 @@ def parse_csv(lines: Iterable[str], columns: dict[str, type], source: str = "<st
         table = _read_floats(content, header)  # the data lines: csv reads no further than the header
         if table is not None:
             return table
-    if rereadable:
-        lines.seek(0)
+    lines.seek(0)
     return _read_cells(lines, header, columns, source)
 
 

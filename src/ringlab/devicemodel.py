@@ -222,46 +222,6 @@ def detection_efficiency(chain: DetectionChain) -> float:
     return eta
 
 
-def default_config() -> DeviceConfig:
-    """Calibrated default device.
-
-    Radii, pump wavelength, and the detection stages are device values;
-    the decay/coupling rates and heater coefficients are *calibrated*, not
-    measured: they are chosen so the lower-branch heater sweep reproduces
-    the observable ranges of the physical device (coupling efficiency
-    tunable from below 0.1 to about 0.7, photon lifetime near 23 ns at the
-    overcoupled end, resonance crossing at p1 = 25 mW for p2 = 10 mW).
-    """
-    omega_pump = pump_angular_frequency(1561.1)
-    mhz = _TWO_PI * 1e6
-    heater = HeaterModel(alpha=30.0 * mhz, p_max_mw=100.0)
-    ring1 = RingParams(
-        radius_um=115.0,
-        omega0=omega_pump + 750.0 * mhz,
-        gamma_i=2.0 * mhz,
-        heater=heater,
-    )
-    ring2 = RingParams(
-        radius_um=115.0,
-        omega0=omega_pump + 300.0 * mhz,
-        gamma_i=2.0 * mhz,
-        heater=heater,
-    )
-    return DeviceConfig(
-        ring1=ring1,
-        ring2=ring2,
-        coupling=CouplingParams(kappa_ext=5.0 * mhz, kappa_12=150.0 * mhz),
-        detection=DetectionChain(
-            stages=(
-                ("grating", 0.85),
-                ("lens", db_loss_to_efficiency(0.7)),
-                ("photodiode", 0.80),
-            )
-        ),
-        pump_wavelength_nm=1561.1,
-    )
-
-
 # --- config file parsing ----------------------------------------------------
 
 

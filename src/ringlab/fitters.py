@@ -98,11 +98,10 @@ class DipFitResult:
 
 @dataclass(frozen=True)
 class LinearFitResult:
-    """Straight line through the origin: slope, its standard error, and
-    r_squared against the uncentered total sum of squares."""
+    """Straight line through the origin: slope, and r_squared against the
+    uncentered total sum of squares."""
 
     slope: float
-    slope_stderr: float
     r_squared: float
 
 
@@ -425,20 +424,18 @@ def fit_lorentzian_dip(trace: TransmissionTrace, window: tuple[int, int]) -> Dip
 # --- linear fit ----------------------------------------------------------------
 
 
-def weighted_linear_fit(x, y, weights=None) -> LinearFitResult:
-    """(Weighted) least-squares straight line through the origin.
+def weighted_linear_fit(x, y) -> LinearFitResult:
+    """Least-squares straight line through the origin, unit weights.
 
-    Needs at least two points, not all at x = 0, so that one degree of
-    freedom is left for slope_stderr.  r_squared uses the uncentered total
-    sum of squares, the standard convention for origin-constrained fits.
+    Needs at least two points, not all at x = 0.  r_squared uses the
+    uncentered total sum of squares, the standard convention for
+    origin-constrained fits.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size < 2:
         raise ValueError("need at least 2 (x, y) points")
-    w = np.ones_like(x) if weights is None else np.asarray(weights, dtype=float)
-    if np.any(w <= 0):
-        raise ValueError("weights must be positive")
+    w = np.ones_like(x)  # w @ (x * x) rounds unlike x @ x, and shot-cal's pinned output holds the former
     sxx = float(w @ (x * x))
     if not sxx > 0.0:
         raise ValueError("degenerate x: all values zero")
@@ -446,8 +443,4 @@ def weighted_linear_fit(x, y, weights=None) -> LinearFitResult:
     resid = y - slope * x
     chi2 = float(w @ (resid * resid))
     ss_tot = float(w @ (y * y))
-    return LinearFitResult(
-        slope=slope,
-        slope_stderr=math.sqrt(chi2 / (x.size - 1) / sxx),
-        r_squared=1.0 - chi2 / ss_tot if ss_tot > 0 else 1.0,
-    )
+    return LinearFitResult(slope=slope, r_squared=1.0 - chi2 / ss_tot if ss_tot > 0 else 1.0)

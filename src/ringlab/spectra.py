@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devicemodel import DeviceConfig, readonly_array, ring_frequency
+from .devicemodel import DeviceConfig, first_flagged, readonly_array, ring_frequency
 from .supermodes import solve_both
 
 REGIME_OVERCOUPLED = "overcoupled"
@@ -79,13 +79,21 @@ def bus_transmission(omega, omega1, omega2, gamma1, gamma2, kappa_ext, kappa_12)
     """Power transmission of the coupled-mode model; omega may be an array.
 
     kappa_12 = 0 is allowed here (decoupled single-ring limit); configs
-    themselves always carry kappa_12 > 0.
+    themselves always carry kappa_12 > 0.  A probe frequency so far from
+    the resonances that the transmission is not finite is a ValueError.
     """
     w = np.asarray(omega, dtype=float)
     d1 = 1j * (w - omega1) - 0.5 * (gamma1 + kappa_ext)
     d2 = 1j * (w - omega2) - 0.5 * gamma2
-    s_out = 1.0 + kappa_ext * d2 / (d1 * d2 + kappa_12 * kappa_12)
+    # far out d1*d2 overflows to inf, which gives the exact limit T = 1;
+    # farther out kappa_ext*d2 overflows too, and inf/inf leaves T not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_out = 1.0 + kappa_ext * d2 / (d1 * d2 + kappa_12 * kappa_12)
     t = np.abs(s_out) ** 2
+    bad = ~np.isfinite(t)
+    if bad.any():
+        raise ValueError("probe grid too far from the resonances: transmission not finite "
+                         f"at omega = {first_flagged(bad, w)!r} rad/s")
     return float(t) if np.isscalar(omega) else t
 
 
@@ -134,17 +142,21 @@ def _quadratic_vertex(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 
 def _half_crossing(omega: np.ndarray, t: np.ndarray, i_min: int, level: float, direction: int) -> float | None:
-    """Walk from the minimum until t rises through `level`; linear interpolation."""
-    i = i_min
-    while 0 <= i + direction < t.size:
-        j = i + direction
-        if t[j] >= level:
-            if t[j] == t[i]:
-                return float(omega[j])
-            frac = (level - t[i]) / (t[j] - t[i])
-            return float(omega[i] + frac * (omega[j] - omega[i]))
-        i = j
-    return None
+    """Where t first rises through `level` going from the interior sample
+    i_min in `direction` (-1 or +1), by linear interpolation between the
+    first sample at or above `level` and the one before it; None if no
+    sample on that side reaches it."""
+    side = t[i_min + 1:] if direction > 0 else t[i_min - 1::-1]
+    reached = side >= level
+    k = int(np.argmax(reached))
+    if not reached[k]:
+        return None
+    j = i_min + direction * (k + 1)
+    i = j - direction
+    if t[j] == t[i]:
+        return float(omega[j])
+    frac = (level - t[i]) / (t[j] - t[i])
+    return float(omega[i] + frac * (omega[j] - omega[i]))
 
 
 def find_dips(trace: TransmissionTrace, threshold: float = DIP_THRESHOLD) -> list[TransmissionDip]:
@@ -162,25 +174,20 @@ def find_dips(trace: TransmissionTrace, threshold: float = DIP_THRESHOLD) -> lis
     mid = t[1:-1]
     # below threshold and no higher than either neighbour; on a plateau only its first sample
     candidates = np.flatnonzero((mid < threshold) & (mid < t[:-2]) & (mid <= t[2:])) + 1
-    dips: list[TransmissionDip] = []
+    found = []
     for i in candidates.tolist():
         center, t_min = _quadratic_vertex(omega[i - 1 : i + 2], t[i - 1 : i + 2])
         t_min = max(t_min, 0.0)
         level = 0.5 * (1.0 + t_min)
         left = _half_crossing(omega, t, i, level, -1)
         right = _half_crossing(omega, t, i, level, +1)
-        if left is None or right is None:
-            continue
-        dips.append(TransmissionDip(omega_center=center, t_min=t_min, fwhm=right - left))
-    dips.sort(key=lambda d: d.omega_center)
-    flagged = list(dips)
-    for a in range(len(dips) - 1):
-        sep = dips[a + 1].omega_center - dips[a].omega_center
-        if sep < OVERLAP_FACTOR * max(dips[a].fwhm, dips[a + 1].fwhm):
-            for b in (a, a + 1):
-                d = flagged[b]
-                flagged[b] = TransmissionDip(d.omega_center, d.t_min, d.fwhm, overlapping=True)
-    return flagged
+        if left is not None and right is not None:
+            found.append((center, t_min, right - left))
+    found.sort(key=lambda dip: dip[0])
+    center, _, fwhm = np.array(found).reshape(-1, 3).T
+    close = np.diff(center) < OVERLAP_FACTOR * np.maximum(fwhm[:-1], fwhm[1:])
+    overlapping = np.append(close, False) | np.insert(close, 0, False)
+    return [TransmissionDip(*dip, overlapping=flag) for dip, flag in zip(found, overlapping.tolist())]
 
 
 def eta_c_from_tmin(t_min: float, regime: str) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devicemodel import DeviceConfig, first_flagged, ring_frequency
+from .devicemodel import DeviceConfig, ring_frequency
 
 BRANCH_UPPER = "upper"
 BRANCH_LOWER = "lower"
@@ -83,16 +83,7 @@ def supermode_frequencies(omega1, omega2, kappa_12: float):
 
 def _ring1_fraction(delta, radius, kappa_12: float, branch: str):
     """Ring-1 energy fraction of one branch, from crossing_geometry's
-    delta and radius (see supermode_vectors)."""
-    k2 = kappa_12 * kappa_12
-    # R + |delta| is R - delta where it is selected, and never 0 elsewhere
-    t = np.where(delta < 0.0, k2 / (radius + np.abs(delta)), delta + radius)
-    t2 = t * t
-    return _float_or_array((t2 if branch == BRANCH_UPPER else k2) / (k2 + t2))
-
-
-def supermode_vectors(omega1, omega2, kappa_12: float):
-    """Energy fractions ((frac1, frac2) upper, (frac1, frac2) lower).
+    delta and radius.
 
     Eigenvectors of [[w1, k12], [k12, w2]]: the lower branch is
     proportional to (-k12, delta + R) with delta = (w1 - w2)/2 and
@@ -101,29 +92,24 @@ def supermode_vectors(omega1, omega2, kappa_12: float):
     complement.  delta + R is evaluated as k12^2/(R - delta) for
     delta < 0 to avoid cancellation.
     """
-    _check_kappa(kappa_12)
-    _, delta, radius = crossing_geometry(omega1, omega2, kappa_12)
-    upper, lower = (_ring1_fraction(delta, radius, kappa_12, branch) for branch in (BRANCH_UPPER, BRANCH_LOWER))
-    return (upper, 1.0 - upper), (lower, 1.0 - lower)
+    k2 = kappa_12 * kappa_12
+    # R + |delta| is R - delta where it is selected, and never 0 elsewhere
+    t = np.where(delta < 0.0, k2 / (radius + np.abs(delta)), delta + radius)
+    t2 = t * t
+    return _float_or_array((t2 if branch == BRANCH_UPPER else k2) / (k2 + t2))
 
 
-def effective_rates(frac1, frac2, kappa_ext: float, gamma1: float, gamma2: float):
-    """Branch rates (kappa_eff, gamma_eff, eta_c, tau_c) from ring fractions.
+def effective_rates(frac1, kappa_ext: float, gamma1: float, gamma2: float):
+    """Branch rates (kappa_eff, gamma_eff, eta_c, tau_c) from the branch's
+    ring-1 fraction; the rest of its energy is in ring 2.
 
     Only ring 1 couples to the bus, so kappa_eff = frac1*kappa_ext; the
     intrinsic rate is the fraction-weighted average of the ring rates.
     """
-    f1, f2 = np.asarray(frac1), np.asarray(frac2)
-    bad = (np.abs(f1 + f2 - 1.0) > 1e-9) | (f1 < 0.0) | (f2 < 0.0)
-    if bad.any():
-        raise ValueError(
-            "fractions must be normalized and non-negative, "
-            f"got ({first_flagged(bad, f1)}, {first_flagged(bad, f2)})"
-        )
     if kappa_ext <= 0 or gamma1 <= 0 or gamma2 <= 0:
         raise ValueError("rates must be positive")
     kappa_eff = frac1 * kappa_ext
-    gamma_eff = frac1 * gamma1 + frac2 * gamma2
+    gamma_eff = frac1 * gamma1 + (1.0 - frac1) * gamma2
     total = kappa_eff + gamma_eff
     return kappa_eff, gamma_eff, kappa_eff / total, 1.0 / total
 
@@ -141,8 +127,7 @@ def solve_branch(config: DeviceConfig, p1_mw, p2_mw, branch: str) -> SupermodeSo
         ring_frequency(config.ring1, p1_mw), ring_frequency(config.ring2, p2_mw), kappa_12
     )
     frac1 = _ring1_fraction(delta, radius, kappa_12, branch)
-    rates = effective_rates(frac1, 1.0 - frac1,
-                            config.coupling.kappa_ext, config.ring1.gamma_i, config.ring2.gamma_i)
+    rates = effective_rates(frac1, config.coupling.kappa_ext, config.ring1.gamma_i, config.ring2.gamma_i)
     return SupermodeSolution(mean + radius if branch == BRANCH_UPPER else mean - radius, frac1, *rates)
 
 

@@ -2,10 +2,19 @@ from pathlib import Path
 
 import pytest
 
+from ringlab.devicemodel import DeviceConfig, load_config
+
 
 @pytest.fixture(scope="session")
 def device_cfg_path() -> Path:
     return Path(__file__).resolve().parents[1] / "device.cfg"
+
+
+@pytest.fixture(scope="session")
+def cfg(device_cfg_path) -> DeviceConfig:
+    """The calibrated device of device.cfg; a DeviceConfig is frozen, so
+    every test can share this one."""
+    return load_config(device_cfg_path)
 
 
 @pytest.fixture

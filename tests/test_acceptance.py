@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from ringlab.cli import run as cli_run
-from ringlab.devicemodel import CouplingParams, default_config, detection_efficiency
+from ringlab.devicemodel import CouplingParams, detection_efficiency
 from ringlab.fitters import CROSSING_PARAMS, CrossingDataset, fit_avoided_crossing, weighted_linear_fit
 from ringlab.langevin import LangevinRun, analytic_psd, averaged_output_psd, shot_noise_calibration
 from ringlab.spectra import classify_regime, compute_trace, eta_c_from_tmin, find_dips, transmission
@@ -29,9 +29,8 @@ def report(number: int, ok: bool, detail: str, elapsed: float) -> None:
     assert ok, line
 
 
-def test_criterion_1_eta_tuning_range():
+def test_criterion_1_eta_tuning_range(cfg):
     start = time.monotonic()
-    cfg = default_config()
     etas = eta_c_vs_heater(cfg, "lower", np.arange(0.0, 50.0 + 0.25, 0.5), 10.0).eta_c
     elapsed = time.monotonic() - start
     ok = (
@@ -60,9 +59,9 @@ def test_criterion_2_squeezing_endpoints_join():
     report(2, ok, f"tau_c={tau_c * 1e9:.2f} ns joins on-chip {onchip_db:.2f} dB with measured {measured_db:.2f} dB", elapsed)
 
 
-def test_criterion_3_detection_budget():
+def test_criterion_3_detection_budget(cfg):
     start = time.monotonic()
-    eta_d = detection_efficiency(default_config().detection)
+    eta_d = detection_efficiency(cfg.detection)
     elapsed = time.monotonic() - start
     ok = abs(eta_d - 0.579) <= 0.005 and elapsed < 1.0
     report(3, ok, f"eta_d = {eta_d:.4f} (grating 0.85 x 0.7 dB lens x QE 0.80, ~60%)", elapsed)
@@ -96,9 +95,8 @@ def test_criterion_4_langevin_oracle_equivalence():
     report(4, ok, "simulated vs analytic PSD within 0.2 dB on [0, 3*Gamma]: " + ", ".join(details), elapsed)
 
 
-def test_criterion_5_cross_oracle_eta():
+def test_criterion_5_cross_oracle_eta(cfg):
     start = time.monotonic()
-    cfg = default_config()
     worst = 0.0
     for p1 in np.linspace(2.0, 50.0, 20):
         sol = solve_branch(cfg, p1, 10.0, "lower")
@@ -165,7 +163,7 @@ def test_criterion_7_shot_noise_linearity():
     report(7, ok, f"through-origin fit: slope={fit.slope:.4f}, R^2={fit.r_squared:.6f}", elapsed)
 
 
-def test_criterion_8_property_suites():
+def test_criterion_8_property_suites(cfg):
     start = time.monotonic()
     rng = np.random.default_rng(808)
     ok = True
@@ -193,7 +191,6 @@ def test_criterion_8_property_suites():
         ok &= (s_a > 1.0 - eta_c * eta_d) or omega_a == 0.0 or eta_c * eta_d == 0.0
 
     # passivity of the transmission model over random configs x frequency grids
-    cfg = default_config()
     for _ in range(300):
         test_cfg = dataclasses.replace(
             cfg,

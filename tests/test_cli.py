@@ -69,6 +69,12 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     assert out.strip() == "False"
 
 
+def test_every_export_resolves():
+    namespace = {}
+    exec("from ringlab import *", namespace)  # an AttributeError names a stale entry of __all__
+    assert all(namespace[name] is getattr(ringlab, name) for name in ringlab.__all__)
+
+
 # --- CSV io ------------------------------------------------------------------------
 
 
@@ -308,9 +314,7 @@ def test_float_cells_numpy_refuses_read_as_float_does(text, values):
     n = len(values) // 2
     expected = {"a": values[:n], "b": values[n:]}
     assert_columns(reference_read(text), expected)
-    # from a stream read again from its start, a list, and a generator read once
-    for lines in (io.StringIO(text), io.StringIO(text).readlines(), iter(io.StringIO(text).readlines())):
-        assert_columns(parse_csv(lines, {"a": float, "b": float}), expected)
+    assert_columns(parse_csv(io.StringIO(text), {"a": float, "b": float}), expected)  # read again from its start
 
 
 def test_float_table_edge_cases_keep_their_reading():
@@ -546,6 +550,19 @@ def test_roll_off_overflow_prints_only_the_summary(tau_c):
     assert done.returncode == 0
     assert done.stdout == "f_hz,s_linear,s_db,squeezing_factor_db\n10000000000,1,0,-0\n"
     assert done.stderr == "squeeze-spectrum: minimum 0 dB at f=10000000000 Hz\n"
+
+
+@pytest.mark.parametrize("margin, status, stderr", [
+    ("1e150", 0, "transmission: 4001 points, 0 dip(s)\n"),  # d1*d2 overflows: the far-detuned limit T = 1
+    ("1e300", 5, "ringlab: error: numeric: probe grid too far from the resonances: "),  # T is not finite
+], ids=["1e150", "1e300"])
+def test_far_probe_grid_prints_one_line(margin, status, stderr, device_cfg_path, tmp_path):
+    argv = ["transmission", "--config", str(device_cfg_path), "--p1", "40", "--p2", "10",
+            "--margin-linewidths", margin, "--out", str(tmp_path / "t.csv")]
+    env = {**os.environ, "PYTHONPATH": str(Path(ringlab.__file__).parents[1]), "PYTHONWARNINGS": "default"}
+    done = subprocess.run([sys.executable, "-m", "ringlab.cli", *argv], capture_output=True, text=True, env=env)
+    assert done.returncode == status
+    assert done.stderr.startswith(stderr) and done.stderr.count("\n") == 1
 
 
 def test_squeeze_sweep_output(device_cfg_path, tmp_path):

@@ -11,8 +11,8 @@ from ringlab.devicemodel import (
     DetectionChain,
     DeviceConfig,
     HeaterModel,
+    RingParams,
     db_loss_to_efficiency,
-    default_config,
     detection_efficiency,
     heater_detuning,
     load_config,
@@ -27,34 +27,28 @@ MHZ = 2.0 * math.pi * 1e6
 # --- validation ---------------------------------------------------------------
 
 
-def test_default_config_is_valid():
-    cfg = default_config()
-    assert dataclasses.replace(cfg) == cfg
-
-
-def test_direct_construction_is_checked():
-    cfg = default_config()
+def test_direct_construction_is_checked(cfg):
     with pytest.raises(ConfigError, match=r"^pump\.wavelength_nm: pump wavelength must be positive$"):
         DeviceConfig(cfg.ring1, cfg.ring2, cfg.coupling, cfg.detection, math.nan)
 
 
-def test_zero_intrinsic_loss_rejected():
-    bad_ring = dataclasses.replace(default_config().ring1, gamma_i=0.0)
+def test_zero_intrinsic_loss_rejected(cfg):
+    bad_ring = dataclasses.replace(cfg.ring1, gamma_i=0.0)
     with pytest.raises(ConfigError, match="ring1.gamma_i: intrinsic loss must be positive"):
-        dataclasses.replace(default_config(), ring1=bad_ring)
+        dataclasses.replace(cfg, ring1=bad_ring)
 
 
-def test_stage_efficiency_above_one_rejected():
+def test_stage_efficiency_above_one_rejected(cfg):
     chain = DetectionChain(stages=(("grating", 0.85), ("lens", 1.2)))
     with pytest.raises(ConfigError, match="detection.lens"):
-        dataclasses.replace(default_config(), detection=chain)
+        dataclasses.replace(cfg, detection=chain)
 
 
-def test_nonpositive_rates_rejected():
+def test_nonpositive_rates_rejected(cfg):
     with pytest.raises(ConfigError, match="coupling.kappa_12"):
-        dataclasses.replace(default_config(), coupling=CouplingParams(kappa_ext=1e6, kappa_12=0.0))
+        dataclasses.replace(cfg, coupling=CouplingParams(kappa_ext=1e6, kappa_12=0.0))
     with pytest.raises(ConfigError, match="coupling.kappa_ext"):
-        dataclasses.replace(default_config(), coupling=CouplingParams(kappa_ext=-1e6, kappa_12=1e6))
+        dataclasses.replace(cfg, coupling=CouplingParams(kappa_ext=-1e6, kappa_12=1e6))
 
 
 # --- heater map ---------------------------------------------------------------
@@ -148,12 +142,18 @@ wavelength_nm = 1561.1
 """
 
 
-def test_shipped_config_matches_calibrated_default(device_cfg_path):
-    assert load_config(device_cfg_path) == default_config()
-
-
 def test_parse_valid_text_matches_default():
-    assert parse_config(VALID_TEXT) == default_config()
+    # every value in internal units, by the conversions the module docstring states
+    omega_pump = 2.0 * math.pi * 299792458.0 / (1561.1 * 1e-9)
+    heater = HeaterModel(alpha=30.0 * MHZ, p_max_mw=100.0)
+    expected = DeviceConfig(
+        ring1=RingParams(radius_um=115.0, omega0=omega_pump + 750.0 * MHZ, gamma_i=2.0 * MHZ, heater=heater),
+        ring2=RingParams(radius_um=115.0, omega0=omega_pump + 300.0 * MHZ, gamma_i=2.0 * MHZ, heater=heater),
+        coupling=CouplingParams(kappa_ext=5.0 * MHZ, kappa_12=150.0 * MHZ),
+        detection=DetectionChain(stages=(("grating", 0.85), ("lens", 10.0 ** (-0.7 / 10.0)), ("photodiode", 0.80))),
+        pump_wavelength_nm=1561.1,
+    )
+    assert parse_config(VALID_TEXT) == expected
 
 
 def test_parse_units():

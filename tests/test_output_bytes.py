@@ -3,21 +3,29 @@ tables, a dip report of no dips, a table written to stdout, and the help
 pages and usage errors, against pinned digests.
 
 The digests are sha256 of each command's CSV output and of its stderr, as
-the commands write them on CPython 3.11, numpy 2.4 and scipy 1.17, on an
-x86-64 host where numpy dispatches its AVX-512 kernels: numpy's log10 has
-an AVX-512 kernel, and its other path rounds the last bit of some dB
-cells differently.  A refactor that keeps the output contract keeps them;
-a change that moves any output byte on purpose must say why and record new
-digests.
+the commands write them on CPython 3.11, numpy 2.4 and scipy 1.17 on
+x86-64.  numpy's log10 has an AVX-512 kernel (dispatch target X86_V4)
+that rounds the last bit of some dB cells unlike its other path, so the
+three tables with dB cells have one digest per path; a host with AVX-512
+checks the other path in a subprocess with the kernel turned off.  A
+refactor that keeps the output contract keeps them; a change that moves
+any output byte on purpose must say why and record new digests.
 The small runs take about 0.06 s, plus the first import of scipy.signal;
-the two large tables about 0.2 s.
+the two large tables about 0.2 s; the subprocess about 2 s.
 """
 
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
+import ringlab
 from ringlab.cli import run
 
 MHZ = 2.0 * math.pi * 1e6
@@ -61,6 +69,16 @@ DIGESTS = {
     "dips.csv": "bacdbef93f051ba4f30d57e5271733ad65ebe9a0fff5ad91dd705aece7b3faa7",
 }
 
+# The dB tables where numpy's log10 takes its path without the X86_V4
+# kernel; DIGESTS holds those written with it.  Their stderr is the same on
+# both paths.
+NO_X86_V4_DIGESTS = {
+    "squeeze-sweep.csv": "d66e5511b00d782698ca8ad5533594558f276d9155d1da9532637b47dbccc43b",
+    "squeeze-spectrum.csv": "25b8ef6f803cad6eaebfe4bbf288c824392dcfd8693531b26f51d82876d37d33",
+    "langevin-verify.csv": "94cc7001db7d0cf587952ed29c7219d8bbb2054a6fcc8dbad2aabda4cade8e0e",
+}
+NO_X86_V4 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}  # turns the kernel off
+
 # Tables of 40 000+ rows, one with a string column, which every row of the
 # CSV writer's loop passes through.
 LARGE_COMMANDS = [
@@ -96,7 +114,17 @@ def output_digests(cfg, directory, capsys, commands) -> dict[str, str]:
 def test_outputs_match_pinned_digests(device_cfg_path, tmp_path, capsys):
     got = output_digests(device_cfg_path, tmp_path, capsys, COMMANDS)
     got["dips.csv"] = sha256((tmp_path / "dips.csv").read_bytes())
-    assert got == DIGESTS
+    assert got == (DIGESTS if __cpu_features__["X86_V4"] else DIGESTS | NO_X86_V4_DIGESTS)
+
+
+@pytest.mark.skipif("X86_V4" not in __cpu_dispatch__, reason="numpy has no X86_V4 dispatch target here")
+def test_db_tables_without_the_x86_v4_kernel_match_their_digests(device_cfg_path, tmp_path):
+    runs = [[*(arg.format(cfg=device_cfg_path, dir=tmp_path) for arg in args), "--out", str(tmp_path / f"{name}.csv")]
+            for name, args in COMMANDS if f"{name}.csv" in NO_X86_V4_DIGESTS]
+    code = "import json, sys; from ringlab.cli import run; sys.exit(max(map(run, json.loads(sys.argv[1]))))"
+    env = {**os.environ, **NO_X86_V4, "PYTHONPATH": str(Path(ringlab.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code, json.dumps(runs)], capture_output=True, env=env, check=True)
+    assert {name: sha256((tmp_path / name).read_bytes()) for name in NO_X86_V4_DIGESTS} == NO_X86_V4_DIGESTS
 
 
 def test_large_tables_match_pinned_digests(device_cfg_path, tmp_path, capsys):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ringlab.devicemodel import CouplingParams, default_config
+from ringlab.devicemodel import CouplingParams
 from ringlab.spectra import (
     REGIME_INDETERMINATE,
     REGIME_OVERCOUPLED,
@@ -40,16 +40,14 @@ def test_single_ring_critical_coupling():
     assert bus_transmission(1e15, 1e15, 9e14, gamma, gamma, gamma, 0.0) == pytest.approx(0.0, abs=1e-25)
 
 
-def test_far_off_resonance_transmission_is_unity():
-    cfg = default_config()
+def test_far_off_resonance_transmission_is_unity(cfg):
     omega = solve_branch(cfg, 25.0, 10.0, "upper").omega + 1e12  # detuned by >> all rates
     assert transmission(cfg, (25.0, 10.0), omega) == pytest.approx(1.0, abs=1e-5)
 
 
-def test_symmetric_point_matches_single_mode_minimum():
+def test_symmetric_point_matches_single_mode_minimum(cfg):
     # at the crossing each dip behaves as one mode with kappa_ext/2 and the
     # mean intrinsic rate; compare the exact trace minimum to that formula
-    cfg = default_config()
     upper, _ = solve_both(cfg, 25.0, 10.0)
     t_two_ring = transmission(cfg, (25.0, 10.0), upper.omega)
     kappa_eff = 0.5 * cfg.coupling.kappa_ext
@@ -58,8 +56,7 @@ def test_symmetric_point_matches_single_mode_minimum():
     assert t_two_ring == pytest.approx(t_single, rel=0.05)
 
 
-def test_symmetric_point_even_in_probe_detuning():
-    cfg = default_config()  # gamma1 == gamma2
+def test_symmetric_point_even_in_probe_detuning(cfg):  # cfg has gamma1 == gamma2
     omega1 = solve_branch(cfg, 25.0, 10.0, "upper").omega
     omega2 = solve_branch(cfg, 25.0, 10.0, "lower").omega
     center = 0.5 * (omega1 + omega2)
@@ -69,9 +66,8 @@ def test_symmetric_point_even_in_probe_detuning():
         assert left == pytest.approx(right, rel=1e-10)
 
 
-def test_passivity_over_random_configs():
+def test_passivity_over_random_configs(cfg):
     rng = np.random.default_rng(41)
-    cfg = default_config()
     for _ in range(200):
         test_cfg = dataclasses.replace(
             cfg,
@@ -109,8 +105,7 @@ def test_find_dips_flat_trace_is_empty():
     assert find_dips(TransmissionTrace(omega_grid=omega, t_power=np.ones(101))) == []
 
 
-def test_find_dips_two_ring_trace_near_crossing():
-    cfg = default_config()
+def test_find_dips_two_ring_trace_near_crossing(cfg):
     upper, lower = solve_both(cfg, 25.0, 10.0)
     trace = compute_trace(
         cfg, 25.0, 10.0, np.linspace(lower.omega - 4e8, upper.omega + 4e8, 120001)
@@ -230,22 +225,19 @@ def _dip_for_branch(cfg, p1, p2, branch):
     return find_dips(compute_trace(cfg, p1, p2, grid))[0]
 
 
-def test_classify_overcoupled_branch():
-    cfg = default_config()
+def test_classify_overcoupled_branch(cfg):
     dip = _dip_for_branch(cfg, 50.0, 10.0, "lower")  # frac1 ~ 0.99, kappa_ext = 2.5*gamma
     assert classify_regime(cfg, (50.0, 10.0), dip) == REGIME_OVERCOUPLED
 
 
-def test_classify_undercoupled_branch():
-    cfg = default_config()
+def test_classify_undercoupled_branch(cfg):
     dip = _dip_for_branch(cfg, 0.0, 10.0, "lower")  # frac1 small: kappa_eff < gamma_eff
     assert classify_regime(cfg, (0.0, 10.0), dip) == REGIME_UNDERCOUPLED
 
 
-def test_classify_exact_critical_tie_break():
+def test_classify_exact_critical_tie_break(cfg):
     # kappa_ext = gamma1 + gamma2 makes kappa_eff == gamma_eff exactly at the
     # symmetric point; the documented tie-break is undercoupled
-    cfg = default_config()
     critical = dataclasses.replace(
         cfg,
         coupling=CouplingParams(
@@ -259,15 +251,13 @@ def test_classify_exact_critical_tie_break():
     assert classify_regime(critical, (25.0, 10.0), dip) == REGIME_UNDERCOUPLED
 
 
-def test_classify_requires_nearby_branch():
-    cfg = default_config()
+def test_classify_requires_nearby_branch(cfg):
     dip = TransmissionDip(omega_center=1.0e15, t_min=0.2, fwhm=1e7)
     with pytest.raises(ValueError, match="no supermode branch"):
         classify_regime(cfg, (25.0, 10.0), dip)
 
 
-def test_tmin_roundtrip_against_effective_rates():
-    cfg = default_config()
+def test_tmin_roundtrip_against_effective_rates(cfg):
     for p1 in (10.0, 30.0, 45.0):
         sol = solve_branch(cfg, p1, 10.0, "lower")
         dip = _dip_for_branch(cfg, p1, 10.0, "lower")

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ringlab.devicemodel import DetectionChain, default_config, detection_efficiency
+from ringlab.devicemodel import DetectionChain, detection_efficiency
 from ringlab.squeezing import (
     db_from_linear,
     infer_onchip,
@@ -188,8 +188,7 @@ def test_lower_bound_with_equality_only_at_zero_sideband():
 # --- sweep composition ------------------------------------------------------------
 
 
-def test_sweep_monotone_and_endpoints():
-    cfg = default_config()
+def test_sweep_monotone_and_endpoints(cfg):
     sweep = squeezing_vs_coupling(cfg, "lower", np.arange(0.0, 50.5, 0.5), 10.0)
     etas, measured, onchip = sweep.eta_c, sweep.s_measured_db, sweep.s_onchip_db
     assert np.all(np.diff(etas) > 0)
@@ -203,8 +202,8 @@ def test_sweep_monotone_and_endpoints():
     assert measured[-1] == pytest.approx(-1.8, abs=0.15)
 
 
-def test_sweep_collapses_when_detection_is_perfect():
-    cfg = dataclasses.replace(default_config(), detection=DetectionChain(stages=(("ideal", 1.0),)))
+def test_sweep_collapses_when_detection_is_perfect(cfg):
+    cfg = dataclasses.replace(cfg, detection=DetectionChain(stages=(("ideal", 1.0),)))
     assert detection_efficiency(cfg.detection) == 1.0
     sweep = squeezing_vs_coupling(cfg, "lower", np.linspace(0, 50, 11), 10.0)
     assert sweep.s_measured_db == pytest.approx(sweep.s_onchip_db, rel=1e-12)

@@ -7,18 +7,31 @@ import numpy as np
 import pytest
 
 from ringlab import supermodes
-from ringlab.devicemodel import CouplingParams, default_config, ring_frequency
+from ringlab.devicemodel import CouplingParams, ring_frequency
 from ringlab.supermodes import (
+    crossing_geometry,
     effective_rates,
     eta_c_vs_heater,
     solve_both,
     solve_branch,
     supermode_frequencies,
-    supermode_vectors,
 )
 
 MHZ = 2.0 * math.pi * 1e6
 EPS = np.finfo(float).eps
+
+
+def ring1_fractions(cfg, omega1, omega2, kappa_12):
+    """(upper, lower) ring-1 fractions of solve_branch on `cfg` with its
+    rings at omega1 and omega2 (zero heater power) and inter-ring coupling
+    kappa_12."""
+    device = dataclasses.replace(
+        cfg,
+        ring1=dataclasses.replace(cfg.ring1, omega0=omega1),
+        ring2=dataclasses.replace(cfg.ring2, omega0=omega2),
+        coupling=dataclasses.replace(cfg.coupling, kappa_12=kappa_12),
+    )
+    return tuple(solve_branch(device, 0.0, 0.0, branch).frac1 for branch in ("upper", "lower"))
 
 
 def random_draw(rng):
@@ -58,7 +71,7 @@ def test_rejects_nonpositive_coupling():
     with pytest.raises(ValueError):
         supermode_frequencies(1.0, 2.0, 0.0)
     with pytest.raises(ValueError):
-        supermode_vectors(1.0, 2.0, -1.0)
+        supermode_frequencies(1.0, 2.0, -1.0)
 
 
 def test_trace_identity_property():
@@ -89,34 +102,31 @@ def test_splitting_bound_property():
 # --- branch fractions -----------------------------------------------------------
 
 
-def test_fractions_symmetric_point():
-    (f1_up, f2_up), (f1_low, f2_low) = supermode_vectors(1e15, 1e15, 1e9)
+def test_fractions_symmetric_point(cfg):
+    f1_up, f1_low = ring1_fractions(cfg, 1e15, 1e15, 1e9)
     assert f1_up == pytest.approx(0.5, abs=1e-15)
-    assert f2_up == pytest.approx(0.5, abs=1e-15)
     assert f1_low == pytest.approx(0.5, abs=1e-15)
-    assert f2_low == pytest.approx(0.5, abs=1e-15)
 
 
-def test_fractions_decoupled_limits():
+def test_fractions_decoupled_limits(cfg):
     kappa = 1e6
     # ring 1 far blue of ring 2: lower branch lives in ring 2
-    _, (f1_low, f2_low) = supermode_vectors(1e15 + 1e12, 1e15, kappa)
-    assert f1_low < 1e-9 and f2_low > 1.0 - 1e-9
+    _, f1_low = ring1_fractions(cfg, 1e15 + 1e12, 1e15, kappa)
+    assert f1_low < 1e-9
     # ring 1 far red of ring 2: lower branch lives in ring 1
-    _, (f1_low, f2_low) = supermode_vectors(1e15 - 1e12, 1e15, kappa)
-    assert f1_low > 1.0 - 1e-9 and f2_low < 1e-9
+    _, f1_low = ring1_fractions(cfg, 1e15 - 1e12, 1e15, kappa)
+    assert f1_low > 1.0 - 1e-9
 
 
-def test_fractions_at_detuning_equal_to_two_kappa_halves():
+def test_fractions_at_detuning_equal_to_two_kappa_halves(cfg):
     # omega1 - omega2 = 2*kappa: closed form gives (2-sqrt(2))/4 on the lower branch
     kappa = 1e9
-    (f1_up, f2_up), (f1_low, f2_low) = supermode_vectors(1e15 + kappa, 1e15 - kappa, kappa)
+    f1_up, f1_low = ring1_fractions(cfg, 1e15 + kappa, 1e15 - kappa, kappa)
     assert f1_low == pytest.approx(0.5 - math.sqrt(2.0) / 4.0, abs=1e-12)  # 0.146446...
-    assert f2_low == pytest.approx(0.5 + math.sqrt(2.0) / 4.0, abs=1e-12)  # 0.853553...
-    assert f1_up == pytest.approx(f2_low, abs=1e-12)
+    assert f1_up == pytest.approx(0.5 + math.sqrt(2.0) / 4.0, abs=1e-12)  # 0.853553...
 
 
-def test_fractions_match_numerical_eigensolver():
+def test_fractions_match_numerical_eigensolver(cfg):
     rng = np.random.default_rng(7)
     for _ in range(200):
         omega1, omega2, kappa = random_draw(rng)
@@ -127,19 +137,17 @@ def test_fractions_match_numerical_eigensolver():
         plus, minus = supermode_frequencies(omega1, omega2, kappa)
         assert minus == pytest.approx(values[0] + mean, rel=1e-12)
         assert plus == pytest.approx(values[1] + mean, rel=1e-12)
-        (f1_up, _), (f1_low, _) = supermode_vectors(omega1, omega2, kappa)
+        f1_up, f1_low = ring1_fractions(cfg, omega1, omega2, kappa)
         assert f1_low == pytest.approx(vectors[0, 0] ** 2, abs=1e-9)
         assert f1_up == pytest.approx(vectors[0, 1] ** 2, abs=1e-9)
 
 
-def test_branch_fraction_orthogonality():
+def test_branch_fraction_orthogonality(cfg):
     rng = np.random.default_rng(8)
     for _ in range(1000):
         omega1, omega2, kappa = random_draw(rng)
-        (f1_up, f2_up), (f1_low, f2_low) = supermode_vectors(omega1, omega2, kappa)
+        f1_up, f1_low = ring1_fractions(cfg, omega1, omega2, kappa)
         assert f1_up + f1_low == pytest.approx(1.0, abs=1e-12)
-        assert abs(f1_up + f2_up - 1.0) <= 1e-12
-        assert abs(f1_low + f2_low - 1.0) <= 1e-12
         assert 0.0 <= f1_up <= 1.0 and 0.0 <= f1_low <= 1.0
 
 
@@ -148,7 +156,7 @@ def test_branch_fraction_orthogonality():
 
 def test_effective_rates_single_ring_limit():
     gamma, kappa_ext = 2.0 * MHZ, 5.0 * MHZ
-    kappa_eff, gamma_eff, eta_c, tau_c = effective_rates(1.0, 0.0, kappa_ext, gamma, gamma)
+    kappa_eff, gamma_eff, eta_c, tau_c = effective_rates(1.0, kappa_ext, gamma, gamma)
     assert kappa_eff == kappa_ext
     assert gamma_eff == pytest.approx(gamma)
     assert eta_c == pytest.approx(kappa_ext / (kappa_ext + gamma), rel=1e-15)
@@ -156,42 +164,34 @@ def test_effective_rates_single_ring_limit():
 
 
 def test_effective_rates_dark_supermode():
-    kappa_eff, _, eta_c, _ = effective_rates(0.0, 1.0, 5.0 * MHZ, 2.0 * MHZ, 2.0 * MHZ)
+    kappa_eff, _, eta_c, _ = effective_rates(0.0, 5.0 * MHZ, 2.0 * MHZ, 2.0 * MHZ)
     assert kappa_eff == 0.0
     assert eta_c == 0.0
 
 
 def test_effective_rates_half_fraction():
     gamma = 2.0 * MHZ
-    _, _, eta_c, _ = effective_rates(0.5, 0.5, 3.0 * gamma, gamma, gamma)
+    _, _, eta_c, _ = effective_rates(0.5, 3.0 * gamma, gamma, gamma)
     assert eta_c == pytest.approx(0.6, rel=1e-15)
-
-
-def test_effective_rates_rejects_unnormalized_fractions():
-    with pytest.raises(ValueError):
-        effective_rates(0.6, 0.6, 1.0, 1.0, 1.0)
 
 
 # --- heater sweep ---------------------------------------------------------------
 
 
-def test_lower_branch_sweep_spans_observable_range():
-    cfg = default_config()
+def test_lower_branch_sweep_spans_observable_range(cfg):
     etas = eta_c_vs_heater(cfg, "lower", np.arange(0.0, 50.0 + 0.25, 0.5), 10.0).eta_c
     assert etas[0] == pytest.approx(0.082, abs=0.002)
     assert etas[-1] == pytest.approx(0.707, abs=0.002)
     assert np.all(np.diff(etas) > 0)
 
 
-def test_sweep_eta_bounded_by_bus_coupling():
-    cfg = default_config()
+def test_sweep_eta_bounded_by_bus_coupling(cfg):
     bound = cfg.coupling.kappa_ext / (cfg.coupling.kappa_ext + min(cfg.ring1.gamma_i, cfg.ring2.gamma_i))
     for branch in ("lower", "upper"):
         assert np.all(eta_c_vs_heater(cfg, branch, np.linspace(0, 100, 41), 10.0).eta_c <= bound + 1e-12)
 
 
-def test_strong_coupling_pins_eta():
-    cfg = default_config()
+def test_strong_coupling_pins_eta(cfg):
     strong = dataclasses.replace(cfg, coupling=CouplingParams(kappa_ext=cfg.coupling.kappa_ext, kappa_12=1e13))
     gamma_bar = 0.5 * (strong.ring1.gamma_i + strong.ring2.gamma_i)
     expected = 0.5 * strong.coupling.kappa_ext / (0.5 * strong.coupling.kappa_ext + gamma_bar)
@@ -199,25 +199,22 @@ def test_strong_coupling_pins_eta():
     assert etas == pytest.approx(np.full(11, expected), abs=1e-4)
 
 
-def test_symmetric_point_matches_half_fractions():
-    cfg = default_config()
+def test_symmetric_point_matches_half_fractions(cfg):
     sol = solve_branch(cfg, 25.0, 10.0, "lower")  # crossing of the calibrated default
     kappa_eff, gamma_eff, eta_c, tau_c = effective_rates(
-        0.5, 0.5, cfg.coupling.kappa_ext, cfg.ring1.gamma_i, cfg.ring2.gamma_i
+        0.5, cfg.coupling.kappa_ext, cfg.ring1.gamma_i, cfg.ring2.gamma_i
     )
     assert sol.frac1 == pytest.approx(0.5, abs=1e-9)
     assert sol.eta_c == pytest.approx(eta_c, abs=1e-9)
     assert sol.tau_c == pytest.approx(tau_c, rel=1e-9)
 
 
-def test_sweep_propagates_heater_range_error():
-    cfg = default_config()
+def test_sweep_propagates_heater_range_error(cfg):
     with pytest.raises(ValueError):
         eta_c_vs_heater(cfg, "lower", [0.0, 200.0], 10.0)
 
 
-def test_array_solution_matches_scalar_calls_bit_for_bit():
-    cfg = default_config()
+def test_array_solution_matches_scalar_calls_bit_for_bit(cfg):
     # both tails and the crossing at p1 = 25 mW, with off-grid spacing
     grid = np.linspace(0.0, 100.0, 2001) + 0.0037
     grid[-1] = 100.0
@@ -233,23 +230,20 @@ def test_array_solution_matches_scalar_calls_bit_for_bit():
 
 
 def two_branch_path(cfg, p1, p2) -> dict:
-    """Each branch's fields from supermode_frequencies, supermode_vectors
-    and effective_rates, all evaluated for both branches at once."""
+    """Each branch's fields from supermode_frequencies, the ring-1 fraction
+    of each branch from one crossing_geometry, and effective_rates."""
     omega1, omega2 = ring_frequency(cfg.ring1, p1), ring_frequency(cfg.ring2, p2)
     kappa_12 = cfg.coupling.kappa_12
+    _, delta, radius = crossing_geometry(omega1, omega2, kappa_12)
     rates = (cfg.coupling.kappa_ext, cfg.ring1.gamma_i, cfg.ring2.gamma_i)
     return {
-        branch: (omega, frac1, *effective_rates(frac1, frac2, *rates))
-        for branch, omega, (frac1, frac2) in zip(
-            ("upper", "lower"),
-            supermode_frequencies(omega1, omega2, kappa_12),
-            supermode_vectors(omega1, omega2, kappa_12),
-        )
+        branch: (omega, frac1, *effective_rates(frac1, *rates))
+        for branch, omega in zip(("upper", "lower"), supermode_frequencies(omega1, omega2, kappa_12))
+        for frac1 in [supermodes._ring1_fraction(delta, radius, kappa_12, branch)]
     }
 
 
-def test_solves_match_the_two_branch_path_bit_for_bit():
-    cfg = default_config()
+def test_solves_match_the_two_branch_path_bit_for_bit(cfg):
     rng = np.random.default_rng(4242)
     scalars = rng.uniform(0.0, 100.0, 30)
     grids = [rng.uniform(0.0, 100.0, 400), np.linspace(0.0, 100.0, 1001) + rng.uniform(0.0, 0.1)]
@@ -270,17 +264,15 @@ def test_solves_match_the_two_branch_path_bit_for_bit():
                         assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (branch, name)
 
 
-def test_one_branch_solve_evaluates_the_geometry_once(count_calls):
+def test_one_branch_solve_evaluates_the_geometry_once(cfg, count_calls):
     calls = count_calls(supermodes, "crossing_geometry", "effective_rates")
-    cfg = default_config()
     solve_branch(cfg, np.linspace(0.0, 50.0, 101), 10.0, "lower")
     assert calls == {"crossing_geometry": 1, "effective_rates": 1}
     solve_both(cfg, 25.0, 10.0)
     assert calls == {"crossing_geometry": 3, "effective_rates": 3}
 
 
-def test_array_heater_error_names_first_offending_power():
-    cfg = default_config()
+def test_array_heater_error_names_first_offending_power(cfg):
     grid = np.array([10.0, 40.0, 120.5, -3.0, 200.0])
     with pytest.raises(ValueError) as scalar_error:
         for p1 in grid:
@@ -290,8 +282,7 @@ def test_array_heater_error_names_first_offending_power():
     assert str(array_error.value) == str(scalar_error.value) == "heater power 120.5 mW outside [0, 100.0] mW"
 
 
-def test_solution_invariants():
-    cfg = default_config()
+def test_solution_invariants(cfg):
     for p1 in (0.0, 12.5, 25.0, 40.0, 50.0):
         for branch in ("upper", "lower"):
             sol = solve_branch(cfg, p1, 10.0, branch)
