@@ -200,7 +200,7 @@ def test_strong_coupling_pins_eta(cfg):
 
 
 def test_symmetric_point_matches_half_fractions(cfg):
-    sol = solve_branch(cfg, 25.0, 10.0, "lower")  # crossing of the calibrated default
+    sol = solve_branch(cfg, 25.0, 10.0, "lower")  # crossing of the calibrated device
     kappa_eff, gamma_eff, eta_c, tau_c = effective_rates(
         0.5, cfg.coupling.kappa_ext, cfg.ring1.gamma_i, cfg.ring2.gamma_i
     )
@@ -236,11 +236,11 @@ def two_branch_path(cfg, p1, p2) -> dict:
     kappa_12 = cfg.coupling.kappa_12
     _, delta, radius = crossing_geometry(omega1, omega2, kappa_12)
     rates = (cfg.coupling.kappa_ext, cfg.ring1.gamma_i, cfg.ring2.gamma_i)
-    return {
-        branch: (omega, frac1, *effective_rates(frac1, *rates))
-        for branch, omega in zip(("upper", "lower"), supermode_frequencies(omega1, omega2, kappa_12))
-        for frac1 in [supermodes._ring1_fraction(delta, radius, kappa_12, branch)]
-    }
+    path = {}
+    for branch, omega in zip(("upper", "lower"), supermode_frequencies(omega1, omega2, kappa_12)):
+        frac1 = supermodes._ring1_fraction(delta, radius, kappa_12, branch)
+        path[branch] = (omega, frac1, *effective_rates(frac1, *rates))
+    return path
 
 
 def test_solves_match_the_two_branch_path_bit_for_bit(cfg):
