@@ -17,15 +17,14 @@ from .devicemodel import (
     HeaterModel,
     RingParams,
     detection_efficiency,
-    heater_detuning,
     load_config,
 )
 from .errors import ConfigError, DataError, FitError
 from .fitters import CrossingDataset, FitResult, fit_avoided_crossing, fit_lorentzian_dip, weighted_linear_fit
 from .langevin import LangevinRun, NoiseSpectrum, analytic_psd, output_psd, simulate_difference_quadrature
-from .spectra import TransmissionDip, TransmissionTrace, eta_c_from_tmin, find_dips, transmission
+from .spectra import TransmissionDip, TransmissionTrace, eta_c_from_tmin, find_dips
 from .squeezing import infer_onchip, squeezing_level, squeezing_vs_coupling
-from .supermodes import SupermodeSolution, effective_rates, eta_c_vs_heater, supermode_frequencies
+from .supermodes import SupermodeSolution, effective_rates, eta_c_vs_heater
 
 __version__ = "0.1.0"
 
@@ -53,14 +52,11 @@ __all__ = [
     "find_dips",
     "fit_avoided_crossing",
     "fit_lorentzian_dip",
-    "heater_detuning",
     "infer_onchip",
     "load_config",
     "output_psd",
     "simulate_difference_quadrature",
     "squeezing_level",
     "squeezing_vs_coupling",
-    "supermode_frequencies",
-    "transmission",
     "weighted_linear_fit",
 ]

@@ -210,8 +210,8 @@ def cmd_crossing_sweep(args) -> int:
     config = devicemodel.load_config(args.config)
     omega1 = devicemodel.ring_frequency(config.ring1, args.p1)
     omega2 = devicemodel.ring_frequency(config.ring2, args.p2)
-    upper, lower = supermodes.supermode_frequencies(omega1, omega2, config.coupling.kappa_12)
-    omega = np.column_stack([lower, upper]).ravel()
+    mean, _, radius = supermodes.crossing_geometry(omega1, omega2, config.coupling.kappa_12)
+    omega = np.column_stack([mean - radius, mean + radius]).ravel()
     _write_table(args.out, ["p1_mw", "p2_mw", "branch", "resonance_rad_s"], (
         np.repeat(args.p1, 2), args.p2, ("lower", "upper") * args.p1.size, omega,
     ))
@@ -481,10 +481,7 @@ def run(argv=None) -> int:
     except ConfigError as exc:
         _error("config", exc)
         return 3
-    except DataError as exc:
-        _error("data", exc)
-        return 4
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         _error("data", exc)
         return 4
     except (FitError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:

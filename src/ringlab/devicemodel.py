@@ -192,26 +192,16 @@ def readonly_array(values) -> np.ndarray:
     return arr
 
 
-def heater_detuning(heater: HeaterModel, power_mw):
-    """Resonance shift (rad/s) produced by the given heater power(s).
-
-    Positive power red-shifts, so the returned detuning is -alpha*power.
-    The ring resonance at power P is omega0 + heater_detuning(heater, P).
-    power_mw is a scalar or an array; out of range, the error names the
-    first offending power.
-    """
-    power = np.asarray(power_mw)
-    bad = first_flagged(~((0.0 <= power) & (power <= heater.p_max_mw)), power)
-    if bad is not None:
-        raise ValueError(
-            f"heater power {bad} mW outside [0, {heater.p_max_mw}] mW"
-        )
-    return -heater.alpha * power_mw
-
-
 def ring_frequency(ring: RingParams, power_mw):
-    """Heater-shifted resonance frequency of one ring, rad/s (scalar or array)."""
-    return ring.omega0 + heater_detuning(ring.heater, power_mw)
+    """Heater-shifted resonance frequency of one ring, rad/s: positive power
+    red-shifts it to omega0 - alpha*power.  power_mw is a scalar or an
+    array; out of range, the error names the first offending power."""
+    p_max = ring.heater.p_max_mw
+    power = np.asarray(power_mw)
+    bad = first_flagged(~((0.0 <= power) & (power <= p_max)), power)
+    if bad is not None:
+        raise ValueError(f"heater power {bad} mW outside [0, {p_max}] mW")
+    return ring.omega0 + -ring.heater.alpha * power_mw
 
 
 def detection_efficiency(chain: DetectionChain) -> float:

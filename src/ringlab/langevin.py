@@ -107,7 +107,9 @@ class NoiseSpectrum:
 
 
 def trajectory_generators(seed: int, trajectory: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """(external, internal) noise generators for one trajectory."""
+    """Two independent generators for stream `trajectory` of `seed`: one
+    trajectory's (external, internal) noise, or one shot-cal power's two
+    photocurrents."""
     children = np.random.SeedSequence(entropy=seed, spawn_key=(trajectory,)).spawn(2)
     return np.random.default_rng(children[0]), np.random.default_rng(children[1])
 
@@ -138,13 +140,10 @@ def integrate_difference_quadrature(
     w = np.sqrt(gamma_total - kappa_eff) * dw_int
     del dw_int
     w += np.sqrt(kappa_eff) * dw_ext
-    # x[k] = a*x[k-1] + w[k-1]; lfilter realizes y[k] = a*y[k-1] + w[k]
-    y = lfilter([1.0], [1.0, -a], w, zi=np.array([a * x0]))[0]
+    # x[k] = a*x[k-1] + w[k-1]: the one-step delay is the numerator's
+    # leading zero, and the filter state zi = x0 gives x[0] = x0
+    x = lfilter([0.0, 1.0], [1.0, -a], w, zi=np.array([x0]))[0]
     del w
-    x = np.empty_like(y)
-    x[0] = x0
-    x[1:] = y[:-1]
-    del y
     x_out = np.divide(dw_ext, dt)
     del dw_ext
     np.subtract(np.sqrt(kappa_eff) * x, x_out, out=x_out)
@@ -287,10 +286,10 @@ def shot_noise_calibration(power_grid, duration: float = 16384.0, seed: int = 0)
         if power == 0.0:
             levels.append((power, 0.0))
             continue
-        children = np.random.SeedSequence(entropy=seed, spawn_key=(index,)).spawn(2)
+        rng1, rng2 = trajectory_generators(seed, index)
         scale = np.sqrt(0.5 * power)
-        s1 = scale * np.random.default_rng(children[0]).standard_normal(n)
-        s2 = scale * np.random.default_rng(children[1]).standard_normal(n)
+        s1 = scale * rng1.standard_normal(n)
+        s2 = scale * rng2.standard_normal(n)
         spectrum = output_psd(s1 - s2, 1.0, SHOT_CAL_SEGMENTS)
         levels.append((power, float(spectrum.psd_normalized.mean())))
     return levels

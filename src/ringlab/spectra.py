@@ -97,25 +97,13 @@ def bus_transmission(omega, omega1, omega2, gamma1, gamma2, kappa_ext, kappa_12)
     return float(t) if np.isscalar(omega) else t
 
 
-def transmission(config: DeviceConfig, heater: tuple[float, float], omega):
-    """Power transmission at probe frequency omega for heater powers (p1, p2)."""
-    p1, p2 = heater
-    return bus_transmission(
-        omega,
-        ring_frequency(config.ring1, p1),
-        ring_frequency(config.ring2, p2),
-        config.ring1.gamma_i,
-        config.ring2.gamma_i,
-        config.coupling.kappa_ext,
-        config.coupling.kappa_12,
-    )
-
-
 def compute_trace(config: DeviceConfig, p1_mw: float, p2_mw: float, omega_grid) -> TransmissionTrace:
     """Sample the model transmission on the given frequency grid."""
     grid = np.asarray(omega_grid, dtype=float)
-    t = np.minimum(transmission(config, (p1_mw, p2_mw), grid), 1.0 + PASSIVITY_EPS)
-    return TransmissionTrace(omega_grid=grid, t_power=t)
+    ring1, ring2, coupling = config.ring1, config.ring2, config.coupling
+    t = bus_transmission(grid, ring_frequency(ring1, p1_mw), ring_frequency(ring2, p2_mw),
+                         ring1.gamma_i, ring2.gamma_i, coupling.kappa_ext, coupling.kappa_12)
+    return TransmissionTrace(omega_grid=grid, t_power=np.minimum(t, 1.0 + PASSIVITY_EPS))
 
 
 def default_scan_grid(config: DeviceConfig, p1_mw: float, p2_mw: float,
@@ -129,11 +117,12 @@ def default_scan_grid(config: DeviceConfig, p1_mw: float, p2_mw: float,
 
 
 def _quadratic_vertex(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Vertex of the parabola through three points; falls back to the middle
-    sample when the points are not locally convex."""
+    """Vertex of the parabola through three samples y0 > y1 <= y2 of a trace
+    (all >= 0), the only triples find_dips passes.  Its denominator is then
+    positive in floating point: for y0 <= 4*y1, Sterbenz's lemma makes y0 - 2*y1 exact,
+    so the sum is the rounded positive (y0 - y1) + (y2 - y1); for y0 > 4*y1
+    the difference already rounds positive and adding y2 keeps it so."""
     denom = y[0] - 2.0 * y[1] + y[2]
-    if denom <= 0.0:
-        return float(x[1]), float(y[1])
     h = 0.5 * (x[2] - x[0])
     shift = 0.5 * (y[0] - y[2]) / denom
     center = x[1] + shift * h

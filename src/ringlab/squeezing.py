@@ -42,11 +42,6 @@ def db_from_linear(s_linear):
     return float(db) if db.ndim == 0 else db
 
 
-def linear_from_db(s_db: float) -> float:
-    """dB to linear power ratio (inverse of db_from_linear)."""
-    return 10.0 ** (s_db / 10.0)
-
-
 def lorentzian_rolloff(omega_tau_product):
     """Cavity bandwidth factor 1/(1 + (W*tau_c)^2)."""
     return 1.0 / (1.0 + omega_tau_product * omega_tau_product)

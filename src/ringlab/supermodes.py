@@ -23,7 +23,6 @@ point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,11 +57,6 @@ def _float_or_array(values):
     return float(values) if values.ndim == 0 else values
 
 
-def _check_kappa(kappa_12: float) -> None:
-    if not (kappa_12 > 0 and math.isfinite(kappa_12)):
-        raise ValueError(f"inter-ring coupling must be positive, got {kappa_12}")
-
-
 def crossing_geometry(omega1, omega2, kappa_12):
     """(mean, delta, radius) of the 2x2 problem: the branches sit at
     mean +- radius, with delta = (w1 - w2)/2 and radius = hypot(delta, k12).
@@ -72,13 +66,6 @@ def crossing_geometry(omega1, omega2, kappa_12):
     """
     delta = 0.5 * (omega1 - omega2)
     return 0.5 * (omega1 + omega2), delta, _float_or_array(np.hypot(delta, kappa_12))
-
-
-def supermode_frequencies(omega1, omega2, kappa_12: float):
-    """Branch eigenfrequencies (omega_plus, omega_minus) of the coupled pair."""
-    _check_kappa(kappa_12)
-    mean, _, radius = crossing_geometry(omega1, omega2, kappa_12)
-    return mean + radius, mean - radius
 
 
 def _ring1_fraction(delta, radius, kappa_12: float, branch: str):

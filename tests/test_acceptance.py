@@ -11,12 +11,12 @@ import time
 import numpy as np
 
 from ringlab.cli import run as cli_run
-from ringlab.devicemodel import CouplingParams, detection_efficiency
+from ringlab.devicemodel import CouplingParams, detection_efficiency, ring_frequency
 from ringlab.fitters import CROSSING_PARAMS, CrossingDataset, fit_avoided_crossing, weighted_linear_fit
 from ringlab.langevin import LangevinRun, analytic_psd, averaged_output_psd, shot_noise_calibration
-from ringlab.spectra import classify_regime, compute_trace, eta_c_from_tmin, find_dips, transmission
-from ringlab.squeezing import db_from_linear, infer_onchip, linear_from_db, squeezing_level
-from ringlab.supermodes import eta_c_vs_heater, solve_branch, supermode_frequencies
+from ringlab.spectra import bus_transmission, classify_regime, compute_trace, eta_c_from_tmin, find_dips
+from ringlab.squeezing import db_from_linear, infer_onchip, squeezing_level
+from ringlab.supermodes import crossing_geometry, eta_c_vs_heater, solve_branch
 
 MHZ = 2.0 * math.pi * 1e6
 OMEGA_3MHZ = 2.0 * math.pi * 3e6
@@ -45,7 +45,7 @@ def test_criterion_1_eta_tuning_range(cfg):
 def test_criterion_2_squeezing_endpoints_join():
     start = time.monotonic()
     eta_c = 0.70
-    s_onchip = linear_from_db(-3.9)
+    s_onchip = 10.0 ** (-3.9 / 10.0)
     tau_c = math.sqrt(eta_c / (1.0 - s_onchip) - 1.0) / OMEGA_3MHZ
     onchip_db = db_from_linear(squeezing_level(eta_c, 1.0, tau_c, OMEGA_3MHZ))
     measured_db = db_from_linear(squeezing_level(eta_c, 0.60, tau_c, OMEGA_3MHZ))
@@ -174,7 +174,8 @@ def test_criterion_8_property_suites(cfg):
         detuning = rng.uniform(-1e10, 1e10)
         kappa = 10.0 ** rng.uniform(5, 10)
         omega1, omega2 = omega0 + detuning, omega0 - detuning
-        plus, minus = supermode_frequencies(omega1, omega2, kappa)
+        mean, _, radius = crossing_geometry(omega1, omega2, kappa)
+        plus, minus = mean + radius, mean - radius
         scale = abs(omega1) + abs(omega2)
         ok &= abs((plus + minus) - (omega1 + omega2)) <= 8.0 * EPS * scale
         ok &= plus - minus >= 2.0 * kappa - 8.0 * EPS * scale
@@ -192,16 +193,13 @@ def test_criterion_8_property_suites(cfg):
 
     # passivity of the transmission model over random configs x frequency grids
     for _ in range(300):
-        test_cfg = dataclasses.replace(
-            cfg,
-            coupling=CouplingParams(
-                kappa_ext=10.0 ** rng.uniform(5.5, 8.5),
-                kappa_12=10.0 ** rng.uniform(6.0, 9.5),
-            ),
-        )
+        kappa_ext, kappa_12 = 10.0 ** rng.uniform(5.5, 8.5), 10.0 ** rng.uniform(6.0, 9.5)
+        test_cfg = dataclasses.replace(cfg, coupling=CouplingParams(kappa_ext=kappa_ext, kappa_12=kappa_12))
         p1 = rng.uniform(0.0, 50.0)
         center = solve_branch(test_cfg, p1, 10.0, "lower").omega
-        t = transmission(test_cfg, (p1, 10.0), center + np.linspace(-3e9, 3e9, 101))
+        t = bus_transmission(center + np.linspace(-3e9, 3e9, 101), ring_frequency(cfg.ring1, p1),
+                             ring_frequency(cfg.ring2, 10.0), cfg.ring1.gamma_i, cfg.ring2.gamma_i,
+                             kappa_ext, kappa_12)
         ok &= bool(t.min() >= 0.0 and t.max() <= 1.0 + 1e-9)
 
     # on-chip inference inverts the spectrum exactly, 1000 draws

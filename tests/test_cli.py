@@ -18,6 +18,7 @@ from ringlab import csvio
 from ringlab.cli import RANGE_MAX_POINTS, build_parser, parse_range, run
 from ringlab.csvio import load_csv, parse_csv, write_csv
 from ringlab.errors import DataError
+from ringlab.fitters import CROSSING_PARAMS
 
 MHZ = 2.0 * math.pi * 1e6
 
@@ -395,10 +396,15 @@ def validate_text(text, tmp_path, capsys):
      "ring1.heater_alpha_rad_s_per_mw: duplicate unit variants for heater_alpha"),
     *(("wavelength_nm = 1561.1", f"wavelength_nm = {value}", "pump.wavelength_nm: pump wavelength must be positive")
       for value in ("nan", "inf", "0", "-1")),
-], ids=["percent", "two-alpha-units", "wavelength-nan", "wavelength-inf", "wavelength-0", "wavelength-minus-1"])
+    ("[coupling]\nkappa_ext_mhz = 5.0\nkappa_12_mhz = 150.0\n", "", "coupling: missing section"),
+    ("[detection]\ngrating = 0.85\nlens_loss_db = 0.7\nphotodiode = 0.80\n", "", "detection: missing section"),
+    ("lens_loss_db = 0.7", "lens_loss_db = -0.7", "detection.lens_loss_db: dB loss must be non-negative"),
+], ids=["percent", "two-alpha-units", "wavelength-nan", "wavelength-inf", "wavelength-0", "wavelength-minus-1",
+        "no-coupling", "no-detection", "negative-db-loss"])
 def test_validate_names_the_offending_key(line, replacement, message, device_cfg_path, tmp_path, capsys):
-    text = device_cfg_path.read_text(encoding="utf-8").replace(line, replacement, 1)
-    assert validate_text(text, tmp_path, capsys) == (3, f"ringlab: error: config: {message}\n")
+    text = device_cfg_path.read_text(encoding="utf-8")
+    assert line in text
+    assert validate_text(text.replace(line, replacement, 1), tmp_path, capsys) == (3, f"ringlab: error: config: {message}\n")
 
 
 CONFIG_MUTATIONS = ("rename", "bad-suffix", "drop", "not-a-number", "duplicate-key", "duplicate-section")
@@ -626,17 +632,82 @@ def test_transmission_with_dip_report(device_cfg_path, tmp_path):
     assert dips["eta_c"][lower] == pytest.approx(0.696, abs=0.02)
 
 
-def test_fit_dip_on_trace_file(tmp_path):
-    omega0, fwhm = 1.2066e15, 6.0 * MHZ
+def test_dip_report_marks_overlapping_dips_indeterminate(device_cfg_path, tmp_path, capsys):
+    # a 3 MHz inter-ring coupling puts the two dips at the crossing within 3 fwhm of each other
+    weak = tmp_path / "weak.cfg"
+    weak.write_text(device_cfg_path.read_text(encoding="utf-8").replace("kappa_12_mhz = 150.0", "kappa_12_mhz = 3", 1))
+    capsys.readouterr()
+    assert run(["transmission", "--config", str(weak), "--p1", "25", "--p2", "10", "--points", "4001",
+                "--margin-linewidths", "3", "--dip-report", "-", "--out", str(tmp_path / "trace.csv")]) == 0
+    dips = parse_text(capsys.readouterr().out, {  # the reader refuses nan as a number: eta_c is read as text
+        "omega_center_rad_s": float, "t_min": float, "fwhm_rad_s": float, "regime": str, "eta_c": str,
+    })
+    assert dips["regime"] == ["indeterminate", "indeterminate"]
+    assert dips["eta_c"] == ["nan", "nan"]
+
+
+def test_unwritable_out_exits_4(device_cfg_path, tmp_path, capsys):
+    out = tmp_path / "missing" / "c.csv"
+    capsys.readouterr()
+    assert run(["crossing-sweep", "--config", str(device_cfg_path), "--p1", "0:50:0.5", "--p2", "10",
+                "--out", str(out)]) == 4
+    assert capsys.readouterr().err == f"ringlab: error: data: [Errno 2] No such file or directory: '{out}'\n"
+
+
+def lorentzian_trace_file(path, fwhm):
+    """A trace table at `path` with one dip to t_min = 0.2, six fwhm to each side."""
+    omega0 = 1.2066e15
     omega = omega0 + np.linspace(-6, 6, 801) * fwhm
-    t = 1.0 - 0.8 / (1.0 + 4.0 * (omega - omega0) ** 2 / fwhm**2)
-    data = tmp_path / "trace.csv"
-    write_csv_file(data, ["omega_rad_s", "t_power"], (omega, t))
+    write_csv_file(path, ["omega_rad_s", "t_power"], (omega, 1.0 - 0.8 / (1.0 + 4.0 * (omega - omega0) ** 2 / fwhm**2)))
+    return path
+
+
+def test_fit_dip_on_trace_file(tmp_path):
+    fwhm = 6.0 * MHZ
+    data = lorentzian_trace_file(tmp_path / "trace.csv", fwhm)
     out = tmp_path / "dipfit.csv"
     assert run(["fit-dip", "--data", str(data), "--out", str(out)]) == 0
     fit = fit_values(out)
     assert fit["t_min"] == pytest.approx(0.2, abs=1e-8)
     assert fit["fwhm_rad_s"] == pytest.approx(fwhm, rel=1e-8)
+
+
+@pytest.mark.parametrize("window, message", [
+    ("5", "window must be start:stop, got '5'"),
+    ("a:b", "window indices must be integers: 'a:b'"),
+], ids=["no-colon", "not-integers"])
+def test_malformed_fit_dip_window_is_a_usage_error(window, message, tmp_path, capsys):
+    data = lorentzian_trace_file(tmp_path / "trace.csv", 6.0 * MHZ)
+    capsys.readouterr()
+    assert run(["fit-dip", "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n")[0] + "\n"
+    assert run(["fit-dip", "--data", str(data), "--window", window]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{usage}ringlab fit-dip: error: argument --window: {message}\n"
+
+
+def test_fit_dip_window_too_small_exit_5(tmp_path, capsys):
+    data = lorentzian_trace_file(tmp_path / "trace.csv", 6.0 * MHZ)
+    capsys.readouterr()
+    assert run(["fit-dip", "--data", str(data), "--window", "0:5"]) == 5
+    assert capsys.readouterr().err == "ringlab: error: numeric: window [0, 5) too small for a 4-parameter fit\n"
+
+
+def test_fit_crossing_with_every_parameter_fixed_exit_5(crossing_data, capsys):
+    fixes = [arg for name in CROSSING_PARAMS for arg in ("--fix", f"{name}=1")]
+    capsys.readouterr()
+    assert run(["fit-crossing", "--data", str(crossing_data), *fixes]) == 5
+    assert capsys.readouterr().err == "ringlab: error: numeric: no free parameters to fit\n"
+
+
+def test_fit_crossing_unknown_branch_exit_5(crossing_data, capsys):
+    text = crossing_data.read_text(encoding="utf-8")
+    assert ",lower," in text
+    crossing_data.write_text(text.replace(",lower,", ",middle,", 1), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["fit-crossing", "--data", str(crossing_data)]) == 5
+    assert capsys.readouterr().err == "ringlab: error: numeric: branch must be 'upper' or 'lower', got 'middle'\n"
 
 
 def test_fit_dip_rejects_double_dip_window_exit_5(tmp_path, capsys):

@@ -14,10 +14,10 @@ from ringlab.devicemodel import (
     RingParams,
     db_loss_to_efficiency,
     detection_efficiency,
-    heater_detuning,
     load_config,
     parse_config,
     pump_angular_frequency,
+    ring_frequency,
 )
 from ringlab.errors import ConfigError
 
@@ -54,31 +54,36 @@ def test_nonpositive_rates_rejected(cfg):
 # --- heater map ---------------------------------------------------------------
 
 
+def bare_ring(alpha: float, p_max_mw: float) -> RingParams:
+    """A ring whose cold resonance is 0, so its resonance is the heater shift."""
+    return RingParams(radius_um=100.0, omega0=0.0, gamma_i=1.0, heater=HeaterModel(alpha=alpha, p_max_mw=p_max_mw))
+
+
 def test_heater_zero_power_gives_zero_detuning():
-    heater = HeaterModel(alpha=100.0 * MHZ, p_max_mw=50.0)
-    assert heater_detuning(heater, 0.0) == 0.0
+    ring = bare_ring(100.0 * MHZ, 50.0)
+    assert ring_frequency(ring, 0.0) == 0.0
 
 
 def test_heater_red_shift_sign_and_scale():
-    heater = HeaterModel(alpha=100.0 * MHZ, p_max_mw=50.0)
-    assert heater_detuning(heater, 1.0) == pytest.approx(-2.0 * math.pi * 100e6, rel=1e-15)
+    ring = bare_ring(100.0 * MHZ, 50.0)
+    assert ring_frequency(ring, 1.0) == pytest.approx(-2.0 * math.pi * 100e6, rel=1e-15)
 
 
 def test_heater_power_out_of_range():
-    heater = HeaterModel(alpha=100.0 * MHZ, p_max_mw=50.0)
+    ring = bare_ring(100.0 * MHZ, 50.0)
     with pytest.raises(ValueError):
-        heater_detuning(heater, 51.0)
+        ring_frequency(ring, 51.0)
     with pytest.raises(ValueError):
-        heater_detuning(heater, -0.1)
+        ring_frequency(ring, -0.1)
 
 
 def test_heater_linearity():
-    heater = HeaterModel(alpha=37.5 * MHZ, p_max_mw=100.0)
+    ring = bare_ring(37.5 * MHZ, 100.0)
     rng = np.random.default_rng(11)
     for _ in range(100):
         p = rng.uniform(0.0, 50.0)
         a = rng.uniform(0.0, 2.0)
-        assert heater_detuning(heater, a * p) == pytest.approx(a * heater_detuning(heater, p), rel=1e-12, abs=1e-6)
+        assert ring_frequency(ring, a * p) == pytest.approx(a * ring_frequency(ring, p), rel=1e-12, abs=1e-6)
 
 
 # --- detection chain ----------------------------------------------------------

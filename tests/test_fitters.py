@@ -123,6 +123,16 @@ def test_objective_descends_monotonically():
     assert result.n_iterations <= 200
 
 
+def test_engine_gives_up_when_no_trial_step_is_finite():
+    # the residual is finite only at the start: every trial step is refused,
+    # the damping climbs past _LAMBDA_MAX, and the first iteration is the last
+    def residual(theta):
+        return np.array([1.0]) if theta[0] == 0.0 else np.array([math.nan])
+
+    with pytest.raises(FitError, match=r"^no convergence after 1 iterations \(objective 1\)$"):
+        fitters._damped_least_squares(residual, lambda theta: np.array([[1.0]]), [0.0])
+
+
 def test_rank_deficient_dataset_reported():
     # constant p2 makes omega2_0 and alpha2 exactly degenerate
     data = synthetic_crossing(p2_values=(10.0,))

@@ -14,7 +14,6 @@ from ringlab.supermodes import (
     eta_c_vs_heater,
     solve_both,
     solve_branch,
-    supermode_frequencies,
 )
 
 MHZ = 2.0 * math.pi * 1e6
@@ -46,14 +45,16 @@ def random_draw(rng):
 
 def test_symmetric_point_splitting():
     omega0, kappa = 1.2e15, 900.0 * MHZ
-    plus, minus = supermode_frequencies(omega0, omega0, kappa)
+    mean, _, radius = crossing_geometry(omega0, omega0, kappa)
+    plus, minus = mean + radius, mean - radius
     assert plus == pytest.approx(omega0 + kappa, rel=1e-15)
     assert minus == pytest.approx(omega0 - kappa, rel=1e-15)
 
 
 def test_far_detuned_branches_approach_bare_rings():
     omega1, omega2, kappa = 1.2e15 + 5e11, 1.2e15, 1e8
-    plus, minus = supermode_frequencies(omega1, omega2, kappa)
+    mean, _, radius = crossing_geometry(omega1, omega2, kappa)
+    plus, minus = mean + radius, mean - radius
     bound = kappa**2 / abs(omega1 - omega2)
     assert abs(plus - omega1) <= 1.01 * bound
     assert abs(minus - omega2) <= 1.01 * bound
@@ -62,23 +63,18 @@ def test_far_detuned_branches_approach_bare_rings():
 def test_detuning_equal_to_coupling():
     # delta = kappa makes the half-splitting exactly kappa*sqrt(2)
     omega0, delta = 1.0e15, 400.0 * MHZ
-    plus, minus = supermode_frequencies(omega0 + delta, omega0 - delta, delta)
+    mean, _, radius = crossing_geometry(omega0 + delta, omega0 - delta, delta)
+    plus, minus = mean + radius, mean - radius
     assert plus == pytest.approx(omega0 + delta * math.sqrt(2.0), rel=1e-15)
     assert minus == pytest.approx(omega0 - delta * math.sqrt(2.0), rel=1e-15)
-
-
-def test_rejects_nonpositive_coupling():
-    with pytest.raises(ValueError):
-        supermode_frequencies(1.0, 2.0, 0.0)
-    with pytest.raises(ValueError):
-        supermode_frequencies(1.0, 2.0, -1.0)
 
 
 def test_trace_identity_property():
     rng = np.random.default_rng(2024)
     for _ in range(1000):
         omega1, omega2, kappa = random_draw(rng)
-        plus, minus = supermode_frequencies(omega1, omega2, kappa)
+        mean, _, radius = crossing_geometry(omega1, omega2, kappa)
+        plus, minus = mean + radius, mean - radius
         scale = abs(omega1) + abs(omega2)
         assert abs((plus + minus) - (omega1 + omega2)) <= 8.0 * EPS * scale
 
@@ -87,7 +83,8 @@ def test_splitting_bound_property():
     rng = np.random.default_rng(2025)
     for _ in range(1000):
         omega1, omega2, kappa = random_draw(rng)
-        plus, minus = supermode_frequencies(omega1, omega2, kappa)
+        mean, _, radius = crossing_geometry(omega1, omega2, kappa)
+        plus, minus = mean + radius, mean - radius
         scale = abs(omega1) + abs(omega2)
         assert plus - minus >= 2.0 * kappa - 8.0 * EPS * scale
         # strictly above 2*kappa whenever the analytic excess clears fp noise
@@ -95,8 +92,8 @@ def test_splitting_bound_property():
         if excess > 64.0 * EPS * scale:
             assert plus - minus > 2.0 * kappa
     # equality only at zero detuning
-    plus, minus = supermode_frequencies(1.2e15, 1.2e15, 1e9)
-    assert plus - minus == pytest.approx(2e9, rel=1e-12)
+    mean, _, radius = crossing_geometry(1.2e15, 1.2e15, 1e9)
+    assert (mean + radius) - (mean - radius) == pytest.approx(2e9, rel=1e-12)
 
 
 # --- branch fractions -----------------------------------------------------------
@@ -134,7 +131,8 @@ def test_fractions_match_numerical_eigensolver(cfg):
         mean = 0.5 * (omega1 + omega2)
         matrix = np.array([[omega1 - mean, kappa], [kappa, omega2 - mean]])
         values, vectors = np.linalg.eigh(matrix)  # ascending: [lower, upper]
-        plus, minus = supermode_frequencies(omega1, omega2, kappa)
+        _, _, radius = crossing_geometry(omega1, omega2, kappa)
+        plus, minus = mean + radius, mean - radius
         assert minus == pytest.approx(values[0] + mean, rel=1e-12)
         assert plus == pytest.approx(values[1] + mean, rel=1e-12)
         f1_up, f1_low = ring1_fractions(cfg, omega1, omega2, kappa)
@@ -230,14 +228,14 @@ def test_array_solution_matches_scalar_calls_bit_for_bit(cfg):
 
 
 def two_branch_path(cfg, p1, p2) -> dict:
-    """Each branch's fields from supermode_frequencies, the ring-1 fraction
-    of each branch from one crossing_geometry, and effective_rates."""
+    """Each branch's frequency and ring-1 fraction from one
+    crossing_geometry, and its rates from effective_rates."""
     omega1, omega2 = ring_frequency(cfg.ring1, p1), ring_frequency(cfg.ring2, p2)
     kappa_12 = cfg.coupling.kappa_12
-    _, delta, radius = crossing_geometry(omega1, omega2, kappa_12)
+    mean, delta, radius = crossing_geometry(omega1, omega2, kappa_12)
     rates = (cfg.coupling.kappa_ext, cfg.ring1.gamma_i, cfg.ring2.gamma_i)
     path = {}
-    for branch, omega in zip(("upper", "lower"), supermode_frequencies(omega1, omega2, kappa_12)):
+    for branch, omega in zip(("upper", "lower"), (mean + radius, mean - radius)):
         frac1 = supermodes._ring1_fraction(delta, radius, kappa_12, branch)
         path[branch] = (omega, frac1, *effective_rates(frac1, *rates))
     return path
