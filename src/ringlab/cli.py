@@ -71,9 +71,17 @@ def _checked(kind, accept, requirement: str):
 positive_int = _checked(int, lambda value: value > 0, "positive")
 positive_float = _checked(finite_float, lambda value: value > 0, "positive")
 non_negative_int = _checked(int, lambda value: value >= 0, "non-negative")
+# Sample budgets share the range cap, so a series too long to hold is refused before any allocation:
+# the points of a trace, and the samples of one trajectory, (segments + 1) * SEGMENT_SAMPLES/2
+trace_points = _checked(positive_int, lambda value: value <= RANGE_MAX_POINTS, f"at most {RANGE_MAX_POINTS}")
+welch_segments = _checked(positive_int, lambda value: (value + 1) * (SEGMENT_SAMPLES // 2) <= RANGE_MAX_POINTS,
+                          f"at most {RANGE_MAX_POINTS // (SEGMENT_SAMPLES // 2) - 1}, "
+                          f"so a trajectory has at most {RANGE_MAX_POINTS} samples")
 # shot-cal rounds --samples to a count, which must fill its Welch segments
-shot_cal_samples = _checked(positive_float, lambda value: round(value) >= langevin.SHOT_CAL_MIN_SAMPLES,
-                            f"at least {langevin.SHOT_CAL_MIN_SAMPLES}")
+shot_cal_samples = _checked(
+    _checked(positive_float, lambda value: round(value) >= langevin.SHOT_CAL_MIN_SAMPLES,
+             f"at least {langevin.SHOT_CAL_MIN_SAMPLES}"),
+    lambda value: round(value) <= RANGE_MAX_POINTS, f"at most {RANGE_MAX_POINTS}")
 
 
 def parse_range(text: str) -> np.ndarray:
@@ -390,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=parse_range, default=None,
                    help="probe grid start:stop:step in rad/s (default: auto around both dips)")
     p.add_argument("--margin-linewidths", type=positive_float, default=10.0)
-    p.add_argument("--points", type=positive_int, default=4001)
+    p.add_argument("--points", type=trace_points, default=4001)
     p.add_argument("--dip-report", default=None,
                    help="also write dip CSV: omega_center_rad_s,t_min,fwhm_rad_s,regime,eta_c")
     p.add_argument("--out", default="-")
@@ -435,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p2", type=finite_float, default=10.0)
     p.add_argument("--seed", type=non_negative_int, default=12345)
     p.add_argument("--trajectories", type=positive_int, default=200)
-    p.add_argument("--segments", type=positive_int, default=94, help="Welch segments per trajectory")
+    p.add_argument("--segments", type=welch_segments, default=94, help="Welch segments per trajectory")
     p.add_argument("--dt-factor", type=finite_float, default=0.01, help="time step in units of 1/gamma_total")
     p.add_argument("--out", default="-")
 

@@ -18,21 +18,25 @@ detection, eta_c = kappa_eff/G and tau_c = 1/G.  (Output PSD numerator:
 (kappa_eff - G)^2 + W^2 + kappa_eff(G - kappa_eff) = G^2 - kappa_eff*G + W^2.)
 
 Integration uses Euler-Maruyama; dt <= 0.05/G keeps the discretization bias
-well below the 0.2 dB verification tolerance.  Each trajectory draws its
-two noise streams from generators seeded as
+well below the 0.2 dB verification tolerance.  The chain's recursion is
+evaluated as a blocked prefix scan, which reassociates its sums: it agrees
+with step-by-step evaluation to a few ulp of the largest sample.  Each
+trajectory draws its two noise streams from generators seeded as
 SeedSequence(entropy=run.seed, spawn_key=(trajectory,)).spawn(2), so runs
 are reproducible and trajectories independent regardless of execution
 order; the initial condition is the first draw of the external stream,
 scaled to the stationary standard deviation of the discrete chain.
 
 averaged_output_psd runs the trajectories of a run on a pool of at most
-LANGEVIN_MAX_WORKERS threads (numpy's RNG fill, ufuncs and FFT and scipy's
-lfilter release the GIL) and sums their spectra in trajectory order, so
+LANGEVIN_MAX_WORKERS threads (numpy's RNG fill, ufuncs, cumulative sums
+and FFT release the GIL) and sums their spectra in trajectory order, so
 the result does not depend on the thread count.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 from dataclasses import dataclass
 
@@ -46,6 +50,8 @@ SHOT_CAL_SEGMENTS = 31          # Welch segments per power in shot_noise_calibra
 SHOT_CAL_MIN_SAMPLES = (SHOT_CAL_SEGMENTS + 1) * (MIN_SEGMENT_SAMPLES // 2)  # the fewest that fill them
 LANGEVIN_MAX_WORKERS = 4        # trajectory threads per run; each holds three n_steps-long series at most
 WELCH_BLOCK_BYTES = 1 << 19     # windowed samples transformed at once by output_psd
+SCAN_MAX_BLOCK = 1024           # longest block of the integrator's scan, so its weight rows stay small
+SCAN_ROW = 64                   # steps per row of the scan's running sums (see integrate_difference_quadrature)
 
 
 @dataclass(frozen=True)
@@ -114,6 +120,26 @@ def trajectory_generators(seed: int, trajectory: int) -> tuple[np.random.Generat
     return np.random.default_rng(children[0]), np.random.default_rng(children[1])
 
 
+def scan_block_length(gamma_dt: float) -> int:
+    """Steps per block of integrate_difference_quadrature's scan: the most
+    for which its weights a^-(i+1), a = 1 - gamma_dt, stay within e^4, at
+    most SCAN_MAX_BLOCK, and in whole rows of SCAN_ROW steps where that
+    allows one."""
+    most = int(min(SCAN_MAX_BLOCK, 4.0 / -math.log1p(-gamma_dt)))
+    return most - most % SCAN_ROW if most >= SCAN_ROW else max(1, most)
+
+
+@functools.lru_cache(maxsize=4)
+def _scan_factors(gamma_dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The scan's weights a^-j and decays a^j for j = 1 .. its block length,
+    a = 1 - gamma_dt: read-only, shared by every trajectory of a run.  They
+    are Python's float powers, not numpy's, whose AVX-512 kernel rounds
+    unlike its others."""
+    a = 1.0 - gamma_dt
+    powers = range(1, scan_block_length(gamma_dt) + 1)
+    return readonly_array([a ** -j for j in powers]), readonly_array([a ** j for j in powers])
+
+
 def integrate_difference_quadrature(
     dw_ext: np.ndarray,
     dw_int: np.ndarray,
@@ -132,18 +158,44 @@ def integrate_difference_quadrature(
     """
     if not 0.0 <= kappa_eff <= gamma_total:
         raise ValueError("kappa_eff must be in [0, gamma_total]")
-    from scipy.signal import lfilter  # here, not at module level: it costs every CLI command ~1 s of import
-
-    a = 1.0 - gamma_total * dt
-    # w = sqrt(kappa) dw_ext + sqrt(G - kappa) dw_int; the internal term is
-    # formed first so that dw_int is released before the external one
-    w = np.sqrt(gamma_total - kappa_eff) * dw_int
+    if not 0.0 < gamma_total * dt < 1.0:
+        raise ValueError(f"gamma_total*dt must be in (0, 1), got {gamma_total * dt}")
+    # x[k] = a*x[k-1] + w[k-1], w = sqrt(kappa) dw_ext + sqrt(G - kappa) dw_int,
+    # as a scan in blocks: from the state x[s] at a block start,
+    # x[s+j] = a^j (x[s] + sum_{i<j} a^-(i+1) w[s+i]).  The drive, its
+    # weighted running sums and the samples are formed in turn in x[1:].
+    x = np.empty(len(dw_int))
+    x[:1] = x0
+    w = x[1:]   # w[k-1] drives x[k], so the last increments drive no sample
+    # the internal term is formed first so that dw_int is released before the external one
+    np.multiply(dw_int[:-1], np.sqrt(gamma_total - kappa_eff), out=w)
     del dw_int
-    w += np.sqrt(kappa_eff) * dw_ext
-    # x[k] = a*x[k-1] + w[k-1]: the one-step delay is the numerator's
-    # leading zero, and the filter state zi = x0 gives x[0] = x0
-    x = lfilter([0.0, 1.0], [1.0, -a], w, zi=np.array([x0]))[0]
-    del w
+    w += np.sqrt(kappa_eff) * dw_ext[:-1]
+    weight, decay = _scan_factors(gamma_total * dt)
+    full = w.size - w.size % weight.size
+    state = float(x0)
+    for block in (w[:full].reshape(-1, weight.size), w[full:].reshape(1, -1)):
+        if block.size == 0:
+            continue
+        n_blocks, steps = block.shape
+        block *= weight[:steps]
+        # numpy's cumsum releases the GIL only when it runs over more than
+        # 500 rows, so a block's running sums are taken in rows of SCAN_ROW
+        # steps, and the sum before each row is added after
+        rows = block.reshape(n_blocks, -1, SCAN_ROW if steps % SCAN_ROW == 0 else steps)
+        np.cumsum(rows, axis=2, out=rows)
+        ends = np.cumsum(rows[:, :, -1], axis=1)   # each block's running sum at its row ends
+        # the state at each block start, carried over the block ends
+        gain = float(decay[steps - 1])
+        starts = []
+        for total in ends[:, -1].tolist():
+            starts.append(state)
+            state = (state + total) * gain
+        offsets = np.zeros_like(ends)
+        offsets[:, 1:] = ends[:, :-1]
+        offsets += np.array(starts)[:, None]
+        rows += offsets[:, :, None]
+        block *= decay[:steps]
     x_out = np.divide(dw_ext, dt)
     del dw_ext
     np.subtract(np.sqrt(kappa_eff) * x, x_out, out=x_out)
@@ -223,7 +275,6 @@ def averaged_output_psd(run: LangevinRun, n_segments: int) -> NoiseSpectrum:
     thread count or the order in which trajectories finish.
     """
     from concurrent.futures import ThreadPoolExecutor
-    from scipy.signal import lfilter  # noqa: F401  imported once here, before any worker needs it
 
     def trajectory_psd(trajectory: int) -> NoiseSpectrum:
         return output_psd(simulate_difference_quadrature(run, trajectory)[1], run.dt, n_segments)

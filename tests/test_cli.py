@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import math
 import os
 import subprocess
@@ -63,11 +64,30 @@ def test_range_point_cap_checked_before_allocating(capsys):
     assert run(["squeeze-spectrum", "--eta-c", "0.5", "--eta-d", "0.5", "--tau-c", "1e-8", "--f", "0:1e308:1e-300"]) == 2
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    code = "import sys, ringlab.cli; print('scipy.signal' in sys.modules)"
+NO_SCIPY_RUN = """
+import importlib.abc, json, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"no module named {name!r} here")
+
+sys.meta_path.insert(0, NoScipy())
+from ringlab.cli import run
+codes = [run(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(name for name in sys.modules if name.startswith("scipy"))]))
+"""
+
+
+def test_cli_import_leaves_scipy_signal_unloaded(device_cfg_path, tmp_path):
+    # With scipy unimportable, the Monte Carlo commands still run and load no scipy module.
+    runs = [["langevin-verify", "--config", str(device_cfg_path), "--seed", "7", "--trajectories", "2",
+             "--segments", "2", "--out", str(tmp_path / "psd.csv")],
+            ["shot-cal", "--powers", "1,2", "--seed", "3", "--out", str(tmp_path / "shot.csv")]]
     env = {**os.environ, "PYTHONPATH": str(Path(ringlab.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
-    assert out.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, json.dumps(runs)], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert json.loads(out) == [[0, 0], []]
 
 
 def test_every_export_resolves():
@@ -1011,6 +1031,44 @@ def test_too_few_shot_cal_samples_is_a_usage_error(tmp_path, capsys):
         assert captured.err == f"{usage}ringlab shot-cal: error: argument --samples: must be at least 256: {value!r}\n"
     for value in ("256", "255.5"):
         assert run(["shot-cal", "--samples", value, "--out", str(out)]) == 0, value
+
+
+# --- sample budgets are capped at the range cap, before any allocation -----------------
+
+# Each value asks for an array numpy refuses to allocate, which used to end in a traceback.
+BUDGET_CASES = [
+    ("--points", TRANSMISSION, "30000000000", f"must be at most {RANGE_MAX_POINTS}"),
+    ("--samples", ["shot-cal"], "3e10", f"must be at most {RANGE_MAX_POINTS}"),
+    ("--segments", ["langevin-verify", "--config", "{cfg}", "--trajectories", "1"], "1000000000000",
+     f"must be at most 4881, so a trajectory has at most {RANGE_MAX_POINTS} samples"),
+]
+
+
+@pytest.mark.parametrize("flag, argv, value, message", BUDGET_CASES, ids=[flag for flag, *_ in BUDGET_CASES])
+def test_sample_budget_over_the_cap_is_a_usage_error(flag, argv, value, message, device_cfg_path, tmp_path, capsys):
+    command, out = argv[0], tmp_path / "out.csv"
+    capsys.readouterr()
+    assert run([command, "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n")[0] + "\n"
+    args = [arg.format(cfg=device_cfg_path) for arg in argv]
+    assert run([*args, flag, value, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert not out.exists()
+    assert captured.out == ""
+    assert captured.err == f"{usage}ringlab {command}: error: argument {flag}: {message}: {value!r}\n"
+
+
+@pytest.mark.parametrize("argv, at_cap, over", [
+    (["transmission", "--config", "c", "--p1", "0", "--p2", "0", "--points"], "10000000", "10000001"),
+    (["shot-cal", "--samples"], "10000000.4", "10000000.6"),                  # counted after rounding
+    (["langevin-verify", "--config", "c", "--segments"], "4881", "4882"),    # 4882 * 2048 <= 1e7 < 4883 * 2048
+])
+def test_sample_budget_cap_admits_the_cap_itself(argv, at_cap, over, capsys):
+    parser = build_parser()
+    assert parser.parse_args([*argv, at_cap]) is not None
+    with pytest.raises(SystemExit) as refused:
+        parser.parse_args([*argv, over])
+    assert refused.value.code == 2 and "must be at most" in capsys.readouterr().err
 
 
 # --- shot-cal powers: at least two, none negative, one positive ------------------------

@@ -7,7 +7,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.signal import lfilter
 
 from ringlab import langevin
 from ringlab.fitters import weighted_linear_fit
@@ -18,6 +17,7 @@ from ringlab.langevin import (
     averaged_output_psd,
     integrate_difference_quadrature,
     output_psd,
+    scan_block_length,
     shot_noise_calibration,
     simulate_difference_quadrature,
 )
@@ -143,15 +143,18 @@ def test_spectrum_type_invariants():
         spectrum.psd_normalized += 1.0
 
 
-# --- bit parity with the unblocked formulas ---------------------------------------
+# --- the integrator's scan and the blocked Welch step, against plain forms -------------
 
 
 def _integrate_reference(dw_ext, dw_int, kappa_eff, gamma_total, dt, x0):
-    """The Euler chain in its original whole-array form."""
+    """The Euler chain one step at a time, x[k] = w[k-1] + a*x[k-1], in the
+    order of operations of a direct-form recursive filter."""
     a = 1.0 - gamma_total * dt
-    w = np.sqrt(kappa_eff) * dw_ext + np.sqrt(gamma_total - kappa_eff) * dw_int
-    y = lfilter([1.0], [1.0, -a], w, zi=np.array([a * x0]))[0]
-    x = np.concatenate(([x0], y[:-1]))
+    w = (np.sqrt(kappa_eff) * dw_ext + np.sqrt(gamma_total - kappa_eff) * dw_int).tolist()
+    x = [x0]
+    for k in range(1, len(w)):
+        x.append(w[k - 1] + a * x[k - 1])
+    x = np.array(x)
     return x, np.sqrt(kappa_eff) * x - dw_ext / dt
 
 
@@ -164,16 +167,46 @@ def _welch_reference(x, dt, n_segments):
     return spectra.mean(axis=0)[1:]
 
 
-@pytest.mark.parametrize("eta_c, x0", [(0.0, 0.3), (0.37, -1.1), (1.0, 0.0)])
-def test_integrator_matches_whole_array_formula_bit_for_bit(eta_c, x0):
+def test_scan_block_length_keeps_weights_within_e4():
+    row = langevin.SCAN_ROW
+    for gamma_dt in (0.5, 0.1, 0.05, 0.01, 0.005):
+        width = scan_block_length(gamma_dt)
+        step = row if width >= row else 1  # whole rows where the weights allow one
+        assert width % step == 0
+        assert (1 - gamma_dt) ** -width <= math.e**4 < (1 - gamma_dt) ** -(width + step)
+    assert scan_block_length(0.01) == 384  # the CLI's default step, dt = 0.01/gamma_total
+    assert scan_block_length(0.99) == 1
+    assert scan_block_length(1e-4) == scan_block_length(1e-300) == langevin.SCAN_MAX_BLOCK
+
+
+@pytest.mark.parametrize("gamma_dt", [0.0, -0.01, 1.0, 1.5, math.nan])
+def test_integrator_rejects_a_step_outside_the_unit_interval(gamma_dt):
+    with pytest.raises(ValueError, match=r"gamma_total\*dt must be in \(0, 1\)"):
+        integrate_difference_quadrature(np.zeros(10), np.zeros(10), 0.5, 1.0, gamma_dt)
+
+
+@pytest.mark.parametrize("eta_c, x0, n, gamma_dt", [
+    (0.0, 0.3, 5000, 0.01),     # 4999 steps: 13 blocks of 384 and a tail of 7
+    (0.37, -1.1, 5000, 0.01),
+    (1.0, 0.0, 5000, 0.01),
+    (0.5, 0.8, 100, 0.01),      # fewer steps than one block
+    (0.5, -0.4, 1 + 3 * scan_block_length(0.01), 0.01),  # whole blocks, no tail
+    (0.5, -0.4, 1 + 2 * scan_block_length(0.01) + 2 * langevin.SCAN_ROW, 0.01),  # a tail of whole rows
+    (0.6, 0.5, 5000, 0.05),     # blocks of one row
+    (0.6, 0.5, 5000, 0.3),      # blocks of 11 steps, shorter than a row
+    (0.6, 0.5, 5000, 1e-4),     # blocks of SCAN_MAX_BLOCK
+])
+def test_integrator_matches_python_loop_within_16_eps(eta_c, x0, n, gamma_dt):
     rng = np.random.default_rng(2024)
-    dt = 0.01
-    dw_ext = rng.standard_normal(5000) * math.sqrt(dt)
-    dw_int = rng.standard_normal(5000) * math.sqrt(dt)
+    dw_ext = rng.standard_normal(n) * math.sqrt(gamma_dt)
+    dw_int = rng.standard_normal(n) * math.sqrt(gamma_dt)
     kept = dw_ext.copy(), dw_int.copy()
-    x, x_out = integrate_difference_quadrature(dw_ext, dw_int, eta_c, 1.0, dt, x0)
-    x_ref, out_ref = _integrate_reference(dw_ext, dw_int, eta_c, 1.0, dt, x0)
-    assert x.tobytes() == x_ref.tobytes() and x_out.tobytes() == out_ref.tobytes()
+    x, x_out = integrate_difference_quadrature(dw_ext, dw_int, eta_c, 1.0, gamma_dt, x0)
+    x_ref, out_ref = _integrate_reference(dw_ext, dw_int, eta_c, 1.0, gamma_dt, x0)
+    eps = np.finfo(float).eps
+    assert x.shape == x_out.shape == (n,) and x[0] == x0
+    assert np.max(np.abs(x - x_ref)) <= 16 * eps * np.max(np.abs(x_ref))
+    assert np.max(np.abs(x_out - out_ref)) <= 16 * eps * np.max(np.abs(out_ref))
     assert np.array_equal(dw_ext, kept[0]) and np.array_equal(dw_int, kept[1])  # inputs untouched
 
 

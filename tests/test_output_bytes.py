@@ -3,15 +3,15 @@ tables, a dip report of no dips, a table written to stdout, and the help
 pages and usage errors, against pinned digests.
 
 The digests are sha256 of each command's CSV output and of its stderr, as
-the commands write them on CPython 3.11, numpy 2.4 and scipy 1.17 on
-x86-64.  numpy's log10 has an AVX-512 kernel (dispatch target X86_V4)
-that rounds the last bit of some dB cells unlike its other path, so the
-three tables with dB cells have one digest per path; a host with AVX-512
-checks the other path in a subprocess with the kernel turned off.  A
-refactor that keeps the output contract keeps them; a change that moves
-any output byte on purpose must say why and record new digests.
-The small runs take about 0.06 s, plus the first import of scipy.signal;
-the two large tables about 0.2 s; the subprocess about 2 s.
+the commands write them on CPython 3.11 and numpy 2.4 on x86-64.  numpy's
+log10 has an AVX-512 kernel (dispatch target X86_V4) that rounds the last
+bit of some dB cells unlike its other path, so the three tables with dB
+cells have one digest per path; a host with AVX-512 checks the other path
+in a subprocess with the kernel turned off.  A refactor that keeps the
+output contract keeps them; a change that moves any output byte on purpose
+must say why and record new digests.
+The small runs take about 0.1 s, the two large tables about 0.2 s and the
+subprocess about 0.4 s.
 """
 
 import hashlib
@@ -64,7 +64,7 @@ DIGESTS = {
     "fit-crossing.err": "66858ae41c2aab361339ac0978626ee1c43e684cb1136e5100ed6a3151899466",
     "shot-cal.csv": "1a0e27d533c06e77b9380cf5f6d71bd40603aba8773f4034647961e62c19bfaa",
     "shot-cal.err": "fd98f1ece250ba55189023684887858e8082bfbe49b43d75e3ce7e32adaf5f9a",
-    "langevin-verify.csv": "bc6d35a2ad151c0952bf4404d64b0238b300a9b155779a6b91983aeb070381f6",
+    "langevin-verify.csv": "37cbab16926e58919ff925b41ee139265765c3c4404ad6a64d48a280e7a7fb4e",
     "langevin-verify.err": "eccbca77273b0b436dde68cafca719d7c006fe7ead8b861cccab37c393c8be35",
     "dips.csv": "bacdbef93f051ba4f30d57e5271733ad65ebe9a0fff5ad91dd705aece7b3faa7",
 }
@@ -75,7 +75,7 @@ DIGESTS = {
 NO_X86_V4_DIGESTS = {
     "squeeze-sweep.csv": "d66e5511b00d782698ca8ad5533594558f276d9155d1da9532637b47dbccc43b",
     "squeeze-spectrum.csv": "25b8ef6f803cad6eaebfe4bbf288c824392dcfd8693531b26f51d82876d37d33",
-    "langevin-verify.csv": "94cc7001db7d0cf587952ed29c7219d8bbb2054a6fcc8dbad2aabda4cade8e0e",
+    "langevin-verify.csv": "9a811f0861dc02718c9cc2997335b9fccd83346d4bde0b783335c1942402b982",
 }
 NO_X86_V4 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}  # turns the kernel off
 
