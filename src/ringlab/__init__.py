@@ -10,15 +10,7 @@ functions of supermodes and squeezing take scalars or numpy arrays, so a
 sweep is one array call whose results are columns.
 """
 
-from .devicemodel import (
-    CouplingParams,
-    DetectionChain,
-    DeviceConfig,
-    HeaterModel,
-    RingParams,
-    detection_efficiency,
-    load_config,
-)
+from .devicemodel import DeviceConfig, RingParams, detection_efficiency, load_config
 from .errors import ConfigError, DataError, FitError
 from .fitters import CrossingDataset, FitResult, fit_avoided_crossing, fit_lorentzian_dip, weighted_linear_fit
 from .langevin import LangevinRun, NoiseSpectrum, analytic_psd, output_psd, simulate_difference_quadrature
@@ -30,14 +22,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "CouplingParams",
     "CrossingDataset",
     "DataError",
-    "DetectionChain",
     "DeviceConfig",
     "FitError",
     "FitResult",
-    "HeaterModel",
     "LangevinRun",
     "NoiseSpectrum",
     "RingParams",

@@ -15,10 +15,14 @@ returns, so one call leaves nothing behind for the next.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
+import os
 import re
+import stat
 import sys
+import threading
 
 import numpy as np
 
@@ -152,12 +156,38 @@ def _status(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _write_table(path: str, header: list[str], columns, comments=()) -> None:
-    """Write a CSV table given as columns (see csvio.write_csv) to `path` ('-' is stdout)."""
+def _write_table(staged: dict, path: str, header: list[str], columns, comments=()) -> None:
+    """Write a CSV table given as columns (see csvio.write_csv) to `path` ('-' is stdout).
+
+    A regular file (or a new one) is written to a temporary file beside it,
+    named by process and thread, and recorded in `staged` as {temporary:
+    destination}: run() moves it into place once the command has written
+    every table, so a failed command leaves no output.  A destination that
+    is not a regular file (/dev/null, a FIFO) is written in place.
+    """
     if path == "-":
         write_csv(sys.stdout, header, columns, comments)
         return
-    with open(path, "w", encoding="utf-8", newline="") as stream:
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8", newline="") as stream:
+            write_csv(stream, header, columns, comments)
+        return
+    if mode is not None and not os.access(path, os.W_OK):  # the replace below would not ask
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+    target = os.path.realpath(path)  # a symlink is followed, not replaced
+    temporary = f"{target}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        stream = open(temporary, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    staged[temporary] = target
+    with stream:
+        if mode is not None:
+            os.chmod(temporary, stat.S_IMODE(mode))
         write_csv(stream, header, columns, comments)
 
 
@@ -181,8 +211,8 @@ def cmd_validate(args) -> int:
     _status(
         "config ok: eta_d={} kappa_ext={} rad/s kappa_12={} rad/s".format(
             format_value(eta_d),
-            format_value(config.coupling.kappa_ext),
-            format_value(config.coupling.kappa_12),
+            format_value(config.kappa_ext),
+            format_value(config.kappa_12),
         )
     )
     return 0
@@ -197,10 +227,9 @@ def cmd_transmission(args) -> int:
                                          margin_linewidths=args.margin_linewidths,
                                          n_points=args.points)
     trace = spectra.compute_trace(config, args.p1, args.p2, grid)
-    _write_table(args.out, ["omega_rad_s", "t_power"], (trace.omega_grid, trace.t_power))
     dips = spectra.find_dips(trace)
+    rows = []
     if args.dip_report is not None:
-        rows = []
         for dip in dips:
             if dip.overlapping:
                 regime, eta = spectra.REGIME_INDETERMINATE, float("nan")
@@ -208,8 +237,11 @@ def cmd_transmission(args) -> int:
                 regime = spectra.classify_regime(config, (args.p1, args.p2), dip)
                 eta = spectra.eta_c_from_tmin(dip.t_min, regime)
             rows.append((dip.omega_center, dip.t_min, dip.fwhm, regime, eta))
+    _write_table(args.staged, args.out, ["omega_rad_s", "t_power"], (trace.omega_grid, trace.t_power))
+    if args.dip_report is not None:
         header = ["omega_center_rad_s", "t_min", "fwhm_rad_s", "regime", "eta_c"]
-        _write_table(args.dip_report, header, list(zip(*rows)) or [()] * len(header))  # no dips: the header
+        columns = list(zip(*rows)) or [()] * len(header)  # no dips: the header
+        _write_table(args.staged, args.dip_report, header, columns)
     _status(f"transmission: {trace.omega_grid.size} points, {len(dips)} dip(s)")
     return 0
 
@@ -218,9 +250,9 @@ def cmd_crossing_sweep(args) -> int:
     config = devicemodel.load_config(args.config)
     omega1 = devicemodel.ring_frequency(config.ring1, args.p1)
     omega2 = devicemodel.ring_frequency(config.ring2, args.p2)
-    mean, _, radius = supermodes.crossing_geometry(omega1, omega2, config.coupling.kappa_12)
+    mean, _, radius = supermodes.crossing_geometry(omega1, omega2, config.kappa_12)
     omega = np.column_stack([mean - radius, mean + radius]).ravel()
-    _write_table(args.out, ["p1_mw", "p2_mw", "branch", "resonance_rad_s"], (
+    _write_table(args.staged, args.out, ["p1_mw", "p2_mw", "branch", "resonance_rad_s"], (
         np.repeat(args.p1, 2), args.p2, ("lower", "upper") * args.p1.size, omega,
     ))
     min_split = float(np.min(omega[1::2] - omega[0::2]))
@@ -231,7 +263,8 @@ def cmd_crossing_sweep(args) -> int:
 def cmd_etac_sweep(args) -> int:
     config = devicemodel.load_config(args.config)
     sol = supermodes.eta_c_vs_heater(config, args.branch, args.p1, args.p2)
-    _write_table(args.out, ["p1_mw", "omega_rad_s", "eta_c", "tau_c_s"], (args.p1, sol.omega, sol.eta_c, sol.tau_c))
+    _write_table(args.staged, args.out, ["p1_mw", "omega_rad_s", "eta_c", "tau_c_s"],
+                 (args.p1, sol.omega, sol.eta_c, sol.tau_c))
     _status(
         "etac-sweep: eta_c from {} to {} over {} points".format(
             format_value(float(sol.eta_c[0])), format_value(float(sol.eta_c[-1])), sol.eta_c.size
@@ -244,7 +277,7 @@ def cmd_squeeze_sweep(args) -> int:
     config = devicemodel.load_config(args.config)
     omega_sideband = 2.0 * math.pi * args.sideband_mhz * 1e6
     sweep = squeezing.squeezing_vs_coupling(config, args.branch, args.p1, args.p2, omega_sideband)
-    _write_table(args.out, ["eta_c", "s_measured_db", "s_onchip_db", "omega_sideband_hz", "tau_c_s"], (
+    _write_table(args.staged, args.out, ["eta_c", "s_measured_db", "s_onchip_db", "omega_sideband_hz", "tau_c_s"], (
         sweep.eta_c, sweep.s_measured_db, sweep.s_onchip_db, sweep.omega_sideband_hz, sweep.tau_c_s,
     ))
     _status(
@@ -260,7 +293,8 @@ def cmd_squeeze_sweep(args) -> int:
 def cmd_squeeze_spectrum(args) -> int:
     s = squeezing.squeezing_level(args.eta_c, args.eta_d, args.tau_c, 2.0 * math.pi * args.f)
     s_db = squeezing.db_from_linear(s)
-    _write_table(args.out, ["f_hz", "s_linear", "s_db", "squeezing_factor_db"], (args.f, s, s_db, -s_db))
+    _write_table(args.staged, args.out, ["f_hz", "s_linear", "s_db", "squeezing_factor_db"],
+                 (args.f, s, s_db, -s_db))
     i = int(np.argmin(s_db))
     _status(f"squeeze-spectrum: minimum {format_value(float(s_db[i]))} dB at f={format_value(float(args.f[i]))} Hz")
     return 0
@@ -294,7 +328,7 @@ def cmd_langevin_verify(args) -> int:
         f"kappa_eff={format_value(run.kappa_eff)}",
     ]
     psd = simulated.psd_normalized
-    _write_table(args.out, ["freq_hz", "psd_shotnoise_units", "psd_db"],
+    _write_table(args.staged, args.out, ["freq_hz", "psd_shotnoise_units", "psd_db"],
                  (simulated.freq_grid, psd, squeezing.db_from_linear(psd)), comments=metadata)
     _status(
         "langevin-verify: max |simulated - analytic| = {} dB over {} frequencies "
@@ -308,7 +342,7 @@ def cmd_langevin_verify(args) -> int:
 def cmd_shot_cal(args) -> int:
     powers, psd = zip(*langevin.shot_noise_calibration(args.powers, duration=args.samples, seed=args.seed))
     fit = fitters.weighted_linear_fit(powers, psd)
-    _write_table(args.out, ["power", "psd_level"], (powers, psd))
+    _write_table(args.staged, args.out, ["power", "psd_level"], (powers, psd))
     _status(
         "shot-cal: slope={} r_squared={} (line through origin)".format(
             format_value(fit.slope), format_value(fit.r_squared)
@@ -329,7 +363,7 @@ def cmd_fit_crossing(args) -> int:
     )
     names = fitters.CROSSING_PARAMS
     values, errors = [result.params[name] for name in names], [result.stderr[name] for name in names]
-    _write_table(args.out, ["param", "value", "stderr"], (names, values, errors))
+    _write_table(args.staged, args.out, ["param", "value", "stderr"], (names, values, errors))
     _status(f"fit-crossing: converged in {result.n_iterations} iterations, "
             f"residual_rms={format_value(result.residual_rms)} rad/s")
     for name, value, err in zip(names, values, errors):
@@ -339,12 +373,10 @@ def cmd_fit_crossing(args) -> int:
 
 def cmd_fit_dip(args) -> int:
     columns = _load_columns(args.data, {"omega_rad_s": float, "t_power": float}, "omega_rad_s", "wavelength_nm")
-    omega, t = columns["omega_rad_s"], columns["t_power"]
-    order = np.argsort(omega)
-    trace = spectra.TransmissionTrace(omega_grid=omega[order], t_power=t[order])
-    window = args.window if args.window is not None else (0, trace.omega_grid.size)
-    result = fitters.fit_lorentzian_dip(trace, window)
-    _write_table(args.out, ["param", "value", "stderr"], (
+    order = np.argsort(columns["omega_rad_s"])
+    omega, t = columns["omega_rad_s"][order], columns["t_power"][order]
+    result = fitters.fit_lorentzian_dip(omega, t, args.window if args.window is not None else (0, omega.size))
+    _write_table(args.staged, args.out, ["param", "value", "stderr"], (
         ("omega0_rad_s", "t_min", "fwhm_rad_s", "baseline"),
         (result.omega0, result.t_min, result.fwhm, result.baseline),
         [result.stderr[name] for name in ("omega0", "t_min", "fwhm", "baseline")],
@@ -484,8 +516,13 @@ def run(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    staged = args.staged = {}  # {temporary: destination} of each file the command writes
     try:
-        return globals()[args.func](args)
+        status = globals()[args.func](args)
+        for temporary, target in list(staged.items()):
+            os.replace(temporary, target)
+            del staged[temporary]
+        return status
     except ConfigError as exc:
         _error("config", exc)
         return 3
@@ -495,6 +532,9 @@ def run(argv=None) -> int:
     except (FitError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         _error("numeric", exc)
         return 5
+    finally:
+        for temporary in staged:  # left by a failure
+            os.remove(temporary)
 
 
 def main() -> None:

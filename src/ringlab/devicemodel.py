@@ -72,61 +72,36 @@ _PUMP_FIELDS = {"wavelength_nm": _AS_GIVEN}
 
 
 @dataclass(frozen=True)
-class HeaterModel:
-    """Thermo-optic tuning of one ring by its integrated microheater.
-
-    alpha : rad/s of resonance shift per mW of heater power; positive alpha
-        red-shifts (lowers) the resonance frequency with increasing power.
-    p_max_mw : maximum allowed heater power, mW.
-    """
-
-    alpha: float
-    p_max_mw: float
-
-
-@dataclass(frozen=True)
 class RingParams:
-    """One microring: geometry, cold resonance, intrinsic loss, heater."""
+    """One microring: geometry, cold resonance, intrinsic loss, heater.
+
+    heater_alpha is the rad/s of resonance shift per mW of heater power;
+    a positive value red-shifts (lowers) the resonance as the power rises.
+    """
 
     radius_um: float
-    omega0: float         # resonance at zero heater power, rad/s
-    gamma_i: float        # intrinsic energy decay rate, rad/s
-    heater: HeaterModel
-
-
-@dataclass(frozen=True)
-class CouplingParams:
-    """Coupling rates of the two-ring system, rad/s (energy rates).
-
-    kappa_ext : bus waveguide <-> ring1 external decay rate; bounds the
-        maximum reachable coupling efficiency.
-    kappa_12 : inter-ring coupling coefficient; half the minimum supermode
-        splitting.
-    """
-
-    kappa_ext: float
-    kappa_12: float
-
-
-@dataclass(frozen=True)
-class DetectionChain:
-    """Ordered chain of detection stages as (name, power efficiency) pairs."""
-
-    stages: tuple[tuple[str, float], ...]
+    omega0: float           # resonance at zero heater power, rad/s
+    gamma_i: float          # intrinsic energy decay rate, rad/s
+    heater_alpha: float     # rad/s per mW
+    heater_p_max_mw: float  # maximum allowed heater power, mW
 
 
 @dataclass(frozen=True)
 class DeviceConfig:
     """Complete physical description of the double-ring device.
 
-    Building one checks every invariant; ConfigError names the first
-    violated field.
+    kappa_ext is the bus <-> ring1 external energy decay rate and kappa_12
+    the inter-ring coupling coefficient (half the minimum supermode
+    splitting), both rad/s; detection is the ordered chain of detection
+    stages as (name, power efficiency) pairs.  Building one checks every
+    invariant; ConfigError names the first violated field.
     """
 
     ring1: RingParams
     ring2: RingParams
-    coupling: CouplingParams
-    detection: DetectionChain
+    kappa_ext: float
+    kappa_12: float
+    detection: tuple[tuple[str, float], ...]
     pump_wavelength_nm: float
 
     def __post_init__(self) -> None:
@@ -134,12 +109,12 @@ class DeviceConfig:
             _positive(ring.radius_um, f"{path}.radius_um", "radius must be positive")
             _positive(ring.omega0, f"{path}.omega0", "resonance frequency must be positive")
             _positive(ring.gamma_i, f"{path}.gamma_i", "intrinsic loss must be positive")
-            _require(math.isfinite(ring.heater.alpha), f"{path}.heater.alpha", "tuning coefficient must be finite")
-            _positive(ring.heater.p_max_mw, f"{path}.heater.p_max_mw", "maximum heater power must be positive")
-        _positive(self.coupling.kappa_ext, "coupling.kappa_ext", "external coupling rate must be positive")
-        _positive(self.coupling.kappa_12, "coupling.kappa_12", "inter-ring coupling must be positive")
-        _require(len(self.detection.stages) > 0, "detection.stages", "at least one detection stage required")
-        for name, eff in self.detection.stages:
+            _require(math.isfinite(ring.heater_alpha), f"{path}.heater.alpha", "tuning coefficient must be finite")
+            _positive(ring.heater_p_max_mw, f"{path}.heater.p_max_mw", "maximum heater power must be positive")
+        _positive(self.kappa_ext, "coupling.kappa_ext", "external coupling rate must be positive")
+        _positive(self.kappa_12, "coupling.kappa_12", "inter-ring coupling must be positive")
+        _require(len(self.detection) > 0, "detection.stages", "at least one detection stage required")
+        for name, eff in self.detection:
             _require(
                 math.isfinite(eff) and 0.0 < eff <= 1.0,
                 f"detection.{name}",
@@ -196,20 +171,17 @@ def ring_frequency(ring: RingParams, power_mw):
     """Heater-shifted resonance frequency of one ring, rad/s: positive power
     red-shifts it to omega0 - alpha*power.  power_mw is a scalar or an
     array; out of range, the error names the first offending power."""
-    p_max = ring.heater.p_max_mw
+    p_max = ring.heater_p_max_mw
     power = np.asarray(power_mw)
     bad = first_flagged(~((0.0 <= power) & (power <= p_max)), power)
     if bad is not None:
         raise ValueError(f"heater power {bad} mW outside [0, {p_max}] mW")
-    return ring.omega0 + -ring.heater.alpha * power_mw
+    return ring.omega0 + -ring.heater_alpha * power_mw
 
 
-def detection_efficiency(chain: DetectionChain) -> float:
+def detection_efficiency(stages: tuple[tuple[str, float], ...]) -> float:
     """Composite detection efficiency: product of the stage efficiencies."""
-    eta = 1.0
-    for _, eff in chain.stages:
-        eta *= eff
-    return eta
+    return math.prod(eff for _, eff in stages)
 
 
 # --- config file parsing ----------------------------------------------------
@@ -248,7 +220,7 @@ def _read_section(parser: configparser.ConfigParser, name: str, fields: dict) ->
 def _parse_ring(parser: configparser.ConfigParser, name: str, omega_pump: float) -> RingParams:
     ring = _read_section(parser, name, _RING_FIELDS)
     _require(ring["radius_um"] is not None, f"{name}.radius_um", "missing key")
-    omega0, offset = ring["omega0"], ring["omega0_offset"]
+    omega0, offset = ring["omega0"], ring.pop("omega0_offset")
     _require(
         omega0 is None or offset is None,
         f"{name}.omega0_rad_s",
@@ -258,12 +230,9 @@ def _parse_ring(parser: configparser.ConfigParser, name: str, omega_pump: float)
     _require(ring["gamma_i"] is not None, f"{name}.gamma_i_mhz", "missing key")
     _require(ring["heater_alpha"] is not None, f"{name}.heater_alpha_mhz_per_mw", "missing key")
     _require(ring["heater_p_max_mw"] is not None, f"{name}.heater_p_max_mw", "missing key")
-    return RingParams(
-        radius_um=ring["radius_um"],
-        omega0=omega0 if omega0 is not None else omega_pump + offset,
-        gamma_i=ring["gamma_i"],
-        heater=HeaterModel(alpha=ring["heater_alpha"], p_max_mw=ring["heater_p_max_mw"]),
-    )
+    if omega0 is None:
+        ring["omega0"] = omega_pump + offset
+    return RingParams(**ring)
 
 
 def _syntax_error(text: str, line_number: int, problem: str) -> str:
@@ -313,8 +282,8 @@ def parse_config(text: str) -> DeviceConfig:
     ring2 = _parse_ring(parser, "ring2", omega_pump)
 
     coupling = _read_section(parser, "coupling", _COUPLING_FIELDS)
-    _require(coupling["kappa_ext"] is not None, "coupling.kappa_ext_mhz", "missing key")
-    _require(coupling["kappa_12"] is not None, "coupling.kappa_12_mhz", "missing key")
+    for field, value in coupling.items():
+        _require(value is not None, f"coupling.{field}_mhz", "missing key")
 
     if "detection" not in parser:
         raise ConfigError("detection: missing section")
@@ -334,13 +303,7 @@ def parse_config(text: str) -> DeviceConfig:
         if name not in ("ring1", "ring2", "coupling", "detection", "pump"):
             raise ConfigError(f"{name}: unknown section")
 
-    return DeviceConfig(
-        ring1=ring1,
-        ring2=ring2,
-        coupling=CouplingParams(**coupling),
-        detection=DetectionChain(stages=tuple(stages)),
-        pump_wavelength_nm=wavelength_nm,
-    )
+    return DeviceConfig(ring1, ring2, **coupling, detection=tuple(stages), pump_wavelength_nm=wavelength_nm)
 
 
 def load_config(path: str | Path) -> DeviceConfig:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError
-from .spectra import DIP_THRESHOLD, TransmissionTrace
+from .spectra import DIP_THRESHOLD
 from .supermodes import crossing_geometry
 
 CROSSING_PARAMS = ("kappa_12", "omega1_0", "omega2_0", "alpha1", "alpha2")
@@ -355,9 +355,11 @@ def _count_deep_minima(t: np.ndarray) -> int:
     return int(entering[:1].sum()) + int(np.count_nonzero(entering[1:] > entering[:-1]))
 
 
-def fit_lorentzian_dip(trace: TransmissionTrace, window: tuple[int, int]) -> DipFitResult:
-    """Fit T(w) = b*(1 - d/(1 + 4(w - w0)^2/w_fwhm^2)) inside an index window.
+def fit_lorentzian_dip(omega, t, window: tuple[int, int]) -> DipFitResult:
+    """Fit T(w) = b*(1 - d/(1 + 4(w - w0)^2/w_fwhm^2)) inside an index window
+    of the trace t sampled at the ascending frequencies omega.
 
+    The trace may be measured: unnormalized, noisy, with samples above 1.
     Returns the dip center, the baseline-normalized minimum 1 - d, the
     fwhm, and the baseline, each with a standard error.  The window must
     hold exactly one dip (FitError otherwise); structured residuals
@@ -365,8 +367,8 @@ def fit_lorentzian_dip(trace: TransmissionTrace, window: tuple[int, int]) -> Dip
     mismatch_warning instead of silently passing.
     """
     lo, hi = window
-    omega = trace.omega_grid[lo:hi]
-    t = trace.t_power[lo:hi]
+    omega = np.asarray(omega, dtype=float)[lo:hi]
+    t = np.asarray(t, dtype=float)[lo:hi]
     if omega.size < 8:
         raise ValueError(f"window [{lo}, {hi}) too small for a 4-parameter fit")
     n_dips = _count_deep_minima(t)

@@ -318,7 +318,7 @@ def analytic_psd(kappa_eff: float, gamma_total: float, freq_grid) -> NoiseSpectr
     return NoiseSpectrum(freq_grid=f, psd_normalized=s, n_segments=0)
 
 
-def shot_noise_calibration(power_grid, duration: float = 16384.0, seed: int = 0) -> list[tuple[float, float]]:
+def shot_noise_calibration(power_grid, duration: float, seed: int) -> list[tuple[float, float]]:
     """Balanced-detection shot-noise levels versus optical power.
 
     Each power P produces two independent white photocurrent streams of

@@ -100,14 +100,14 @@ def bus_transmission(omega, omega1, omega2, gamma1, gamma2, kappa_ext, kappa_12)
 def compute_trace(config: DeviceConfig, p1_mw: float, p2_mw: float, omega_grid) -> TransmissionTrace:
     """Sample the model transmission on the given frequency grid."""
     grid = np.asarray(omega_grid, dtype=float)
-    ring1, ring2, coupling = config.ring1, config.ring2, config.coupling
+    ring1, ring2 = config.ring1, config.ring2
     t = bus_transmission(grid, ring_frequency(ring1, p1_mw), ring_frequency(ring2, p2_mw),
-                         ring1.gamma_i, ring2.gamma_i, coupling.kappa_ext, coupling.kappa_12)
+                         ring1.gamma_i, ring2.gamma_i, config.kappa_ext, config.kappa_12)
     return TransmissionTrace(omega_grid=grid, t_power=np.minimum(t, 1.0 + PASSIVITY_EPS))
 
 
 def default_scan_grid(config: DeviceConfig, p1_mw: float, p2_mw: float,
-                      margin_linewidths: float = 10.0, n_points: int = 4001) -> np.ndarray:
+                      margin_linewidths: float, n_points: int) -> np.ndarray:
     """Frequency grid covering both supermode dips with margin on each side."""
     upper, lower = solve_both(config, p1_mw, p2_mw)
     width = max(1.0 / upper.tau_c, 1.0 / lower.tau_c)

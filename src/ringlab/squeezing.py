@@ -25,8 +25,6 @@ import numpy as np
 from .devicemodel import DeviceConfig, detection_efficiency, first_flagged
 from .supermodes import eta_c_vs_heater
 
-OMEGA_SIDEBAND_DEFAULT = 2.0 * math.pi * 3e6  # rad/s
-
 
 def _reject(bad, values, message: str) -> None:
     """ValueError naming the first of `values` flagged in the mask `bad`."""
@@ -94,7 +92,7 @@ def squeezing_vs_coupling(
     branch: str,
     p1_grid_mw,
     p2_mw: float,
-    omega_sideband: float = OMEGA_SIDEBAND_DEFAULT,
+    omega_sideband: float,
 ) -> CouplingSweep:
     """Measured and on-chip squeezing along a heater sweep of one branch.
 

@@ -109,12 +109,12 @@ def solve_branch(config: DeviceConfig, p1_mw, p2_mw, branch: str) -> SupermodeSo
     """
     if branch not in (BRANCH_UPPER, BRANCH_LOWER):
         raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}")
-    kappa_12 = config.coupling.kappa_12  # positive: DeviceConfig checks it
+    kappa_12 = config.kappa_12  # positive: DeviceConfig checks it
     mean, delta, radius = crossing_geometry(
         ring_frequency(config.ring1, p1_mw), ring_frequency(config.ring2, p2_mw), kappa_12
     )
     frac1 = _ring1_fraction(delta, radius, kappa_12, branch)
-    rates = effective_rates(frac1, config.coupling.kappa_ext, config.ring1.gamma_i, config.ring2.gamma_i)
+    rates = effective_rates(frac1, config.kappa_ext, config.ring1.gamma_i, config.ring2.gamma_i)
     return SupermodeSolution(mean + radius if branch == BRANCH_UPPER else mean - radius, frac1, *rates)
 
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from ringlab.cli import run as cli_run
-from ringlab.devicemodel import CouplingParams, detection_efficiency, ring_frequency
+from ringlab.devicemodel import detection_efficiency, ring_frequency
 from ringlab.fitters import CROSSING_PARAMS, CrossingDataset, fit_avoided_crossing, weighted_linear_fit
 from ringlab.langevin import LangevinRun, analytic_psd, averaged_output_psd, shot_noise_calibration
 from ringlab.spectra import bus_transmission, classify_regime, compute_trace, eta_c_from_tmin, find_dips
@@ -156,7 +156,7 @@ def test_criterion_6_crossing_fitter_recovery():
 
 def test_criterion_7_shot_noise_linearity():
     start = time.monotonic()
-    levels = shot_noise_calibration([1.0, 2.0, 4.0, 8.0], seed=20260809)
+    levels = shot_noise_calibration([1.0, 2.0, 4.0, 8.0], 16384.0, 20260809)
     fit = weighted_linear_fit([p for p, _ in levels], [v for _, v in levels])
     elapsed = time.monotonic() - start
     ok = fit.r_squared > 0.999 and elapsed < 10.0
@@ -194,7 +194,7 @@ def test_criterion_8_property_suites(cfg):
     # passivity of the transmission model over random configs x frequency grids
     for _ in range(300):
         kappa_ext, kappa_12 = 10.0 ** rng.uniform(5.5, 8.5), 10.0 ** rng.uniform(6.0, 9.5)
-        test_cfg = dataclasses.replace(cfg, coupling=CouplingParams(kappa_ext=kappa_ext, kappa_12=kappa_12))
+        test_cfg = dataclasses.replace(cfg, kappa_ext=kappa_ext, kappa_12=kappa_12)
         p1 = rng.uniform(0.0, 50.0)
         center = solve_branch(test_cfg, p1, 10.0, "lower").omega
         t = bus_transmission(center + np.linspace(-3e9, 3e9, 101), ring_frequency(cfg.ring1, p1),

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import threading
@@ -674,11 +675,50 @@ def test_unwritable_out_exits_4(device_cfg_path, tmp_path, capsys):
     assert capsys.readouterr().err == f"ringlab: error: data: [Errno 2] No such file or directory: '{out}'\n"
 
 
-def lorentzian_trace_file(path, fwhm):
-    """A trace table at `path` with one dip to t_min = 0.2, six fwhm to each side."""
+def test_failed_command_leaves_no_output_file(device_cfg_path, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert run(["transmission", "--config", str(device_cfg_path), "--p1", "40", "--p2", "10",
+                "--dip-report", str(tmp_path / "nodir" / "d.csv"), "--out", str(out)]) == 4
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_command_keeps_an_existing_output_file(device_cfg_path, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    out.write_text("old\n", encoding="utf-8")
+    out.chmod(0o640)
+    assert run(["transmission", "--config", str(device_cfg_path), "--p1", "40", "--p2", "10",
+                "--dip-report", str(tmp_path / "nodir" / "d.csv"), "--out", str(out)]) == 4
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_text(encoding="utf-8") == "old\n"
+    assert run(["crossing-sweep", "--config", str(device_cfg_path), "--p1", "0:50:0.5", "--p2", "10",
+                "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").startswith("p1_mw,")
+    assert out.stat().st_mode & 0o777 == 0o640  # replaced, with the mode it had
+
+
+def test_out_through_a_symlink_writes_its_target(device_cfg_path, tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert run(["crossing-sweep", "--config", str(device_cfg_path), "--p1", "0:50:0.5", "--p2", "10",
+                "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_text(encoding="utf-8").startswith("p1_mw,")
+    assert sorted(tmp_path.iterdir()) == [link, target]
+
+
+def test_out_to_a_device_writes_in_place(device_cfg_path):
+    assert run(["crossing-sweep", "--config", str(device_cfg_path), "--p1", "0:50:0.5", "--p2", "10",
+                "--out", os.devnull]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def lorentzian_trace_file(path, fwhm, baseline=1.0, noise=0.0):
+    """A trace table at `path` with one dip to t_min = 0.2, six fwhm to each side,
+    scaled by `baseline`, plus seeded white noise of standard deviation `noise`."""
     omega0 = 1.2066e15
     omega = omega0 + np.linspace(-6, 6, 801) * fwhm
-    write_csv_file(path, ["omega_rad_s", "t_power"], (omega, 1.0 - 0.8 / (1.0 + 4.0 * (omega - omega0) ** 2 / fwhm**2)))
+    t = baseline * (1.0 - 0.8 / (1.0 + 4.0 * (omega - omega0) ** 2 / fwhm**2))
+    write_csv_file(path, ["omega_rad_s", "t_power"], (omega, t + noise * np.random.default_rng(0).standard_normal(801)))
     return path
 
 
@@ -690,6 +730,17 @@ def test_fit_dip_on_trace_file(tmp_path):
     fit = fit_values(out)
     assert fit["t_min"] == pytest.approx(0.2, abs=1e-8)
     assert fit["fwhm_rad_s"] == pytest.approx(fwhm, rel=1e-8)
+
+
+@pytest.mark.parametrize("baseline, noise", [(1.05, 0.0), (1.0, 0.01)], ids=["unnormalized", "noisy"])
+def test_fit_dip_on_measured_trace_above_one(baseline, noise, tmp_path):
+    data = lorentzian_trace_file(tmp_path / "trace.csv", 6.0 * MHZ, baseline, noise)
+    assert load_csv(data, {"omega_rad_s": float, "t_power": float})["t_power"].max() > 1.0
+    out = tmp_path / "dipfit.csv"
+    assert run(["fit-dip", "--data", str(data), "--out", str(out)]) == 0
+    table = load_csv(out, {"param": str, "value": float, "stderr": float})
+    row = table["param"].index("t_min")
+    assert abs(table["value"][row] - 0.2) <= 3.0 * table["stderr"][row] + 1e-12  # plus rounding, for no noise
 
 
 @pytest.mark.parametrize("window, message", [

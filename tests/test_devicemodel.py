@@ -7,10 +7,7 @@ import numpy as np
 import pytest
 
 from ringlab.devicemodel import (
-    CouplingParams,
-    DetectionChain,
     DeviceConfig,
-    HeaterModel,
     RingParams,
     db_loss_to_efficiency,
     detection_efficiency,
@@ -29,7 +26,7 @@ MHZ = 2.0 * math.pi * 1e6
 
 def test_direct_construction_is_checked(cfg):
     with pytest.raises(ConfigError, match=r"^pump\.wavelength_nm: pump wavelength must be positive$"):
-        DeviceConfig(cfg.ring1, cfg.ring2, cfg.coupling, cfg.detection, math.nan)
+        DeviceConfig(cfg.ring1, cfg.ring2, cfg.kappa_ext, cfg.kappa_12, cfg.detection, math.nan)
 
 
 def test_zero_intrinsic_loss_rejected(cfg):
@@ -39,16 +36,15 @@ def test_zero_intrinsic_loss_rejected(cfg):
 
 
 def test_stage_efficiency_above_one_rejected(cfg):
-    chain = DetectionChain(stages=(("grating", 0.85), ("lens", 1.2)))
     with pytest.raises(ConfigError, match="detection.lens"):
-        dataclasses.replace(cfg, detection=chain)
+        dataclasses.replace(cfg, detection=(("grating", 0.85), ("lens", 1.2)))
 
 
 def test_nonpositive_rates_rejected(cfg):
     with pytest.raises(ConfigError, match="coupling.kappa_12"):
-        dataclasses.replace(cfg, coupling=CouplingParams(kappa_ext=1e6, kappa_12=0.0))
+        dataclasses.replace(cfg, kappa_ext=1e6, kappa_12=0.0)
     with pytest.raises(ConfigError, match="coupling.kappa_ext"):
-        dataclasses.replace(cfg, coupling=CouplingParams(kappa_ext=-1e6, kappa_12=1e6))
+        dataclasses.replace(cfg, kappa_ext=-1e6, kappa_12=1e6)
 
 
 # --- heater map ---------------------------------------------------------------
@@ -56,7 +52,7 @@ def test_nonpositive_rates_rejected(cfg):
 
 def bare_ring(alpha: float, p_max_mw: float) -> RingParams:
     """A ring whose cold resonance is 0, so its resonance is the heater shift."""
-    return RingParams(radius_um=100.0, omega0=0.0, gamma_i=1.0, heater=HeaterModel(alpha=alpha, p_max_mw=p_max_mw))
+    return RingParams(radius_um=100.0, omega0=0.0, gamma_i=1.0, heater_alpha=alpha, heater_p_max_mw=p_max_mw)
 
 
 def test_heater_zero_power_gives_zero_detuning():
@@ -90,18 +86,18 @@ def test_heater_linearity():
 
 
 def test_detection_chain_device_budget():
-    chain = DetectionChain(stages=(("grating", 0.85), ("lens", db_loss_to_efficiency(0.7)), ("qe", 0.80)))
+    chain = (("grating", 0.85), ("lens", db_loss_to_efficiency(0.7)), ("qe", 0.80))
     expected = 0.85 * 10.0 ** (-0.7 / 10.0) * 0.80
     assert detection_efficiency(chain) == pytest.approx(expected, abs=1e-15)
     assert detection_efficiency(chain) == pytest.approx(0.5787, abs=1e-4)
 
 
 def test_detection_single_identity_stage():
-    assert detection_efficiency(DetectionChain(stages=(("all", 1.0),))) == 1.0
+    assert detection_efficiency((("all", 1.0),)) == 1.0
 
 
 def test_detection_product_definition():
-    assert detection_efficiency(DetectionChain(stages=(("a", 0.5), ("b", 0.5)))) == pytest.approx(0.25)
+    assert detection_efficiency((("a", 0.5), ("b", 0.5))) == pytest.approx(0.25)
 
 
 def test_detection_order_invariance():
@@ -111,8 +107,8 @@ def test_detection_order_invariance():
         stages = [(f"s{i}", float(e)) for i, e in enumerate(effs)]
         shuffled = list(stages)
         rng.shuffle(shuffled)
-        a = detection_efficiency(DetectionChain(stages=tuple(stages)))
-        b = detection_efficiency(DetectionChain(stages=tuple(shuffled)))
+        a = detection_efficiency(tuple(stages))
+        b = detection_efficiency(tuple(shuffled))
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -150,12 +146,13 @@ wavelength_nm = 1561.1
 def test_parse_valid_text_matches_default():
     # every value in internal units, by the conversions the module docstring states
     omega_pump = 2.0 * math.pi * 299792458.0 / (1561.1 * 1e-9)
-    heater = HeaterModel(alpha=30.0 * MHZ, p_max_mw=100.0)
+    heater = {"heater_alpha": 30.0 * MHZ, "heater_p_max_mw": 100.0}
     expected = DeviceConfig(
-        ring1=RingParams(radius_um=115.0, omega0=omega_pump + 750.0 * MHZ, gamma_i=2.0 * MHZ, heater=heater),
-        ring2=RingParams(radius_um=115.0, omega0=omega_pump + 300.0 * MHZ, gamma_i=2.0 * MHZ, heater=heater),
-        coupling=CouplingParams(kappa_ext=5.0 * MHZ, kappa_12=150.0 * MHZ),
-        detection=DetectionChain(stages=(("grating", 0.85), ("lens", 10.0 ** (-0.7 / 10.0)), ("photodiode", 0.80))),
+        ring1=RingParams(radius_um=115.0, omega0=omega_pump + 750.0 * MHZ, gamma_i=2.0 * MHZ, **heater),
+        ring2=RingParams(radius_um=115.0, omega0=omega_pump + 300.0 * MHZ, gamma_i=2.0 * MHZ, **heater),
+        kappa_ext=5.0 * MHZ,
+        kappa_12=150.0 * MHZ,
+        detection=(("grating", 0.85), ("lens", 10.0 ** (-0.7 / 10.0)), ("photodiode", 0.80)),
         pump_wavelength_nm=1561.1,
     )
     assert parse_config(VALID_TEXT) == expected
@@ -163,7 +160,7 @@ def test_parse_valid_text_matches_default():
 
 def test_parse_units():
     cfg = parse_config(VALID_TEXT.replace("kappa_12_mhz = 150.0", "kappa_12_ghz = 0.15"))
-    assert cfg.coupling.kappa_12 == pytest.approx(150.0 * MHZ, rel=1e-12)
+    assert cfg.kappa_12 == pytest.approx(150.0 * MHZ, rel=1e-12)
     cfg = parse_config(VALID_TEXT.replace("gamma_i_mhz = 2.0", "gamma_i_rad_s = 12566370.614359172"))
     assert cfg.ring1.gamma_i == pytest.approx(2.0 * MHZ, rel=1e-12)
 
@@ -201,7 +198,7 @@ def test_parse_rejects_both_omega0_forms():
 
 def test_parse_lens_loss_db_conversion():
     cfg = parse_config(VALID_TEXT)
-    stages = dict(cfg.detection.stages)
+    stages = dict(cfg.detection)
     assert stages["lens"] == pytest.approx(10 ** (-0.07), rel=1e-12)
 
 

@@ -15,7 +15,7 @@ from ringlab.fitters import (
     fit_lorentzian_dip,
     weighted_linear_fit,
 )
-from ringlab.spectra import DIP_THRESHOLD, TransmissionTrace
+from ringlab.spectra import DIP_THRESHOLD
 
 MHZ = 2.0 * math.pi * 1e6
 PUMP = 1.2066e15
@@ -227,13 +227,14 @@ def test_unknown_initial_parameter_rejected():
 
 def make_dip_trace(omega0=1.2066e15, t_min=0.2, fwhm=6.0 * MHZ, baseline=1.0,
                    n=801, span_fwhm=12.0, noise=0.0, seed=0, slope=0.0):
+    """(omega, t) of one Lorentzian dip, as measured: noise is not clipped to [0, 1]."""
     omega = omega0 + np.linspace(-0.5, 0.5, n) * span_fwhm * fwhm
     depth = 1.0 - t_min
     t = baseline * (1.0 - depth / (1.0 + 4.0 * (omega - omega0) ** 2 / fwhm**2))
     t = t + slope * (omega - omega0) / (span_fwhm * fwhm)
     if noise > 0:
         t = t + noise * np.random.default_rng(seed).standard_normal(n)
-    return TransmissionTrace(omega_grid=omega, t_power=np.clip(t, 0.0, 1.0))
+    return omega, t
 
 
 def loop_deep_minima(t):
@@ -273,8 +274,8 @@ def test_count_deep_minima_matches_a_plain_loop_on_seeded_windows():
 
 
 def test_lorentzian_exact_round_trip():
-    trace = make_dip_trace(t_min=0.2, fwhm=6.0 * MHZ, baseline=0.97)
-    result = fit_lorentzian_dip(trace, (0, trace.omega_grid.size))
+    omega, t = make_dip_trace(t_min=0.2, fwhm=6.0 * MHZ, baseline=0.97)
+    result = fit_lorentzian_dip(omega, t, (0, omega.size))
     assert result.omega0 == pytest.approx(1.2066e15, abs=1e-8 * 1.2066e15)
     assert result.t_min == pytest.approx(0.2, rel=1e-6)  # already baseline-normalized
     assert result.fwhm == pytest.approx(6.0 * MHZ, rel=1e-6)
@@ -284,31 +285,29 @@ def test_lorentzian_exact_round_trip():
 
 def test_lorentzian_noisy_tmin_within_002():
     for seed in range(100):
-        trace = make_dip_trace(noise=0.01, seed=seed)
-        result = fit_lorentzian_dip(trace, (0, trace.omega_grid.size))
+        omega, t = make_dip_trace(noise=0.01, seed=seed)
+        result = fit_lorentzian_dip(omega, t, (0, omega.size))
         assert abs(result.t_min - 0.2) <= 0.02
 
 
 def test_lorentzian_sloped_baseline_flags_mismatch():
-    trace = make_dip_trace(slope=0.05)
-    result = fit_lorentzian_dip(trace, (0, trace.omega_grid.size))
+    omega, t = make_dip_trace(slope=0.05)
+    result = fit_lorentzian_dip(omega, t, (0, omega.size))
     assert result.mismatch_warning
 
 
 def test_lorentzian_rejects_window_without_dip():
     omega = 1.2066e15 + np.linspace(0, 1e8, 200)
-    trace = TransmissionTrace(omega_grid=omega, t_power=np.full(200, 0.999))
     with pytest.raises(FitError, match="no dip"):
-        fit_lorentzian_dip(trace, (0, 200))
+        fit_lorentzian_dip(omega, np.full(200, 0.999), (0, 200))
 
 
 def test_lorentzian_rejects_window_with_two_dips():
     omega = 1.2066e15 + np.linspace(-1e8, 1e8, 1001)
     dip = lambda c, w: 0.5 / (1.0 + 4.0 * (omega - c) ** 2 / w**2)
     t = 1.0 - dip(1.2066e15 - 4e7, 6e6) - dip(1.2066e15 + 4e7, 6e6)
-    trace = TransmissionTrace(omega_grid=omega, t_power=t)
     with pytest.raises(FitError, match="multiple dips"):
-        fit_lorentzian_dip(trace, (0, omega.size))
+        fit_lorentzian_dip(omega, t, (0, omega.size))
 
 
 # --- linear fit --------------------------------------------------------------------------

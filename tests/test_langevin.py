@@ -350,20 +350,20 @@ def test_halving_dt_changes_psd_below_estimator_sigma():
 
 
 def test_shot_noise_zero_power_is_zero():
-    levels = shot_noise_calibration([0.0], seed=1)
+    levels = shot_noise_calibration([0.0], 16384.0, 1)
     assert levels == [(0.0, 0.0)]
 
 
 def test_shot_noise_levels_scale_linearly():
     # the band-mean level estimator has sigma ~ 0.9% of the level
-    levels = dict(shot_noise_calibration([1.0, 2.0, 4.0, 8.0], seed=2))
+    levels = dict(shot_noise_calibration([1.0, 2.0, 4.0, 8.0], 16384.0, 2))
     for power, level in levels.items():
         assert level == pytest.approx(power, rel=0.04)
     assert levels[2.0] == pytest.approx(2 * levels[1.0], rel=0.05)
 
 
 def test_shot_noise_line_through_origin():
-    levels = shot_noise_calibration([1.0, 2.0, 4.0, 8.0], seed=3)
+    levels = shot_noise_calibration([1.0, 2.0, 4.0, 8.0], 16384.0, 3)
     fit = weighted_linear_fit([p for p, _ in levels], [v for _, v in levels])
     assert fit.r_squared > 0.999
     # each point consistent with the fitted line within 3 estimator sigmas
@@ -373,7 +373,7 @@ def test_shot_noise_line_through_origin():
 
 def test_shot_noise_rejects_negative_power():
     with pytest.raises(ValueError):
-        shot_noise_calibration([-1.0])
+        shot_noise_calibration([-1.0], 16384.0, 0)
 
 
 def test_pooled_average_raises_a_trajectory_error_and_leaves_no_thread(monkeypatch):

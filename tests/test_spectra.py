@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ringlab.devicemodel import CouplingParams, ring_frequency
+from ringlab.devicemodel import ring_frequency
 from ringlab.spectra import (
     REGIME_INDETERMINATE,
     REGIME_OVERCOUPLED,
@@ -49,7 +49,7 @@ def test_symmetric_point_matches_single_mode_minimum(cfg):
     # mean intrinsic rate; compare the exact trace minimum to that formula
     upper, _ = solve_both(cfg, 25.0, 10.0)
     t_two_ring = compute_trace(cfg, 25.0, 10.0, [upper.omega]).t_power[0]
-    kappa_eff = 0.5 * cfg.coupling.kappa_ext
+    kappa_eff = 0.5 * cfg.kappa_ext
     gamma_eff = 0.5 * (cfg.ring1.gamma_i + cfg.ring2.gamma_i)
     t_single = ((gamma_eff - kappa_eff) / (gamma_eff + kappa_eff)) ** 2
     assert t_two_ring == pytest.approx(t_single, rel=0.05)
@@ -59,7 +59,7 @@ def test_symmetric_point_even_in_probe_detuning(cfg):  # cfg has gamma1 == gamma
     omega1 = solve_branch(cfg, 25.0, 10.0, "upper").omega
     omega2 = solve_branch(cfg, 25.0, 10.0, "lower").omega
     center = 0.5 * (omega1 + omega2)
-    for x in np.linspace(0.1, 5.0, 7) * cfg.coupling.kappa_12:
+    for x in np.linspace(0.1, 5.0, 7) * cfg.kappa_12:
         left, right = compute_trace(cfg, 25.0, 10.0, [center - x, center + x]).t_power
         assert left == pytest.approx(right, rel=1e-10)
 
@@ -69,7 +69,7 @@ def test_passivity_over_random_configs(cfg):
     rng = np.random.default_rng(41)
     for _ in range(200):
         kappa_ext, kappa_12 = 10.0 ** rng.uniform(5.5, 8.5), 10.0 ** rng.uniform(6.0, 9.5)
-        test_cfg = dataclasses.replace(cfg, coupling=CouplingParams(kappa_ext=kappa_ext, kappa_12=kappa_12))
+        test_cfg = dataclasses.replace(cfg, kappa_ext=kappa_ext, kappa_12=kappa_12)
         p1 = rng.uniform(0.0, 50.0)
         center = solve_branch(test_cfg, p1, 10.0, "lower").omega
         grid = center + np.linspace(-3e9, 3e9, 101)
@@ -112,7 +112,7 @@ def test_find_dips_two_ring_trace_near_crossing(cfg):
     assert abs(dips[0].omega_center - lower.omega) <= 0.1 * width
     assert abs(dips[1].omega_center - upper.omega) <= 0.1 * width
     # so the minima splitting honors the eigenfrequency bound to the same tolerance
-    assert dips[1].omega_center - dips[0].omega_center >= 2.0 * cfg.coupling.kappa_12 - 0.2 * width
+    assert dips[1].omega_center - dips[0].omega_center >= 2.0 * cfg.kappa_12 - 0.2 * width
     assert not dips[0].overlapping and not dips[1].overlapping
 
 
@@ -233,13 +233,7 @@ def test_classify_undercoupled_branch(cfg):
 def test_classify_exact_critical_tie_break(cfg):
     # kappa_ext = gamma1 + gamma2 makes kappa_eff == gamma_eff exactly at the
     # symmetric point; the documented tie-break is undercoupled
-    critical = dataclasses.replace(
-        cfg,
-        coupling=CouplingParams(
-            kappa_ext=cfg.ring1.gamma_i + cfg.ring2.gamma_i,
-            kappa_12=cfg.coupling.kappa_12,
-        ),
-    )
+    critical = dataclasses.replace(cfg, kappa_ext=cfg.ring1.gamma_i + cfg.ring2.gamma_i)
     sol = solve_branch(critical, 25.0, 10.0, "lower")
     assert sol.kappa_eff == pytest.approx(sol.gamma_eff, rel=1e-12)
     dip = TransmissionDip(omega_center=sol.omega, t_min=0.0, fwhm=sol.kappa_eff + sol.gamma_eff)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ringlab.devicemodel import DetectionChain, detection_efficiency
+from ringlab.devicemodel import detection_efficiency
 from ringlab.squeezing import (
     db_from_linear,
     infer_onchip,
@@ -188,7 +188,7 @@ def test_lower_bound_with_equality_only_at_zero_sideband():
 
 
 def test_sweep_monotone_and_endpoints(cfg):
-    sweep = squeezing_vs_coupling(cfg, "lower", np.arange(0.0, 50.5, 0.5), 10.0)
+    sweep = squeezing_vs_coupling(cfg, "lower", np.arange(0.0, 50.5, 0.5), 10.0, 2.0 * math.pi * 3e6)
     etas, measured, onchip = sweep.eta_c, sweep.s_measured_db, sweep.s_onchip_db
     assert np.all(np.diff(etas) > 0)
     assert np.all(np.diff(measured) < 0)  # more squeezing at higher eta_c
@@ -202,9 +202,9 @@ def test_sweep_monotone_and_endpoints(cfg):
 
 
 def test_sweep_collapses_when_detection_is_perfect(cfg):
-    cfg = dataclasses.replace(cfg, detection=DetectionChain(stages=(("ideal", 1.0),)))
+    cfg = dataclasses.replace(cfg, detection=(("ideal", 1.0),))
     assert detection_efficiency(cfg.detection) == 1.0
-    sweep = squeezing_vs_coupling(cfg, "lower", np.linspace(0, 50, 11), 10.0)
+    sweep = squeezing_vs_coupling(cfg, "lower", np.linspace(0, 50, 11), 10.0, 2.0 * math.pi * 3e6)
     assert sweep.s_measured_db == pytest.approx(sweep.s_onchip_db, rel=1e-12)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ringlab import supermodes
-from ringlab.devicemodel import CouplingParams, ring_frequency
+from ringlab.devicemodel import ring_frequency
 from ringlab.supermodes import (
     crossing_geometry,
     effective_rates,
@@ -28,7 +28,7 @@ def ring1_fractions(cfg, omega1, omega2, kappa_12):
         cfg,
         ring1=dataclasses.replace(cfg.ring1, omega0=omega1),
         ring2=dataclasses.replace(cfg.ring2, omega0=omega2),
-        coupling=dataclasses.replace(cfg.coupling, kappa_12=kappa_12),
+        kappa_12=kappa_12,
     )
     return tuple(solve_branch(device, 0.0, 0.0, branch).frac1 for branch in ("upper", "lower"))
 
@@ -184,15 +184,15 @@ def test_lower_branch_sweep_spans_observable_range(cfg):
 
 
 def test_sweep_eta_bounded_by_bus_coupling(cfg):
-    bound = cfg.coupling.kappa_ext / (cfg.coupling.kappa_ext + min(cfg.ring1.gamma_i, cfg.ring2.gamma_i))
+    bound = cfg.kappa_ext / (cfg.kappa_ext + min(cfg.ring1.gamma_i, cfg.ring2.gamma_i))
     for branch in ("lower", "upper"):
         assert np.all(eta_c_vs_heater(cfg, branch, np.linspace(0, 100, 41), 10.0).eta_c <= bound + 1e-12)
 
 
 def test_strong_coupling_pins_eta(cfg):
-    strong = dataclasses.replace(cfg, coupling=CouplingParams(kappa_ext=cfg.coupling.kappa_ext, kappa_12=1e13))
+    strong = dataclasses.replace(cfg, kappa_12=1e13)
     gamma_bar = 0.5 * (strong.ring1.gamma_i + strong.ring2.gamma_i)
-    expected = 0.5 * strong.coupling.kappa_ext / (0.5 * strong.coupling.kappa_ext + gamma_bar)
+    expected = 0.5 * strong.kappa_ext / (0.5 * strong.kappa_ext + gamma_bar)
     etas = eta_c_vs_heater(strong, "lower", np.linspace(0, 50, 11), 10.0).eta_c
     assert etas == pytest.approx(np.full(11, expected), abs=1e-4)
 
@@ -200,7 +200,7 @@ def test_strong_coupling_pins_eta(cfg):
 def test_symmetric_point_matches_half_fractions(cfg):
     sol = solve_branch(cfg, 25.0, 10.0, "lower")  # crossing of the calibrated device
     kappa_eff, gamma_eff, eta_c, tau_c = effective_rates(
-        0.5, cfg.coupling.kappa_ext, cfg.ring1.gamma_i, cfg.ring2.gamma_i
+        0.5, cfg.kappa_ext, cfg.ring1.gamma_i, cfg.ring2.gamma_i
     )
     assert sol.frac1 == pytest.approx(0.5, abs=1e-9)
     assert sol.eta_c == pytest.approx(eta_c, abs=1e-9)
@@ -231,9 +231,9 @@ def two_branch_path(cfg, p1, p2) -> dict:
     """Each branch's frequency and ring-1 fraction from one
     crossing_geometry, and its rates from effective_rates."""
     omega1, omega2 = ring_frequency(cfg.ring1, p1), ring_frequency(cfg.ring2, p2)
-    kappa_12 = cfg.coupling.kappa_12
+    kappa_12 = cfg.kappa_12
     mean, delta, radius = crossing_geometry(omega1, omega2, kappa_12)
-    rates = (cfg.coupling.kappa_ext, cfg.ring1.gamma_i, cfg.ring2.gamma_i)
+    rates = (cfg.kappa_ext, cfg.ring1.gamma_i, cfg.ring2.gamma_i)
     path = {}
     for branch, omega in zip(("upper", "lower"), (mean + radius, mean - radius)):
         frac1 = supermodes._ring1_fraction(delta, radius, kappa_12, branch)
