@@ -152,18 +152,14 @@ def parse_powers(text: str) -> list[float]:
     return powers
 
 
-def _status(message: str) -> None:
-    print(message, file=sys.stderr)
-
-
 def _write_table(staged: dict, path: str, header: list[str], columns, comments=()) -> None:
     """Write a CSV table given as columns (see csvio.write_csv) to `path` ('-' is stdout).
 
     A regular file (or a new one) is written to a temporary file beside it,
     named by process and thread, and recorded in `staged` as {temporary:
-    destination}: run() moves it into place once the command has written
-    every table, so a failed command leaves no output.  A destination that
-    is not a regular file (/dev/null, a FIFO) is written in place.
+    destination}: run() moves it into place once every table is written,
+    so a failed run leaves no output.  A destination that is not a regular
+    file (/dev/null, a FIFO) is written in place.
     """
     if path == "-":
         write_csv(sys.stdout, header, columns, comments)
@@ -203,22 +199,23 @@ def _load_columns(path: str, schema: dict[str, type], frequency: str, wavelength
 
 
 # --- commands -----------------------------------------------------------------
+#
+# Each cmd_* computes and returns (tables, summary): the tables as
+# (destination, header, columns[, comments]) in the order they are written,
+# and the summary printed to stderr.  run() does all of the output.
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args):
     config = devicemodel.load_config(args.config)
     eta_d = devicemodel.detection_efficiency(config.detection)
-    _status(
-        "config ok: eta_d={} kappa_ext={} rad/s kappa_12={} rad/s".format(
-            format_value(eta_d),
-            format_value(config.kappa_ext),
-            format_value(config.kappa_12),
-        )
+    return [], "config ok: eta_d={} kappa_ext={} rad/s kappa_12={} rad/s".format(
+        format_value(eta_d),
+        format_value(config.kappa_ext),
+        format_value(config.kappa_12),
     )
-    return 0
 
 
-def cmd_transmission(args) -> int:
+def cmd_transmission(args):
     config = devicemodel.load_config(args.config)
     if args.omega is not None:
         grid = args.omega
@@ -228,8 +225,9 @@ def cmd_transmission(args) -> int:
                                          n_points=args.points)
     trace = spectra.compute_trace(config, args.p1, args.p2, grid)
     dips = spectra.find_dips(trace)
-    rows = []
+    tables = [(args.out, ["omega_rad_s", "t_power"], (trace.omega_grid, trace.t_power))]
     if args.dip_report is not None:
+        rows = []
         for dip in dips:
             if dip.overlapping:
                 regime, eta = spectra.REGIME_INDETERMINATE, float("nan")
@@ -237,70 +235,58 @@ def cmd_transmission(args) -> int:
                 regime = spectra.classify_regime(config, (args.p1, args.p2), dip)
                 eta = spectra.eta_c_from_tmin(dip.t_min, regime)
             rows.append((dip.omega_center, dip.t_min, dip.fwhm, regime, eta))
-    _write_table(args.staged, args.out, ["omega_rad_s", "t_power"], (trace.omega_grid, trace.t_power))
-    if args.dip_report is not None:
         header = ["omega_center_rad_s", "t_min", "fwhm_rad_s", "regime", "eta_c"]
         columns = list(zip(*rows)) or [()] * len(header)  # no dips: the header
-        _write_table(args.staged, args.dip_report, header, columns)
-    _status(f"transmission: {trace.omega_grid.size} points, {len(dips)} dip(s)")
-    return 0
+        tables.append((args.dip_report, header, columns))
+    return tables, f"transmission: {trace.omega_grid.size} points, {len(dips)} dip(s)"
 
 
-def cmd_crossing_sweep(args) -> int:
+def cmd_crossing_sweep(args):
     config = devicemodel.load_config(args.config)
     omega1 = devicemodel.ring_frequency(config.ring1, args.p1)
     omega2 = devicemodel.ring_frequency(config.ring2, args.p2)
     mean, _, radius = supermodes.crossing_geometry(omega1, omega2, config.kappa_12)
     omega = np.column_stack([mean - radius, mean + radius]).ravel()
-    _write_table(args.staged, args.out, ["p1_mw", "p2_mw", "branch", "resonance_rad_s"], (
-        np.repeat(args.p1, 2), args.p2, ("lower", "upper") * args.p1.size, omega,
-    ))
     min_split = float(np.min(omega[1::2] - omega[0::2]))
-    _status(f"crossing-sweep: {2 * args.p1.size} rows, minimum splitting {format_value(min_split)} rad/s")
-    return 0
+    summary = f"crossing-sweep: {2 * args.p1.size} rows, minimum splitting {format_value(min_split)} rad/s"
+    return [(args.out, ["p1_mw", "p2_mw", "branch", "resonance_rad_s"], (
+        np.repeat(args.p1, 2), args.p2, ("lower", "upper") * args.p1.size, omega,
+    ))], summary
 
 
-def cmd_etac_sweep(args) -> int:
+def cmd_etac_sweep(args):
     config = devicemodel.load_config(args.config)
     sol = supermodes.eta_c_vs_heater(config, args.branch, args.p1, args.p2)
-    _write_table(args.staged, args.out, ["p1_mw", "omega_rad_s", "eta_c", "tau_c_s"],
-                 (args.p1, sol.omega, sol.eta_c, sol.tau_c))
-    _status(
-        "etac-sweep: eta_c from {} to {} over {} points".format(
-            format_value(float(sol.eta_c[0])), format_value(float(sol.eta_c[-1])), sol.eta_c.size
-        )
+    summary = "etac-sweep: eta_c from {} to {} over {} points".format(
+        format_value(float(sol.eta_c[0])), format_value(float(sol.eta_c[-1])), sol.eta_c.size
     )
-    return 0
+    return [(args.out, ["p1_mw", "omega_rad_s", "eta_c", "tau_c_s"],
+             (args.p1, sol.omega, sol.eta_c, sol.tau_c))], summary
 
 
-def cmd_squeeze_sweep(args) -> int:
+def cmd_squeeze_sweep(args):
     config = devicemodel.load_config(args.config)
     omega_sideband = 2.0 * math.pi * args.sideband_mhz * 1e6
     sweep = squeezing.squeezing_vs_coupling(config, args.branch, args.p1, args.p2, omega_sideband)
-    _write_table(args.staged, args.out, ["eta_c", "s_measured_db", "s_onchip_db", "omega_sideband_hz", "tau_c_s"], (
-        sweep.eta_c, sweep.s_measured_db, sweep.s_onchip_db, sweep.omega_sideband_hz, sweep.tau_c_s,
-    ))
-    _status(
-        "squeeze-sweep: at eta_c={} measured {} dB, on-chip {} dB".format(
-            format_value(float(sweep.eta_c[-1])),
-            format_value(float(sweep.s_measured_db[-1])),
-            format_value(float(sweep.s_onchip_db[-1])),
-        )
+    summary = "squeeze-sweep: at eta_c={} measured {} dB, on-chip {} dB".format(
+        format_value(float(sweep.eta_c[-1])),
+        format_value(float(sweep.s_measured_db[-1])),
+        format_value(float(sweep.s_onchip_db[-1])),
     )
-    return 0
+    return [(args.out, ["eta_c", "s_measured_db", "s_onchip_db", "omega_sideband_hz", "tau_c_s"], (
+        sweep.eta_c, sweep.s_measured_db, sweep.s_onchip_db, sweep.omega_sideband_hz, sweep.tau_c_s,
+    ))], summary
 
 
-def cmd_squeeze_spectrum(args) -> int:
+def cmd_squeeze_spectrum(args):
     s = squeezing.squeezing_level(args.eta_c, args.eta_d, args.tau_c, 2.0 * math.pi * args.f)
     s_db = squeezing.db_from_linear(s)
-    _write_table(args.staged, args.out, ["f_hz", "s_linear", "s_db", "squeezing_factor_db"],
-                 (args.f, s, s_db, -s_db))
     i = int(np.argmin(s_db))
-    _status(f"squeeze-spectrum: minimum {format_value(float(s_db[i]))} dB at f={format_value(float(args.f[i]))} Hz")
-    return 0
+    summary = f"squeeze-spectrum: minimum {format_value(float(s_db[i]))} dB at f={format_value(float(args.f[i]))} Hz"
+    return [(args.out, ["f_hz", "s_linear", "s_db", "squeezing_factor_db"], (args.f, s, s_db, -s_db))], summary
 
 
-def cmd_langevin_verify(args) -> int:
+def cmd_langevin_verify(args):
     config = devicemodel.load_config(args.config)
     sol = supermodes.solve_branch(config, args.p1, args.p2, args.branch)
     gamma_total = sol.kappa_eff + sol.gamma_eff
@@ -328,30 +314,26 @@ def cmd_langevin_verify(args) -> int:
         f"kappa_eff={format_value(run.kappa_eff)}",
     ]
     psd = simulated.psd_normalized
-    _write_table(args.staged, args.out, ["freq_hz", "psd_shotnoise_units", "psd_db"],
-                 (simulated.freq_grid, psd, squeezing.db_from_linear(psd)), comments=metadata)
-    _status(
+    summary = (
         "langevin-verify: max |simulated - analytic| = {} dB over {} frequencies "
         "(omega <= 3*gamma_total), eta_c={}".format(
             format_value(max_diff), int(band.sum()), format_value(run.eta_c)
         )
     )
-    return 0
+    return [(args.out, ["freq_hz", "psd_shotnoise_units", "psd_db"],
+             (simulated.freq_grid, psd, squeezing.db_from_linear(psd)), metadata)], summary
 
 
-def cmd_shot_cal(args) -> int:
+def cmd_shot_cal(args):
     powers, psd = zip(*langevin.shot_noise_calibration(args.powers, duration=args.samples, seed=args.seed))
     fit = fitters.weighted_linear_fit(powers, psd)
-    _write_table(args.staged, args.out, ["power", "psd_level"], (powers, psd))
-    _status(
-        "shot-cal: slope={} r_squared={} (line through origin)".format(
-            format_value(fit.slope), format_value(fit.r_squared)
-        )
+    summary = "shot-cal: slope={} r_squared={} (line through origin)".format(
+        format_value(fit.slope), format_value(fit.r_squared)
     )
-    return 0
+    return [(args.out, ["power", "psd_level"], (powers, psd))], summary
 
 
-def cmd_fit_crossing(args) -> int:
+def cmd_fit_crossing(args):
     data = fitters.CrossingDataset(**_load_columns(
         args.data, {"p1_mw": float, "p2_mw": float, "branch": str, "resonance_rad_s": float},
         "resonance_rad_s", "resonance_nm",
@@ -363,28 +345,25 @@ def cmd_fit_crossing(args) -> int:
     )
     names = fitters.CROSSING_PARAMS
     values, errors = [result.params[name] for name in names], [result.stderr[name] for name in names]
-    _write_table(args.staged, args.out, ["param", "value", "stderr"], (names, values, errors))
-    _status(f"fit-crossing: converged in {result.n_iterations} iterations, "
-            f"residual_rms={format_value(result.residual_rms)} rad/s")
+    lines = [f"fit-crossing: converged in {result.n_iterations} iterations, "
+             f"residual_rms={format_value(result.residual_rms)} rad/s"]
     for name, value, err in zip(names, values, errors):
-        _status(f"  {name:>10s} = {format_value(value)} +- {format_value(err)}")
-    return 0
+        lines.append(f"  {name:>10s} = {format_value(value)} +- {format_value(err)}")
+    return [(args.out, ["param", "value", "stderr"], (names, values, errors))], "\n".join(lines)
 
 
-def cmd_fit_dip(args) -> int:
+def cmd_fit_dip(args):
     columns = _load_columns(args.data, {"omega_rad_s": float, "t_power": float}, "omega_rad_s", "wavelength_nm")
     order = np.argsort(columns["omega_rad_s"])
     omega, t = columns["omega_rad_s"][order], columns["t_power"][order]
     result = fitters.fit_lorentzian_dip(omega, t, args.window if args.window is not None else (0, omega.size))
-    _write_table(args.staged, args.out, ["param", "value", "stderr"], (
+    note = " (model mismatch: structured residuals)" if result.mismatch_warning else ""
+    summary = f"fit-dip: converged in {result.n_iterations} iterations, t_min={format_value(result.t_min)}{note}"
+    return [(args.out, ["param", "value", "stderr"], (
         ("omega0_rad_s", "t_min", "fwhm_rad_s", "baseline"),
         (result.omega0, result.t_min, result.fwhm, result.baseline),
         [result.stderr[name] for name in ("omega0", "t_min", "fwhm", "baseline")],
-    ))
-    note = " (model mismatch: structured residuals)" if result.mismatch_warning else ""
-    _status(f"fit-dip: converged in {result.n_iterations} iterations, "
-            f"t_min={format_value(result.t_min)}{note}")
-    return 0
+    ))], summary
 
 
 # --- parser -------------------------------------------------------------------
@@ -511,18 +490,27 @@ def _error(category: str, exc: Exception) -> None:
 
 
 def run(argv=None) -> int:
-    """Execute one command line; returns the process exit status."""
+    """Execute one command line; returns the process exit status.
+
+    The command runs with numpy float errors raised, so an overflow or an
+    invalid value anywhere in it is one exit-5 line, not a warning.  Only
+    then are its tables written, moved into place and its summary printed.
+    """
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    staged = args.staged = {}  # {temporary: destination} of each file the command writes
+    staged = {}  # {temporary: destination} of each file written
     try:
-        status = globals()[args.func](args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            tables, summary = globals()[args.func](args)
+        for table in tables:
+            _write_table(staged, *table)
         for temporary, target in list(staged.items()):
             os.replace(temporary, target)
             del staged[temporary]
-        return status
+        print(summary, file=sys.stderr)
+        return 0
     except ConfigError as exc:
         _error("config", exc)
         return 3

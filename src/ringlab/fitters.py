@@ -343,8 +343,10 @@ def fit_avoided_crossing(
 
 def _count_deep_minima(t: np.ndarray) -> int:
     """Dips counted with a hysteresis band around half depth, so noise at
-    the crossing level cannot split one dip into two."""
-    if t.min() >= DIP_THRESHOLD:
+    the crossing level cannot split one dip into two.  A window whose
+    minimum is at least DIP_THRESHOLD times its maximum has none, whatever
+    its baseline."""
+    if t.min() >= DIP_THRESHOLD * t.max():
         return 0
     depth = t.max() - t.min()
     enter = t.min() + 0.4 * depth
@@ -427,7 +429,7 @@ def fit_lorentzian_dip(omega, t, window: tuple[int, int]) -> DipFitResult:
 
 
 def weighted_linear_fit(x, y) -> LinearFitResult:
-    """Least-squares straight line through the origin, unit weights.
+    """Least-squares straight line through the origin, equal weights.
 
     Needs at least two points, not all at x = 0.  r_squared uses the
     uncentered total sum of squares, the standard convention for
@@ -437,12 +439,11 @@ def weighted_linear_fit(x, y) -> LinearFitResult:
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size < 2:
         raise ValueError("need at least 2 (x, y) points")
-    w = np.ones_like(x)  # w @ (x * x) rounds unlike x @ x, and shot-cal's pinned output holds the former
-    sxx = float(w @ (x * x))
+    sxx = float(x @ x)
     if not sxx > 0.0:
         raise ValueError("degenerate x: all values zero")
-    slope = float(w @ (x * y)) / sxx
+    slope = float(x @ y) / sxx
     resid = y - slope * x
-    chi2 = float(w @ (resid * resid))
-    ss_tot = float(w @ (y * y))
+    chi2 = float(resid @ resid)
+    ss_tot = float(y @ y)
     return LinearFitResult(slope=slope, r_squared=1.0 - chi2 / ss_tot if ss_tot > 0 else 1.0)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import ringlab
-from ringlab import csvio
+from ringlab import cli, csvio
 from ringlab.cli import RANGE_MAX_POINTS, build_parser, parse_range, run
 from ringlab.csvio import load_csv, parse_csv, write_csv
 from ringlab.errors import DataError
@@ -732,7 +732,8 @@ def test_fit_dip_on_trace_file(tmp_path):
     assert fit["fwhm_rad_s"] == pytest.approx(fwhm, rel=1e-8)
 
 
-@pytest.mark.parametrize("baseline, noise", [(1.05, 0.0), (1.0, 0.01)], ids=["unnormalized", "noisy"])
+@pytest.mark.parametrize("baseline, noise", [(1.05, 0.0), (1.0, 0.01), (5.0, 0.0)],
+                         ids=["unnormalized", "noisy", "baseline-5"])
 def test_fit_dip_on_measured_trace_above_one(baseline, noise, tmp_path):
     data = lorentzian_trace_file(tmp_path / "trace.csv", 6.0 * MHZ, baseline, noise)
     assert load_csv(data, {"omega_rad_s": float, "t_power": float})["t_power"].max() > 1.0
@@ -1306,11 +1307,65 @@ def test_cli_import_builds_no_parser():
     assert out.split() == ["0", "0"]
 
 
-def test_command_replaced_after_the_build_is_the_one_run(device_cfg_path, monkeypatch):
-    from ringlab import cli
-
+def test_command_replaced_after_the_build_is_the_one_run(device_cfg_path, monkeypatch, capsys):
     build_parser()
     calls = []
-    monkeypatch.setattr(cli, "cmd_validate", lambda args: calls.append(args.config) or 7)
-    assert run(["validate", "--config", str(device_cfg_path)]) == 7
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: calls.append(args.config) or ([], "sentinel"))
+    capsys.readouterr()
+    assert run(["validate", "--config", str(device_cfg_path)]) == 0
     assert calls == [str(device_cfg_path)]
+    assert capsys.readouterr().err == "sentinel\n"
+
+
+# One small command line per command; {dir} is the test's directory, which
+# also holds the crossing data {data} and a dip trace {trace}.
+PURE_RUNS = {
+    "validate": ["validate", "--config", "{cfg}"],
+    "transmission": ["transmission", "--config", "{cfg}", "--p1", "40", "--p2", "10",
+                     "--dip-report", "{dir}/dips.csv", "--out", "{dir}/trace.csv"],
+    "crossing-sweep": ["crossing-sweep", "--config", "{cfg}", "--p1", "0:50:1", "--p2", "10", "--out", "{dir}/o.csv"],
+    "etac-sweep": ["etac-sweep", "--config", "{cfg}", "--branch", "lower", "--p1", "0:50:1", "--p2", "10",
+                   "--out", "{dir}/o.csv"],
+    "squeeze-sweep": ["squeeze-sweep", "--config", "{cfg}", "--branch", "upper", "--p1", "0:50:1", "--p2", "10",
+                      "--out", "{dir}/o.csv"],
+    "squeeze-spectrum": ["squeeze-spectrum", "--eta-c", "0.7", "--eta-d", "0.6", "--tau-c", "22.5e-9",
+                         "--f", "0:6e6:1e5", "--out", "{dir}/o.csv"],
+    "langevin-verify": ["langevin-verify", "--config", "{cfg}", "--trajectories", "2", "--segments", "2",
+                        "--out", "{dir}/o.csv"],
+    "shot-cal": ["shot-cal", "--samples", "2048", "--out", "{dir}/o.csv"],
+    "fit-crossing": ["fit-crossing", "--data", "{data}", "--fix", ALPHA2, "--out", "{dir}/o.csv"],
+    "fit-dip": ["fit-dip", "--data", "{trace}", "--out", "{dir}/o.csv"],
+}
+
+
+def test_pure_runs_cover_every_command():
+    assert sorted(name for name in vars(cli) if name.startswith("cmd_")) == sorted(
+        "cmd_" + command.replace("-", "_") for command in PURE_RUNS)
+
+
+@pytest.mark.parametrize("command", sorted(PURE_RUNS))
+def test_command_returns_its_tables_and_writes_nothing(command, device_cfg_path, crossing_data, tmp_path, capsys):
+    trace = lorentzian_trace_file(tmp_path / "dip.csv", 6.0 * MHZ)
+    args = build_parser().parse_args([arg.format(cfg=device_cfg_path, data=crossing_data, trace=trace, dir=tmp_path)
+                                      for arg in PURE_RUNS[command]])
+    files = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    tables, summary = getattr(cli, args.func)(args)
+    assert tuple(capsys.readouterr()) == ("", "")
+    assert sorted(tmp_path.iterdir()) == files
+    assert [table[0] for table in tables] == [path for path in (getattr(args, "out", None),
+                                                                 getattr(args, "dip_report", None)) if path]
+    assert isinstance(summary, str) and summary.startswith(("config ok", command))
+
+
+def test_float_error_in_a_command_is_one_numeric_line(device_cfg_path):
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from ringlab import cli\n"
+            "cli.cmd_validate = lambda args: ([], str(np.full(1, 1e308) * 10))\n"
+            "sys.exit(cli.run(sys.argv[1:]))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(ringlab.__file__).parents[1]), "PYTHONWARNINGS": "default"}
+    done = subprocess.run([sys.executable, "-c", code, "validate", "--config", str(device_cfg_path)],
+                          capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout) == (5, "")
+    assert done.stderr == "ringlab: error: numeric: overflow encountered in multiply\n"

@@ -240,7 +240,7 @@ def make_dip_trace(omega0=1.2066e15, t_min=0.2, fwhm=6.0 * MHZ, baseline=1.0,
 def loop_deep_minima(t):
     """_count_deep_minima one sample at a time."""
     lo, hi = min(t), max(t)
-    if lo >= DIP_THRESHOLD:
+    if lo >= DIP_THRESHOLD * hi:
         return 0
     enter, leave = lo + 0.4 * (hi - lo), lo + 0.6 * (hi - lo)
     count, inside = 0, False
