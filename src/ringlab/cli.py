@@ -114,13 +114,17 @@ def parse_range(text: str) -> np.ndarray:
 
 
 def parse_index_range(text: str) -> tuple[int, int]:
+    """Row indices start:stop with 0 <= start < stop; stop may lie past the last row."""
     parts = text.split(":")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"window must be start:stop, got {text!r}")
     try:
-        return int(parts[0]), int(parts[1])
+        start, stop = int(parts[0]), int(parts[1])
     except ValueError:
         raise argparse.ArgumentTypeError(f"window indices must be integers: {text!r}") from None
+    if not 0 <= start < stop:
+        raise argparse.ArgumentTypeError(f"window must have 0 <= start < stop, got {text!r}")
+    return start, stop
 
 
 def parse_assignment(pair: str) -> tuple[str, float]:

@@ -6,7 +6,9 @@ rejected step and divided by 10 on an accepted one, so the objective never
 increases across accepted iterations.  Convergence is declared when an
 accepted step changes the objective by less than 1e-10 relative, or when
 damping has shrunk the proposed step below machine-level parameter
-changes.  Standard errors come from the Jacobian at the optimum.
+changes.  Standard errors come from the Jacobian at the optimum.  Each fit
+hands the engine one model function, which returns the prediction and its
+Jacobian; the engine forms the residuals and the standard errors.
 
 Avoided-crossing data are fit to the two-branch eigenfrequency model with
 linearly heater-tuned bare resonances w_i(p) = w_i0 - alpha_i * p_i; the
@@ -112,6 +114,8 @@ class LinearFitResult:
 class _EngineResult:
     theta: np.ndarray
     covariance: np.ndarray
+    stderr: np.ndarray  # square root of the covariance diagonal, clipped at 0
+    residuals: np.ndarray  # prediction - observed at theta
     residual_rms: float
     n_iterations: int
     objective_trace: tuple[float, ...]
@@ -129,9 +133,12 @@ def _scaled_normal(jac: np.ndarray, r: np.ndarray):
     return normal, rhs, scale
 
 
-def _damped_least_squares(residual_fn, jacobian_fn, theta0) -> _EngineResult:
+def _damped_least_squares(model, observed, theta0) -> _EngineResult:
+    """model(theta) returns (prediction, Jacobian), once per trial step; the
+    accepted point's Jacobian serves the next step and the covariance."""
     theta = np.array(theta0, dtype=float)
-    r = residual_fn(theta)
+    prediction, jac = model(theta)
+    r = prediction - observed
     cost = float(r @ r)
     trace = [cost]
     lam = 1e-3
@@ -140,7 +147,7 @@ def _damped_least_squares(residual_fn, jacobian_fn, theta0) -> _EngineResult:
     iteration = 0
     while not converged and iteration < MAX_ITERATIONS:
         iteration += 1
-        normal, rhs, scale = _scaled_normal(jacobian_fn(theta), r)
+        normal, rhs, scale = _scaled_normal(jac, r)
         stepped = False
         while lam <= _LAMBDA_MAX:
             try:
@@ -151,11 +158,12 @@ def _damped_least_squares(residual_fn, jacobian_fn, theta0) -> _EngineResult:
             if np.all(np.abs(step) <= _XTOL * (np.abs(theta) + _XTOL)):
                 converged = True  # damping has pinned the parameters: at a minimum
                 break
-            r_new = residual_fn(theta + step)
+            prediction, jac_new = model(theta + step)
+            r_new = prediction - observed
             cost_new = float(r_new @ r_new)
             if np.isfinite(cost_new) and cost_new < cost:
                 theta = theta + step
-                r = r_new
+                r, jac = r_new, jac_new
                 if cost - cost_new <= _FTOL * cost:
                     converged = True
                 cost = cost_new
@@ -169,8 +177,7 @@ def _damped_least_squares(residual_fn, jacobian_fn, theta0) -> _EngineResult:
     if not converged:
         raise FitError(f"no convergence after {iteration} iterations (objective {cost:.6g})")
 
-    jac = jacobian_fn(theta)
-    scale = np.sqrt(np.maximum(np.sum(jac * jac, axis=0), 0.0))
+    scale = np.sqrt(np.sum(jac * jac, axis=0))
     scale[scale <= 0] = 1.0
     singular = np.linalg.svd(jac / scale, compute_uv=False)
     if singular[-1] <= _RANK_RTOL * singular[0]:
@@ -187,6 +194,8 @@ def _damped_least_squares(residual_fn, jacobian_fn, theta0) -> _EngineResult:
     return _EngineResult(
         theta=theta,
         covariance=covariance,
+        stderr=np.sqrt(np.maximum(np.diag(covariance), 0.0)),
+        residuals=r,
         residual_rms=math.sqrt(cost / m),
         n_iterations=iteration,
         objective_trace=tuple(trace),
@@ -196,20 +205,15 @@ def _damped_least_squares(residual_fn, jacobian_fn, theta0) -> _EngineResult:
 # --- avoided-crossing fit -----------------------------------------------------
 
 
-def crossing_model(params: dict[str, float], p1, p2, branch_sign) -> np.ndarray:
-    """Branch eigenfrequencies for heater powers (p1, p2); sign +1 upper, -1 lower."""
-    omega1 = params["omega1_0"] - params["alpha1"] * np.asarray(p1, dtype=float)
-    omega2 = params["omega2_0"] - params["alpha2"] * np.asarray(p2, dtype=float)
-    mean, _, radius = crossing_geometry(omega1, omega2, params["kappa_12"])
-    return mean + np.asarray(branch_sign, dtype=float) * radius
-
-
-def _crossing_jacobian(params: dict[str, float], p1, p2, sign, free: list[str]) -> np.ndarray:
+def _crossing_model(params: dict[str, float], p1, p2, sign, free: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Branch eigenfrequencies for heater powers (p1, p2), sign +1 upper and
+    -1 lower, and their Jacobian in the `free` parameters."""
     omega1 = params["omega1_0"] - params["alpha1"] * p1
     omega2 = params["omega2_0"] - params["alpha2"] * p2
-    _, delta, radius = crossing_geometry(omega1, omega2, params["kappa_12"])
-    d_w1 = 0.5 + sign * 0.5 * delta / radius
-    d_w2 = 0.5 - sign * 0.5 * delta / radius
+    mean, delta, radius = crossing_geometry(omega1, omega2, params["kappa_12"])
+    lean = sign * 0.5 * delta / radius  # d(branch)/d(omega1) - 1/2
+    d_w1 = 0.5 + lean
+    d_w2 = 0.5 - lean
     columns = {
         "kappa_12": sign * params["kappa_12"] / radius,
         "omega1_0": d_w1,
@@ -217,7 +221,7 @@ def _crossing_jacobian(params: dict[str, float], p1, p2, sign, free: list[str]) 
         "alpha1": -p1 * d_w1,
         "alpha2": -p2 * d_w2,
     }
-    return np.column_stack([columns[name] for name in free])
+    return mean + sign * radius, np.column_stack([columns[name] for name in free])
 
 
 def _nearest_rows(p1, p2, upper, lower) -> np.ndarray:
@@ -310,25 +314,21 @@ def fit_avoided_crossing(
     start.update(fixed)
 
     sign = np.where(np.asarray(data.branch) == "upper", 1.0, -1.0)
-    p1, p2, observed = data.p1_mw, data.p2_mw, data.resonance_rad_s
+    p1, p2 = data.p1_mw, data.p2_mw
 
     def unpack(theta: np.ndarray) -> dict[str, float]:
         params = dict(fixed)
         params.update(zip(free, theta))
         return params
 
-    def residual(theta: np.ndarray) -> np.ndarray:
-        return crossing_model(unpack(theta), p1, p2, sign) - observed
+    def model(theta: np.ndarray):
+        return _crossing_model(unpack(theta), p1, p2, sign, free)
 
-    def jacobian(theta: np.ndarray) -> np.ndarray:
-        return _crossing_jacobian(unpack(theta), p1, p2, sign, free)
-
-    engine = _damped_least_squares(residual, jacobian, [start[name] for name in free])
+    engine = _damped_least_squares(model, data.resonance_rad_s, [start[name] for name in free])
     params = unpack(engine.theta)
     params["kappa_12"] = abs(params["kappa_12"])  # sign not identifiable
-    stderr = {name: 0.0 for name in CROSSING_PARAMS}
-    for k, name in enumerate(free):
-        stderr[name] = math.sqrt(max(engine.covariance[k, k], 0.0))
+    stderr = dict.fromkeys(CROSSING_PARAMS, 0.0)
+    stderr.update(zip(free, engine.stderr.tolist()))
     return FitResult(
         params={name: params[name] for name in CROSSING_PARAMS},
         stderr=stderr,
@@ -390,36 +390,27 @@ def fit_lorentzian_dip(omega, t, window: tuple[int, int]) -> DipFitResult:
 
     def model(theta):
         omega0, depth, width, baseline = theta
-        lor = 1.0 / (1.0 + 4.0 * (omega - omega0) ** 2 / width**2)
-        return baseline * (1.0 - depth * lor)
-
-    def residual(theta):
-        return model(theta) - t
-
-    def jacobian(theta):
-        omega0, depth, width, baseline = theta
         x = omega - omega0
         lor = 1.0 / (1.0 + 4.0 * x**2 / width**2)
+        shape = 1.0 - depth * lor
         d_omega0 = -baseline * depth * lor**2 * 8.0 * x / width**2
         d_depth = -baseline * lor
         d_width = -baseline * depth * lor**2 * 8.0 * x**2 / width**3
-        d_baseline = 1.0 - depth * lor
-        return np.column_stack([d_omega0, d_depth, d_width, d_baseline])
+        return baseline * shape, np.column_stack([d_omega0, d_depth, d_width, shape])
 
-    engine = _damped_least_squares(residual, jacobian, [omega0_0, depth0, width0, baseline0])
+    engine = _damped_least_squares(model, t, [omega0_0, depth0, width0, baseline0])
     omega0, depth, width, baseline = engine.theta
-    resid = residual(engine.theta)
+    resid = engine.residuals
     denom = float(resid @ resid)
     rho = float(resid[:-1] @ resid[1:]) / denom if denom > 0 else 0.0
     # structure below 1e-6 of the baseline cannot corrupt the extraction
     material = engine.residual_rms > 1e-6 * abs(baseline)
-    sig = np.sqrt(np.maximum(np.diag(engine.covariance), 0.0))
     return DipFitResult(
         omega0=float(omega0),
         t_min=1.0 - float(depth),
         fwhm=abs(float(width)),
         baseline=float(baseline),
-        stderr={"omega0": float(sig[0]), "t_min": float(sig[1]), "fwhm": float(sig[2]), "baseline": float(sig[3])},
+        stderr=dict(zip(("omega0", "t_min", "fwhm", "baseline"), engine.stderr.tolist())),
         n_iterations=engine.n_iterations,
         mismatch_warning=material and abs(rho) > 0.5,
     )

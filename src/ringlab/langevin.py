@@ -272,12 +272,17 @@ def averaged_output_psd(run: LangevinRun, n_segments: int) -> NoiseSpectrum:
     Trajectories run on a pool of min(usable CPUs, n_trajectories,
     LANGEVIN_MAX_WORKERS) threads; their spectra are summed in trajectory
     order, so the result depends only on (seed, parameters), not on the
-    thread count or the order in which trajectories finish.
+    thread count or the order in which trajectories finish.  Each
+    trajectory runs under the caller's numpy float-error settings, which
+    pool threads do not inherit.
     """
     from concurrent.futures import ThreadPoolExecutor
 
+    errors = np.geterr()
+
     def trajectory_psd(trajectory: int) -> NoiseSpectrum:
-        return output_psd(simulate_difference_quadrature(run, trajectory)[1], run.dt, n_segments)
+        with np.errstate(**errors):
+            return output_psd(simulate_difference_quadrature(run, trajectory)[1], run.dt, n_segments)
 
     # Each trajectory allocates and frees a few n_steps-long arrays.
     # glibc hands a freed heap top back to the OS once it exceeds twice the

@@ -747,7 +747,9 @@ def test_fit_dip_on_measured_trace_above_one(baseline, noise, tmp_path):
 @pytest.mark.parametrize("window, message", [
     ("5", "window must be start:stop, got '5'"),
     ("a:b", "window indices must be integers: 'a:b'"),
-], ids=["no-colon", "not-integers"])
+    ("-50:-1", "window must have 0 <= start < stop, got '-50:-1'"),
+    ("300:100", "window must have 0 <= start < stop, got '300:100'"),
+], ids=["no-colon", "not-integers", "negative", "reversed"])
 def test_malformed_fit_dip_window_is_a_usage_error(window, message, tmp_path, capsys):
     data = lorentzian_trace_file(tmp_path / "trace.csv", 6.0 * MHZ)
     capsys.readouterr()
@@ -1369,3 +1371,24 @@ def test_float_error_in_a_command_is_one_numeric_line(device_cfg_path):
                           capture_output=True, text=True, env=env)
     assert (done.returncode, done.stdout) == (5, "")
     assert done.stderr == "ringlab: error: numeric: overflow encountered in multiply\n"
+
+
+def test_float_error_in_a_trajectory_thread_is_one_numeric_line(device_cfg_path, tmp_path):
+    # numpy's errstate does not reach pool threads by itself
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from ringlab import cli, langevin\n"
+            "psd = langevin.output_psd\n"
+            "def overflowing(*args):\n"
+            "    np.array([1e308]) * 10.0\n"
+            "    return psd(*args)\n"
+            "langevin.output_psd = overflowing\n"
+            "sys.exit(cli.run(sys.argv[1:]))\n")
+    out = tmp_path / "verify.csv"
+    env = {**os.environ, "PYTHONPATH": str(Path(ringlab.__file__).parents[1]), "PYTHONWARNINGS": "default"}
+    done = subprocess.run([sys.executable, "-c", code, "langevin-verify", "--config", str(device_cfg_path),
+                           "--trajectories", "2", "--segments", "4", "--out", str(out)],
+                          capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout) == (5, "")
+    assert done.stderr == "ringlab: error: numeric: overflow encountered in multiply\n"
+    assert not out.exists()

@@ -124,13 +124,44 @@ def test_objective_descends_monotonically():
 
 
 def test_engine_gives_up_when_no_trial_step_is_finite():
-    # the residual is finite only at the start: every trial step is refused,
+    # the prediction is finite only at the start: every trial step is refused,
     # the damping climbs past _LAMBDA_MAX, and the first iteration is the last
-    def residual(theta):
-        return np.array([1.0]) if theta[0] == 0.0 else np.array([math.nan])
+    def model(theta):
+        return np.array([1.0 if theta[0] == 0.0 else math.nan]), np.array([[1.0]])
 
     with pytest.raises(FitError, match=r"^no convergence after 1 iterations \(objective 1\)$"):
-        fitters._damped_least_squares(residual, lambda theta: np.array([[1.0]]), [0.0])
+        fitters._damped_least_squares(model, np.zeros(1), [0.0])
+
+
+def fit_outcome(fit, **errors):
+    """The exception type `fit` raises under np.errstate(**errors), or the
+    repr of its result, which keeps every bit of every float in it."""
+    try:
+        with np.errstate(**errors):
+            return repr(fit())
+    except (FitError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        return type(exc)
+
+
+def test_fits_end_alike_whether_float_errors_raise_or_not():
+    # the engine evaluates the Jacobian at every trial step, rejected ones
+    # included: it must not raise there where the prediction alone would not
+    rng = np.random.default_rng(1919)
+    crossing = synthetic_crossing(noise_sigma=0.5 * MHZ / TRUTH["kappa_12"], seed=19, n_p1=41, p2_values=(10.0, 12.0))
+    guess = auto_initial_guess(crossing)
+    omega, clean = make_dip_trace(n=4001, span_fwhm=60.0)
+    outcomes = set()
+    for _ in range(50):
+        initial = {name: value * (1.0 + 0.3 * rng.standard_normal()) for name, value in guess.items()}
+        width = int(rng.integers(300, 1500))
+        lo = 2000 - int(rng.integers(width // 4, 3 * width // 4))
+        t = rng.uniform(0.5, 5.0) * clean + 0.002 * rng.standard_normal(clean.size)
+        for fit in (lambda: fit_avoided_crossing(crossing, initial=initial),
+                    lambda: fit_lorentzian_dip(omega, t, (lo, lo + width))):
+            outcome = fit_outcome(fit, over="raise", invalid="raise", divide="raise")  # as cli.run does
+            assert outcome == fit_outcome(fit, all="ignore")
+            outcomes.add(outcome if isinstance(outcome, type) else "result")
+    assert "result" in outcomes
 
 
 def test_rank_deficient_dataset_reported():

@@ -1,6 +1,6 @@
 """Byte identity: small runs of every table-writing command, two large
-tables, a dip report of no dips, a table written to stdout, and the help
-pages and usage errors, against pinned digests.
+tables, a dip report of no dips, a table written to stdout, both fits on
+noisy input, and the help pages and usage errors, against pinned digests.
 
 The digests are sha256 of each command's CSV output and of its stderr, as
 the commands write them on CPython 3.11 and numpy 2.4 on x86-64.  numpy's
@@ -22,6 +22,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
@@ -160,6 +161,53 @@ def test_table_on_stdout_is_the_file(commands, digests, device_cfg_path, capsys)
     captured = capsys.readouterr()
     assert sha256(captured.out.encode()) == digests["crossing-sweep.csv"]
     assert sha256(captured.err.encode()) == digests["crossing-sweep.err"]
+
+
+# Both fits on noisy, seeded input, where the engine takes more than a step or
+# two: the crossing with all five parameters free over two p2 values, and a
+# dip on a baseline other than 1.
+NOISY_FITS = [
+    ("noisy-fit-crossing", ["fit-crossing", "--data", "{dir}/crossing.csv"]),
+    ("noisy-fit-dip", ["fit-dip", "--data", "{dir}/trace.csv", "--window", "100:700"]),
+]
+
+NOISY_FIT_DIGESTS = {
+    "noisy-fit-crossing.csv": "d1c1e36ac99144d8afeb04b2bf013a614140e7acdb465533ed5e5d0925f64310",
+    "noisy-fit-crossing.err": "652c93b5ce33165cf09066d2f2de1349983e6bb7ee55de5eb3a2b1a32884f024",
+    "noisy-fit-dip.csv": "a5dc55389f0eaef045e4ef9a00ce2c9c3bce44f5e56642c9f49624bf0593aa52",
+    "noisy-fit-dip.err": "ee1d3d9c493c6bc53c43921aa639a50e13958e1a4c5e3eb4f709ee2a9da04238",
+}
+
+
+def write_noisy_fit_inputs(directory):
+    """crossing.csv: both branches at 41 p1 settings and p2 = 10 and 12 mW,
+    plus 0.5 MHz (cyclic) of noise; trace.csv: one dip to 0.3 of a 2.5
+    baseline, plus 0.002 of noise.  Written with repr, so the bytes depend on
+    numpy's generator and arithmetic only."""
+    rng = np.random.default_rng(19)
+    omega = 1.2066e15
+    p1 = np.tile(np.linspace(0.0, 50.0, 41), 4)
+    p2 = np.repeat([10.0, 12.0], 82)
+    sign = np.tile(np.repeat([1.0, -1.0], 41), 2)
+    omega1 = omega + 750.0 * MHZ - 30.0 * MHZ * p1
+    omega2 = omega + 300.0 * MHZ - 30.0 * MHZ * p2
+    resonance = (0.5 * (omega1 + omega2) + sign * np.hypot(0.5 * (omega1 - omega2), 150.0 * MHZ)
+                 + 0.5 * MHZ * rng.standard_normal(p1.size))
+    rows = [f"{a!r},{b!r},{'upper' if s > 0 else 'lower'},{c!r}\n"
+            for a, b, s, c in zip(p1.tolist(), p2.tolist(), sign.tolist(), resonance.tolist())]
+    (directory / "crossing.csv").write_text("p1_mw,p2_mw,branch,resonance_rad_s\n" + "".join(rows))
+
+    fwhm = 6.0 * MHZ
+    grid = omega + np.linspace(-6.0, 6.0, 801) * fwhm
+    trace = (2.5 * (1.0 - 0.7 / (1.0 + 4.0 * (grid - omega) ** 2 / fwhm**2))
+             + 0.002 * rng.standard_normal(grid.size))
+    rows = [f"{a!r},{b!r}\n" for a, b in zip(grid.tolist(), trace.tolist())]
+    (directory / "trace.csv").write_text("omega_rad_s,t_power\n" + "".join(rows))
+
+
+def test_fits_on_noisy_input_match_pinned_digests(tmp_path, capsys):
+    write_noisy_fit_inputs(tmp_path)
+    assert output_digests(None, tmp_path, capsys, NOISY_FITS) == NOISY_FIT_DIGESTS
 
 # Runs that end inside argparse: the help pages and the usage errors, whose
 # bytes depend only on the parser.  Help is wrapped to the terminal width,
