@@ -307,7 +307,7 @@ def cmd_langevin_verify(args):
     simulated = langevin.averaged_output_psd(run, args.segments)
     analytic = langevin.analytic_psd(run.kappa_eff, run.gamma_total, simulated.freq_grid)
     band = 2.0 * math.pi * simulated.freq_grid <= 3.0 * gamma_total
-    diff_db = 10.0 * np.log10(simulated.psd_normalized[band] / analytic.psd_normalized[band])
+    diff_db = squeezing.db_from_linear(simulated.psd_normalized[band] / analytic.psd_normalized[band])
     max_diff = float(np.max(np.abs(diff_db)))
     metadata = [
         f"seed={run.seed}",

@@ -15,7 +15,7 @@ from ringlab.fitters import (
     fit_lorentzian_dip,
     weighted_linear_fit,
 )
-from ringlab.spectra import DIP_THRESHOLD
+from ringlab.spectra import DIP_THRESHOLD, compute_trace, default_scan_grid, find_dips
 
 MHZ = 2.0 * math.pi * 1e6
 PUMP = 1.2066e15
@@ -55,6 +55,17 @@ def test_zero_noise_recovery():
     result = fit_avoided_crossing(synthetic_crossing())
     for name in CROSSING_PARAMS:
         assert result.params[name] == pytest.approx(TRUTH[name], rel=1e-8)
+
+
+def test_zero_noise_recovery_with_one_parameter_held():
+    # exact data end where rounding the predictions leaves the gradient:
+    # the stop test must allow for it
+    for n_p1 in (8, 15):
+        data = synthetic_crossing(n_p1=n_p1)
+        for held in CROSSING_PARAMS:
+            result = fit_avoided_crossing(data, fixed={held: TRUTH[held]})
+            for name in CROSSING_PARAMS:
+                assert result.params[name] == pytest.approx(TRUTH[name], rel=1e-8), (n_p1, held, name)
 
 
 def test_noisy_recovery_within_stderr():
@@ -125,12 +136,31 @@ def test_objective_descends_monotonically():
 
 def test_engine_gives_up_when_no_trial_step_is_finite():
     # the prediction is finite only at the start: every trial step is refused,
-    # the damping climbs past _LAMBDA_MAX, and the first iteration is the last
+    # the damping climbs past _LAMBDA_MAX, and no iteration is completed
     def model(theta):
         return np.array([1.0 if theta[0] == 0.0 else math.nan]), np.array([[1.0]])
 
-    with pytest.raises(FitError, match=r"^no convergence after 1 iterations \(objective 1\)$"):
+    with pytest.raises(FitError, match=r"^no convergence after 0 iterations \(objective 1\)$"):
         fitters._damped_least_squares(model, np.zeros(1), [0.0])
+
+
+def test_adversarial_starts_reach_the_minimum_or_raise():
+    # starts far from the minimum may stall where no step lowers the objective;
+    # they must raise, not return a result that is not a minimum
+    data = synthetic_crossing(noise_sigma=0.5 * MHZ / TRUTH["kappa_12"], seed=19, n_p1=41, p2_values=(10.0, 12.0))
+    minimum = fit_avoided_crossing(data).objective_trace[-1]
+    guess = auto_initial_guess(data)
+    rng = np.random.default_rng(2020)
+    reached = 0
+    for _ in range(200):
+        initial = {name: value * (1.0 + 0.3 * rng.standard_normal()) for name, value in guess.items()}
+        try:
+            result = fit_avoided_crossing(data, initial=initial)
+        except FitError:
+            continue
+        assert result.objective_trace[-1] <= minimum * (1.0 + 1e-6)
+        reached += 1
+    assert reached >= 100
 
 
 def fit_outcome(fit, **errors):
@@ -314,6 +344,25 @@ def test_lorentzian_exact_round_trip():
     assert not result.mismatch_warning
 
 
+def test_lorentzian_fits_each_dip_of_a_noise_free_two_ring_trace(cfg):
+    # near 1.2e15 rad/s omega0 is stored to 0.25 rad/s, which leaves a
+    # gradient no step can remove: the stop test must allow for it
+    for p1 in (15.0, 25.0, 40.0):
+        omega = default_scan_grid(cfg, p1, 10.0, 10.0, 40001)
+        trace = compute_trace(cfg, p1, 10.0, omega)
+        spacing = omega[1] - omega[0]
+        dips = find_dips(trace)
+        assert len(dips) == 2
+        for dip in dips:
+            center = round((dip.omega_center - omega[0]) / spacing)
+            half = round(4.0 * dip.fwhm / spacing)
+            result = fit_lorentzian_dip(omega, trace.t_power, (center - half, center + half + 1))
+            assert result.omega0 == pytest.approx(dip.omega_center, abs=0.01 * dip.fwhm)
+            assert result.t_min == pytest.approx(dip.t_min, abs=0.01)
+            assert result.fwhm == pytest.approx(dip.fwhm, rel=0.02)
+            assert result.baseline == pytest.approx(1.0, abs=0.01)
+
+
 def test_lorentzian_noisy_tmin_within_002():
     for seed in range(100):
         omega, t = make_dip_trace(noise=0.01, seed=seed)
@@ -345,7 +394,7 @@ def test_lorentzian_rejects_window_with_two_dips():
 
 
 def test_linear_exact():
-    x = np.arange(1.0, 9.0)
+    x = np.arange(-4.0, 5.0)  # straddles zero, one point at x = 0
     fit = weighted_linear_fit(x, 2.0 * x)
     assert fit.slope == pytest.approx(2.0, rel=1e-14)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-14)

@@ -59,10 +59,10 @@ DIGESTS = {
     "squeeze-spectrum.err": "4ac6b166a89a56c0c515171ff8f0aac4a7a6af2bbee79def5b696bb55f37cb92",
     "transmission.csv": "a7cc7311475a57ea7d8fd5443e39a3e2a46309a50f0c651e81e73ff62ee4fe30",
     "transmission.err": "a8496a8969bfdac1a489a6516da651f07308d457fdf9239ec6458cf20e1bbf18",
-    "fit-dip.csv": "db5f6f305a425b5c7fcb584869309e0eec363aa36ee01792588ab32b3db12d1c",
-    "fit-dip.err": "17d016f0d442b5174b584b4ddaccd83ab923cb0b5106cab9f3bc69463feacdf4",
-    "fit-crossing.csv": "03283a32e0bc78fc4c3f6e8b4964b5e203b01c0ecde09000182f0c475acd06a2",
-    "fit-crossing.err": "66858ae41c2aab361339ac0978626ee1c43e684cb1136e5100ed6a3151899466",
+    "fit-dip.csv": "aa2e794e95f5f3dde70121b10f229f1373e5da58cbbc72e3a3df399119ed94bd",
+    "fit-dip.err": "3b483d14aa59a448d7f3a08f366b1fc2ba2c7e902d5b69db4ae2546a25cde7dc",
+    "fit-crossing.csv": "da97e6618983ac4880aa248c3af0ee27712ac73d386ecf8d3b21f69fdeb79719",
+    "fit-crossing.err": "55c1c3073a404024530168793989d815fb924e5b2ce1591c8dc5693a12eb3d2c",
     "shot-cal.csv": "1a0e27d533c06e77b9380cf5f6d71bd40603aba8773f4034647961e62c19bfaa",
     "shot-cal.err": "fd98f1ece250ba55189023684887858e8082bfbe49b43d75e3ce7e32adaf5f9a",
     "langevin-verify.csv": "37cbab16926e58919ff925b41ee139265765c3c4404ad6a64d48a280e7a7fb4e",
@@ -172,10 +172,10 @@ NOISY_FITS = [
 ]
 
 NOISY_FIT_DIGESTS = {
-    "noisy-fit-crossing.csv": "d1c1e36ac99144d8afeb04b2bf013a614140e7acdb465533ed5e5d0925f64310",
-    "noisy-fit-crossing.err": "652c93b5ce33165cf09066d2f2de1349983e6bb7ee55de5eb3a2b1a32884f024",
-    "noisy-fit-dip.csv": "a5dc55389f0eaef045e4ef9a00ce2c9c3bce44f5e56642c9f49624bf0593aa52",
-    "noisy-fit-dip.err": "ee1d3d9c493c6bc53c43921aa639a50e13958e1a4c5e3eb4f709ee2a9da04238",
+    "noisy-fit-crossing.csv": "3580626e6f5da5df4a83bf24a0984dbafc0a7767862e18ec6834721a2ef0edc3",
+    "noisy-fit-crossing.err": "363da29a3f87ae20016ac84b9579c6114e061995ed3718bc02f5cba88e4764ff",
+    "noisy-fit-dip.csv": "15a187ff9d61923d6b985cc78a7a7abb3ae61ac710dbaf4bddcd8619d3ec1b3f",
+    "noisy-fit-dip.err": "b12d704a84c8791a64336aaad9cef0e8410d29de5c8b9f3b473d874c5024c747",
 }
 
 
