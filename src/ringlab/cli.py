@@ -33,6 +33,13 @@ from .errors import ConfigError, DataError, FitError
 RANGE_REL_TOL = 1e-9          # stop is included when on-grid within this
 RANGE_MAX_POINTS = 10**7      # larger grids are refused before any allocation
 SEGMENT_SAMPLES = 4096        # Welch segment length for langevin-verify
+# Samples over all trajectories of one langevin-verify run: the default 200
+# trajectories at the longest trajectory, about 51 times the default run.
+MONTE_CARLO_MAX_SAMPLES = 200 * RANGE_MAX_POINTS
+# transmission's auto grid reaches this many linewidths past each dip.  The
+# transmission is 1 to double precision far short of it, and stays finite
+# there for rates below 1e50 rad/s (kappa_ext * detuning below 1e300).
+MARGIN_MAX_LINEWIDTHS = 1e200
 NEGATIVE_NUMBER = re.compile(r"^-\.?\d")  # an argument that starts so is a value
 
 EXIT_CODES_HELP = """\
@@ -75,6 +82,10 @@ def _checked(kind, accept, requirement: str):
 positive_int = _checked(int, lambda value: value > 0, "positive")
 positive_float = _checked(finite_float, lambda value: value > 0, "positive")
 non_negative_int = _checked(int, lambda value: value >= 0, "non-negative")
+margin_linewidths = _checked(positive_float, lambda value: value <= MARGIN_MAX_LINEWIDTHS,
+                             f"at most {MARGIN_MAX_LINEWIDTHS:g}")
+dt_factor = _checked(positive_float, lambda value: value <= langevin.MAX_DT_FACTOR,
+                     f"at most {langevin.MAX_DT_FACTOR}")
 # Sample budgets share the range cap, so a series too long to hold is refused before any allocation:
 # the points of a trace, and the samples of one trajectory, (segments + 1) * SEGMENT_SAMPLES/2
 trace_points = _checked(positive_int, lambda value: value <= RANGE_MAX_POINTS, f"at most {RANGE_MAX_POINTS}")
@@ -86,6 +97,31 @@ shot_cal_samples = _checked(
     _checked(positive_float, lambda value: round(value) >= langevin.SHOT_CAL_MIN_SAMPLES,
              f"at least {langevin.SHOT_CAL_MIN_SAMPLES}"),
     lambda value: round(value) <= RANGE_MAX_POINTS, f"at most {RANGE_MAX_POINTS}")
+
+
+def _monte_carlo_budget(args) -> str | None:
+    """The usage error of a langevin-verify run of more than
+    MONTE_CARLO_MAX_SAMPLES samples over all its trajectories, else None."""
+    most = MONTE_CARLO_MAX_SAMPLES // ((args.segments + 1) * (SEGMENT_SAMPLES // 2))
+    if args.trajectories <= most:
+        return None
+    return (f"argument --trajectories: must be at most {most} at --segments {args.segments}, "
+            f"so a run has at most {MONTE_CARLO_MAX_SAMPLES} samples: {str(args.trajectories)!r}")
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """The parser of one command.  Its `check`, if set, sees the whole parsed
+    namespace, for a bound that joins several flags, and returns the usage
+    error to report, or None."""
+
+    check = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        problem = self.check and self.check(namespace)
+        if problem:
+            self.error(problem)
+        return namespace, extras
 
 
 def parse_range(text: str) -> np.ndarray:
@@ -294,13 +330,11 @@ def cmd_langevin_verify(args):
     config = devicemodel.load_config(args.config)
     sol = supermodes.solve_branch(config, args.p1, args.p2, args.branch)
     gamma_total = sol.kappa_eff + sol.gamma_eff
-    dt = args.dt_factor / gamma_total
-    n_steps = (args.segments + 1) * (SEGMENT_SAMPLES // 2)
     run = langevin.LangevinRun(
         gamma_total=gamma_total,
         kappa_eff=sol.kappa_eff,
-        dt=dt,
-        duration=n_steps * dt,
+        dt=args.dt_factor / gamma_total,
+        n_steps=(args.segments + 1) * (SEGMENT_SAMPLES // 2),
         n_trajectories=args.trajectories,
         seed=args.seed,
     )
@@ -312,7 +346,7 @@ def cmd_langevin_verify(args):
     metadata = [
         f"seed={run.seed}",
         f"dt={format_value(run.dt)}",
-        f"duration={format_value(run.duration)}",
+        f"duration={format_value(run.n_steps * run.dt)}",
         f"n_trajectories={run.n_trajectories}",
         f"gamma_total={format_value(run.gamma_total)}",
         f"kappa_eff={format_value(run.kappa_eff)}",
@@ -329,7 +363,7 @@ def cmd_langevin_verify(args):
 
 
 def cmd_shot_cal(args):
-    powers, psd = zip(*langevin.shot_noise_calibration(args.powers, duration=args.samples, seed=args.seed))
+    powers, psd = zip(*langevin.shot_noise_calibration(args.powers, round(args.samples), args.seed))
     fit = fitters.weighted_linear_fit(powers, psd)
     summary = "shot-cal: slope={} r_squared={} (line through origin)".format(
         format_value(fit.slope), format_value(fit.r_squared)
@@ -388,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=EXIT_CODES_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command", parser_class=_CommandParser)
 
     def add(name, help_text, columns=None):
         p = sub.add_parser(
@@ -412,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p2", type=finite_float, required=True, help="ring-2 heater power, mW")
     p.add_argument("--omega", type=parse_range, default=None,
                    help="probe grid start:stop:step in rad/s (default: auto around both dips)")
-    p.add_argument("--margin-linewidths", type=positive_float, default=10.0)
+    p.add_argument("--margin-linewidths", type=margin_linewidths, default=10.0)
     p.add_argument("--points", type=trace_points, default=4001)
     p.add_argument("--dip-report", default=None,
                    help="also write dip CSV: omega_center_rad_s,t_min,fwhm_rad_s,regime,eta_c")
@@ -459,8 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=non_negative_int, default=12345)
     p.add_argument("--trajectories", type=positive_int, default=200)
     p.add_argument("--segments", type=welch_segments, default=94, help="Welch segments per trajectory")
-    p.add_argument("--dt-factor", type=finite_float, default=0.01, help="time step in units of 1/gamma_total")
+    p.add_argument("--dt-factor", type=dt_factor, default=0.01, help="time step in units of 1/gamma_total")
     p.add_argument("--out", default="-")
+    p.check = _monte_carlo_budget
 
     p = add("shot-cal", "Simulated balanced-detection shot-noise calibration versus power.",
             ["power", "psd_level"])

@@ -17,15 +17,20 @@ whose exact power spectral density, in shot-noise units, is
 detection, eta_c = kappa_eff/G and tau_c = 1/G.  (Output PSD numerator:
 (kappa_eff - G)^2 + W^2 + kappa_eff(G - kappa_eff) = G^2 - kappa_eff*G + W^2.)
 
-Integration uses Euler-Maruyama; dt <= 0.05/G keeps the discretization bias
-well below the 0.2 dB verification tolerance.  The chain's recursion is
-evaluated as a blocked prefix scan, which reassociates its sums: it agrees
-with step-by-step evaluation to a few ulp of the largest sample.  Each
-trajectory draws its two noise streams from generators seeded as
-SeedSequence(entropy=run.seed, spawn_key=(trajectory,)).spawn(2), so runs
-are reproducible and trajectories independent regardless of execution
-order; the initial condition is the first draw of the external stream,
-scaled to the stationary standard deviation of the discrete chain.
+Integration uses Euler-Maruyama; dt <= MAX_DT_FACTOR/G (0.05/G) keeps the
+discretization bias well below the 0.2 dB verification tolerance.  The
+chain's recursion is evaluated as a blocked prefix scan, which
+reassociates its sums: it agrees with step-by-step evaluation to a few ulp
+of the largest sample.  Each trajectory draws its two noise streams from
+generators seeded as SeedSequence(entropy=run.seed,
+spawn_key=(trajectory,)).spawn(2), so runs are reproducible and
+trajectories independent regardless of execution order; the initial
+condition is the first draw of the external stream, scaled to the
+stationary standard deviation of the discrete chain.
+
+Sample budgets are counts, never durations: a LangevinRun holds n_steps
+samples per trajectory (n_steps*dt at least 50/G) and n_trajectories
+trajectories, and shot_noise_calibration draws n_samples per power.
 
 averaged_output_psd runs the trajectories of a run on a pool of at most
 LANGEVIN_MAX_WORKERS threads (numpy's RNG fill, ufuncs, cumulative sums
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -45,6 +51,7 @@ import numpy as np
 from .devicemodel import readonly_array
 from .squeezing import squeezing_level
 
+MAX_DT_FACTOR = 0.05            # largest G*dt of a run: the Euler bias stays well below 0.2 dB
 MIN_SEGMENT_SAMPLES = 16
 SHOT_CAL_SEGMENTS = 31          # Welch segments per power in shot_noise_calibration
 SHOT_CAL_MIN_SAMPLES = (SHOT_CAL_SEGMENTS + 1) * (MIN_SEGMENT_SAMPLES // 2)  # the fewest that fill them
@@ -65,7 +72,7 @@ class LangevinRun:
     gamma_total: float
     kappa_eff: float
     dt: float
-    duration: float
+    n_steps: int
     n_trajectories: int
     seed: int
 
@@ -74,16 +81,14 @@ class LangevinRun:
             raise ValueError(f"gamma_total must be positive, got {self.gamma_total}")
         if not 0.0 <= self.kappa_eff <= self.gamma_total:
             raise ValueError(f"kappa_eff must be in [0, gamma_total], got {self.kappa_eff}")
-        if not 0.0 < self.dt <= 0.05 / self.gamma_total:
-            raise ValueError(f"dt must be in (0, 0.05/gamma_total], got {self.dt}")
-        if self.duration < 50.0 / self.gamma_total:
-            raise ValueError(f"duration must be at least 50/gamma_total, got {self.duration}")
+        if not 0.0 < self.dt <= MAX_DT_FACTOR / self.gamma_total:
+            raise ValueError(f"dt must be in (0, {MAX_DT_FACTOR}/gamma_total], got {self.dt}")
+        if not isinstance(self.n_steps, numbers.Integral) or self.n_steps < 1:
+            raise ValueError(f"n_steps must be a positive integer, got {self.n_steps!r}")
+        if self.n_steps * self.dt < 50.0 / self.gamma_total:
+            raise ValueError(f"n_steps * dt must be at least 50/gamma_total, got {self.n_steps * self.dt}")
         if self.n_trajectories < 1:
             raise ValueError(f"n_trajectories must be >= 1, got {self.n_trajectories}")
-
-    @property
-    def n_steps(self) -> int:
-        return int(round(self.duration / self.dt))
 
     @property
     def eta_c(self) -> float:
@@ -323,17 +328,15 @@ def analytic_psd(kappa_eff: float, gamma_total: float, freq_grid) -> NoiseSpectr
     return NoiseSpectrum(freq_grid=f, psd_normalized=s, n_segments=0)
 
 
-def shot_noise_calibration(power_grid, duration: float, seed: int) -> list[tuple[float, float]]:
+def shot_noise_calibration(power_grid, n_samples: int, seed: int) -> list[tuple[float, float]]:
     """Balanced-detection shot-noise levels versus optical power.
 
     Each power P produces two independent white photocurrent streams of
-    PSD P/2 (a 50:50 split), sampled at unit spacing for `duration`
-    samples (rounded; at least SHOT_CAL_MIN_SAMPLES); the PSD of their
-    difference, Welch-averaged over SHOT_CAL_SEGMENTS segments, averages
-    to P.  Returns (power, mean PSD level) per grid point; the levels fall
+    PSD P/2 (a 50:50 split), n_samples long at unit spacing (at least
+    SHOT_CAL_MIN_SAMPLES); the PSD of their difference, Welch-averaged
+    over SHOT_CAL_SEGMENTS segments, averages to P.  Returns (power, mean PSD level) per grid point; the levels fall
     on a line through the origin up to estimator variance.
     """
-    n = int(round(duration))
     levels = []
     for index, power in enumerate(power_grid):
         power = float(power)
@@ -344,8 +347,8 @@ def shot_noise_calibration(power_grid, duration: float, seed: int) -> list[tuple
             continue
         rng1, rng2 = trajectory_generators(seed, index)
         scale = np.sqrt(0.5 * power)
-        s1 = scale * rng1.standard_normal(n)
-        s2 = scale * rng2.standard_normal(n)
+        s1 = scale * rng1.standard_normal(n_samples)
+        s2 = scale * rng2.standard_normal(n_samples)
         spectrum = output_psd(s1 - s2, 1.0, SHOT_CAL_SEGMENTS)
         levels.append((power, float(spectrum.psd_normalized.mean())))
     return levels

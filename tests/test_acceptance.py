@@ -80,7 +80,7 @@ def test_criterion_4_langevin_oracle_equivalence():
             gamma_total=gamma_total,
             kappa_eff=eta_c * gamma_total,
             dt=dt,
-            duration=n_steps * dt,
+            n_steps=n_steps,
             n_trajectories=200,
             seed=20260809,
         )
@@ -156,7 +156,7 @@ def test_criterion_6_crossing_fitter_recovery():
 
 def test_criterion_7_shot_noise_linearity():
     start = time.monotonic()
-    levels = shot_noise_calibration([1.0, 2.0, 4.0, 8.0], 16384.0, 20260809)
+    levels = shot_noise_calibration([1.0, 2.0, 4.0, 8.0], 16384, 20260809)
     fit = weighted_linear_fit([p for p, _ in levels], [v for _, v in levels])
     elapsed = time.monotonic() - start
     ok = fit.r_squared > 0.999 and elapsed < 10.0

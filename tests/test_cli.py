@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import ringlab
-from ringlab import cli, csvio
-from ringlab.cli import RANGE_MAX_POINTS, build_parser, parse_range, run
+from ringlab import cli, csvio, langevin
+from ringlab.cli import MONTE_CARLO_MAX_SAMPLES, RANGE_MAX_POINTS, build_parser, parse_range, run
 from ringlab.csvio import load_csv, parse_csv, write_csv
 from ringlab.errors import DataError
 from ringlab.fitters import CROSSING_PARAMS
@@ -579,13 +579,14 @@ def test_roll_off_overflow_prints_only_the_summary(tau_c):
     assert done.stderr == "squeeze-spectrum: minimum 0 dB at f=10000000000 Hz\n"
 
 
-@pytest.mark.parametrize("margin, status, stderr", [
-    ("1e150", 0, "transmission: 4001 points, 0 dip(s)\n"),  # d1*d2 overflows: the far-detuned limit T = 1
-    ("1e300", 5, "ringlab: error: numeric: probe grid too far from the resonances: "),  # T is not finite
+@pytest.mark.parametrize("grid, status, stderr", [
+    ("--margin-linewidths=1e150", 0, "transmission: 4001 points, 0 dip(s)\n"),  # d1*d2 overflows: the limit T = 1
+    # T is not finite; a margin this far out is refused at parse time, an explicit grid is not
+    ("--omega=-1e307:1e307:1e306", 5, "ringlab: error: numeric: probe grid too far from the resonances: "),
 ], ids=["1e150", "1e300"])
-def test_far_probe_grid_prints_one_line(margin, status, stderr, device_cfg_path, tmp_path):
+def test_far_probe_grid_prints_one_line(grid, status, stderr, device_cfg_path, tmp_path):
     argv = ["transmission", "--config", str(device_cfg_path), "--p1", "40", "--p2", "10",
-            "--margin-linewidths", margin, "--out", str(tmp_path / "t.csv")]
+            grid, "--out", str(tmp_path / "t.csv")]
     env = {**os.environ, "PYTHONPATH": str(Path(ringlab.__file__).parents[1]), "PYTHONWARNINGS": "default"}
     done = subprocess.run([sys.executable, "-m", "ringlab.cli", *argv], capture_output=True, text=True, env=env)
     assert done.returncode == status
@@ -1040,6 +1041,7 @@ POSITIVE_CASES = [
     ("--samples", ["shot-cal"], ["-5", "0"]),
     ("--trajectories", ["langevin-verify", "--config", "{cfg}"], ["-2", "0"]),
     ("--segments", ["langevin-verify", "--config", "{cfg}"], ["0", "-1"]),
+    ("--dt-factor", ["langevin-verify", "--config", "{cfg}"], ["0", "-0.01"]),
 ]
 
 
@@ -1087,14 +1089,19 @@ def test_too_few_shot_cal_samples_is_a_usage_error(tmp_path, capsys):
         assert run(["shot-cal", "--samples", value, "--out", str(out)]) == 0, value
 
 
-# --- sample budgets are capped at the range cap, before any allocation -----------------
+# --- sample budgets, the time step and the probe margin are capped at parse time -------
 
-# Each value asks for an array numpy refuses to allocate, which used to end in a traceback.
+# Each of the first three values asks for an array numpy refuses to allocate, which used to
+# end in a traceback; the last three used to start the work, or fail inside it naming no flag.
 BUDGET_CASES = [
     ("--points", TRANSMISSION, "30000000000", f"must be at most {RANGE_MAX_POINTS}"),
     ("--samples", ["shot-cal"], "3e10", f"must be at most {RANGE_MAX_POINTS}"),
     ("--segments", ["langevin-verify", "--config", "{cfg}", "--trajectories", "1"], "1000000000000",
      f"must be at most 4881, so a trajectory has at most {RANGE_MAX_POINTS} samples"),
+    ("--trajectories", ["langevin-verify", "--config", "{cfg}"], "10280",
+     f"must be at most 10279 at --segments 94, so a run has at most {MONTE_CARLO_MAX_SAMPLES} samples"),
+    ("--dt-factor", ["langevin-verify", "--config", "{cfg}"], "0.1", "must be at most 0.05"),
+    ("--margin-linewidths", TRANSMISSION, "1e300", "must be at most 1e+200"),
 ]
 
 
@@ -1116,6 +1123,10 @@ def test_sample_budget_over_the_cap_is_a_usage_error(flag, argv, value, message,
     (["transmission", "--config", "c", "--p1", "0", "--p2", "0", "--points"], "10000000", "10000001"),
     (["shot-cal", "--samples"], "10000000.4", "10000000.6"),                  # counted after rounding
     (["langevin-verify", "--config", "c", "--segments"], "4881", "4882"),    # 4882 * 2048 <= 1e7 < 4883 * 2048
+    (["langevin-verify", "--config", "c", "--trajectories"], "10279", "10280"),  # times 95 * 2048, about 2e9
+    (["langevin-verify", "--config", "c", "--segments", "4881", "--trajectories"], "200", "201"),
+    (["langevin-verify", "--config", "c", "--dt-factor"], "0.05", "0.0500001"),
+    (["transmission", "--config", "c", "--p1", "0", "--p2", "0", "--margin-linewidths"], "1e200", "1.0000001e200"),
 ])
 def test_sample_budget_cap_admits_the_cap_itself(argv, at_cap, over, capsys):
     parser = build_parser()
@@ -1123,6 +1134,24 @@ def test_sample_budget_cap_admits_the_cap_itself(argv, at_cap, over, capsys):
     with pytest.raises(SystemExit) as refused:
         parser.parse_args([*argv, over])
     assert refused.value.code == 2 and "must be at most" in capsys.readouterr().err
+
+
+def test_monte_carlo_budget_is_checked_on_the_parsed_segments(device_cfg_path, tmp_path, monkeypatch, capsys):
+    # --segments after --trajectories still sets the budget; a refused run starts no trajectory
+    def no_trajectory(*args):
+        raise AssertionError("a trajectory started")
+
+    monkeypatch.setattr(langevin, "simulate_difference_quadrature", no_trajectory)
+    out = tmp_path / "out.csv"
+    for trajectories, segments, most in (("201", "4881", 200), ("10" + "0" * 20, "1", 488281)):
+        capsys.readouterr()
+        assert run(["langevin-verify", "--config", str(device_cfg_path), "--trajectories", trajectories,
+                    "--segments", segments, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert not out.exists() and captured.out == ""
+        assert captured.err.endswith(
+            f"ringlab langevin-verify: error: argument --trajectories: must be at most {most} at --segments "
+            f"{segments}, so a run has at most {MONTE_CARLO_MAX_SAMPLES} samples: {trajectories!r}\n")
 
 
 # --- shot-cal powers: at least two, none negative, one positive ------------------------

@@ -1,6 +1,7 @@
 """Stochastic intensity-difference model, PSD estimation, shot-noise calibration."""
 
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -32,7 +33,7 @@ def make_run(eta_c=0.5, n_trajectories=40, segments=46, seed=321, dt_factor=0.02
         gamma_total=GAMMA,
         kappa_eff=eta_c * GAMMA,
         dt=dt,
-        duration=n_steps * dt,
+        n_steps=n_steps,
         n_trajectories=n_trajectories,
         seed=seed,
     )
@@ -53,11 +54,24 @@ def test_run_rejects_bad_parameters():
     with pytest.raises(ValueError):
         make_run(dt_factor=0.2)  # dt above the stability bound
     with pytest.raises(ValueError):
-        LangevinRun(GAMMA, 0.5 * GAMMA, 0.01 / GAMMA, 10.0 / GAMMA, 1, 0)  # too short
+        LangevinRun(GAMMA, 0.5 * GAMMA, 0.01 / GAMMA, 1000, 1, 0)  # too short: 10/GAMMA
     with pytest.raises(ValueError):
-        LangevinRun(GAMMA, 1.5 * GAMMA, 0.01 / GAMMA, 100.0 / GAMMA, 1, 0)  # kappa > gamma
+        LangevinRun(GAMMA, 1.5 * GAMMA, 0.01 / GAMMA, 10000, 1, 0)  # kappa > gamma
     with pytest.raises(ValueError):
-        LangevinRun(GAMMA, 0.5 * GAMMA, 0.01 / GAMMA, 100.0 / GAMMA, 0, 0)  # no trajectories
+        LangevinRun(GAMMA, 0.5 * GAMMA, 0.01 / GAMMA, 10000, 0, 0)  # no trajectories
+
+
+@pytest.mark.parametrize("n_steps", [0, -5, 194560.0, "194560", None])
+def test_run_takes_a_positive_integer_step_count(n_steps):
+    with pytest.raises(ValueError, match=f"^n_steps must be a positive integer, got {re.escape(repr(n_steps))}$"):
+        LangevinRun(GAMMA, 0.5 * GAMMA, 0.01 / GAMMA, n_steps, 1, 0)
+
+
+def test_run_shorter_than_50_over_gamma_is_refused():
+    dt = 0.01 / GAMMA
+    assert LangevinRun(GAMMA, 0.5 * GAMMA, dt, np.int64(5000), 1, 0).n_steps == 5000  # 5000 * dt = 50/GAMMA
+    with pytest.raises(ValueError, match=r"^n_steps \* dt must be at least 50/gamma_total, got "):
+        LangevinRun(GAMMA, 0.5 * GAMMA, dt, 4999, 1, 0)
 
 
 # --- trajectory generation --------------------------------------------------------
@@ -73,7 +87,7 @@ def test_same_seed_bit_identical():
 
 
 def test_zero_external_coupling_outputs_pure_shot_noise():
-    run = LangevinRun(GAMMA, 0.0, 0.02 / GAMMA, 2000 * 0.02 / GAMMA * 50, 1, 7)
+    run = LangevinRun(GAMMA, 0.0, 0.02 / GAMMA, 100_000, 1, 7)
     rngs = np.random.SeedSequence(entropy=7, spawn_key=(0,)).spawn(2)
     rng_ext = np.random.default_rng(rngs[0])
     sigma0 = np.sqrt(1.0 / (2.0 - run.gamma_total * run.dt))
@@ -86,7 +100,7 @@ def test_zero_external_coupling_outputs_pure_shot_noise():
 def test_stationary_variance_is_one_half():
     run = make_run(eta_c=0.5, seed=1234, segments=97)  # ~2000/GAMMA duration
     x, _ = simulate_difference_quadrature(run, 0)
-    t_total = run.duration * run.gamma_total
+    t_total = run.n_steps * run.dt * run.gamma_total
     sigma_est = 0.5 * math.sqrt(2.0 / t_total)  # sample-variance std for an OU process
     assert abs(x.var() - 0.5) <= 3.0 * sigma_est
 
@@ -311,7 +325,7 @@ def test_simulated_psd_respects_passivity_floor(oracle_run):
 
 def test_averaged_psd_deterministic(oracle_run):
     run, simulated, _ = oracle_run
-    small = LangevinRun(run.gamma_total, run.kappa_eff, run.dt, run.duration, 3, run.seed)
+    small = LangevinRun(run.gamma_total, run.kappa_eff, run.dt, run.n_steps, 3, run.seed)
     again = averaged_output_psd(small, 46)
     once = averaged_output_psd(small, 46)
     assert np.array_equal(again.psd_normalized, once.psd_normalized)
@@ -350,20 +364,20 @@ def test_halving_dt_changes_psd_below_estimator_sigma():
 
 
 def test_shot_noise_zero_power_is_zero():
-    levels = shot_noise_calibration([0.0], 16384.0, 1)
+    levels = shot_noise_calibration([0.0], 16384, 1)
     assert levels == [(0.0, 0.0)]
 
 
 def test_shot_noise_levels_scale_linearly():
     # the band-mean level estimator has sigma ~ 0.9% of the level
-    levels = dict(shot_noise_calibration([1.0, 2.0, 4.0, 8.0], 16384.0, 2))
+    levels = dict(shot_noise_calibration([1.0, 2.0, 4.0, 8.0], 16384, 2))
     for power, level in levels.items():
         assert level == pytest.approx(power, rel=0.04)
     assert levels[2.0] == pytest.approx(2 * levels[1.0], rel=0.05)
 
 
 def test_shot_noise_line_through_origin():
-    levels = shot_noise_calibration([1.0, 2.0, 4.0, 8.0], 16384.0, 3)
+    levels = shot_noise_calibration([1.0, 2.0, 4.0, 8.0], 16384, 3)
     fit = weighted_linear_fit([p for p, _ in levels], [v for _, v in levels])
     assert fit.r_squared > 0.999
     # each point consistent with the fitted line within 3 estimator sigmas
@@ -373,7 +387,7 @@ def test_shot_noise_line_through_origin():
 
 def test_shot_noise_rejects_negative_power():
     with pytest.raises(ValueError):
-        shot_noise_calibration([-1.0], 16384.0, 0)
+        shot_noise_calibration([-1.0], 16384, 0)
 
 
 def test_pooled_average_raises_a_trajectory_error_and_leaves_no_thread(monkeypatch):
