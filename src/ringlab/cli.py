@@ -15,6 +15,7 @@ returns, so one call leaves nothing behind for the next.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import functools
 import math
@@ -41,6 +42,8 @@ MONTE_CARLO_MAX_SAMPLES = 200 * RANGE_MAX_POINTS
 # there for rates below 1e50 rad/s (kappa_ext * detuning below 1e300).
 MARGIN_MAX_LINEWIDTHS = 1e200
 NEGATIVE_NUMBER = re.compile(r"^-\.?\d")  # an argument that starts so is a value
+DIP_REPORT_COLUMNS = ("omega_center_rad_s", "t_min", "fwhm_rad_s", "regime", "eta_c")
+FIT_COLUMNS = ("param", "value", "stderr")  # the table of both fits
 
 EXIT_CODES_HELP = """\
 exit codes:
@@ -99,14 +102,22 @@ shot_cal_samples = _checked(
     lambda value: round(value) <= RANGE_MAX_POINTS, f"at most {RANGE_MAX_POINTS}")
 
 
-def _monte_carlo_budget(args) -> str | None:
+def _langevin_run_bounds(args) -> str | None:
     """The usage error of a langevin-verify run of more than
-    MONTE_CARLO_MAX_SAMPLES samples over all its trajectories, else None."""
-    most = MONTE_CARLO_MAX_SAMPLES // ((args.segments + 1) * (SEGMENT_SAMPLES // 2))
-    if args.trajectories <= most:
+    MONTE_CARLO_MAX_SAMPLES samples over all its trajectories, or of
+    trajectories shorter than langevin.MIN_DURATION_FACTOR/gamma_total,
+    else None.  Both bounds are counted exactly, in integers."""
+    samples = (args.segments + 1) * (SEGMENT_SAMPLES // 2)  # of one trajectory
+    most = MONTE_CARLO_MAX_SAMPLES // samples
+    if args.trajectories > most:
+        return (f"argument --trajectories: must be at most {most} at --segments {args.segments}, "
+                f"so a run has at most {MONTE_CARLO_MAX_SAMPLES} samples: {str(args.trajectories)!r}")
+    p, q = args.dt_factor.as_integer_ratio()  # samples * p/q is G times the trajectory's duration
+    if samples * p >= langevin.MIN_DURATION_FACTOR * q:
         return None
-    return (f"argument --trajectories: must be at most {most} at --segments {args.segments}, "
-            f"so a run has at most {MONTE_CARLO_MAX_SAMPLES} samples: {str(args.trajectories)!r}")
+    least = -(-langevin.MIN_DURATION_FACTOR * q // (p * (SEGMENT_SAMPLES // 2))) - 1
+    return (f"argument --segments: must be at least {least} at --dt-factor {args.dt_factor}, "
+            f"so a trajectory lasts at least {langevin.MIN_DURATION_FACTOR}/gamma_total: {str(args.segments)!r}")
 
 
 class _CommandParser(argparse.ArgumentParser):
@@ -242,7 +253,8 @@ def _load_columns(path: str, schema: dict[str, type], frequency: str, wavelength
 #
 # Each cmd_* computes and returns (tables, summary): the tables as
 # (destination, header, columns[, comments]) in the order they are written,
-# and the summary printed to stderr.  run() does all of the output.
+# and the summary printed to stderr.  run() does all of the output.  The
+# header of a command's --out table is args.columns, declared in build_parser.
 
 
 def cmd_validate(args):
@@ -265,7 +277,7 @@ def cmd_transmission(args):
                                          n_points=args.points)
     trace = spectra.compute_trace(config, args.p1, args.p2, grid)
     dips = spectra.find_dips(trace)
-    tables = [(args.out, ["omega_rad_s", "t_power"], (trace.omega_grid, trace.t_power))]
+    tables = [(args.out, args.columns, (trace.omega_grid, trace.t_power))]
     if args.dip_report is not None:
         rows = []
         for dip in dips:
@@ -275,9 +287,8 @@ def cmd_transmission(args):
                 regime = spectra.classify_regime(config, (args.p1, args.p2), dip)
                 eta = spectra.eta_c_from_tmin(dip.t_min, regime)
             rows.append((dip.omega_center, dip.t_min, dip.fwhm, regime, eta))
-        header = ["omega_center_rad_s", "t_min", "fwhm_rad_s", "regime", "eta_c"]
-        columns = list(zip(*rows)) or [()] * len(header)  # no dips: the header
-        tables.append((args.dip_report, header, columns))
+        columns = list(zip(*rows)) or [()] * len(DIP_REPORT_COLUMNS)  # no dips: the header
+        tables.append((args.dip_report, DIP_REPORT_COLUMNS, columns))
     return tables, f"transmission: {trace.omega_grid.size} points, {len(dips)} dip(s)"
 
 
@@ -289,9 +300,8 @@ def cmd_crossing_sweep(args):
     omega = np.column_stack([mean - radius, mean + radius]).ravel()
     min_split = float(np.min(omega[1::2] - omega[0::2]))
     summary = f"crossing-sweep: {2 * args.p1.size} rows, minimum splitting {format_value(min_split)} rad/s"
-    return [(args.out, ["p1_mw", "p2_mw", "branch", "resonance_rad_s"], (
-        np.repeat(args.p1, 2), args.p2, ("lower", "upper") * args.p1.size, omega,
-    ))], summary
+    columns = (np.repeat(args.p1, 2), args.p2, ("lower", "upper") * args.p1.size, omega)
+    return [(args.out, args.columns, columns)], summary
 
 
 def cmd_etac_sweep(args):
@@ -300,8 +310,7 @@ def cmd_etac_sweep(args):
     summary = "etac-sweep: eta_c from {} to {} over {} points".format(
         format_value(float(sol.eta_c[0])), format_value(float(sol.eta_c[-1])), sol.eta_c.size
     )
-    return [(args.out, ["p1_mw", "omega_rad_s", "eta_c", "tau_c_s"],
-             (args.p1, sol.omega, sol.eta_c, sol.tau_c))], summary
+    return [(args.out, args.columns, (args.p1, sol.omega, sol.eta_c, sol.tau_c))], summary
 
 
 def cmd_squeeze_sweep(args):
@@ -313,7 +322,7 @@ def cmd_squeeze_sweep(args):
         format_value(float(sweep.s_measured_db[-1])),
         format_value(float(sweep.s_onchip_db[-1])),
     )
-    return [(args.out, ["eta_c", "s_measured_db", "s_onchip_db", "omega_sideband_hz", "tau_c_s"], (
+    return [(args.out, args.columns, (
         sweep.eta_c, sweep.s_measured_db, sweep.s_onchip_db, sweep.omega_sideband_hz, sweep.tau_c_s,
     ))], summary
 
@@ -323,7 +332,7 @@ def cmd_squeeze_spectrum(args):
     s_db = squeezing.db_from_linear(s)
     i = int(np.argmin(s_db))
     summary = f"squeeze-spectrum: minimum {format_value(float(s_db[i]))} dB at f={format_value(float(args.f[i]))} Hz"
-    return [(args.out, ["f_hz", "s_linear", "s_db", "squeezing_factor_db"], (args.f, s, s_db, -s_db))], summary
+    return [(args.out, args.columns, (args.f, s, s_db, -s_db))], summary
 
 
 def cmd_langevin_verify(args):
@@ -358,8 +367,7 @@ def cmd_langevin_verify(args):
             format_value(max_diff), int(band.sum()), format_value(run.eta_c)
         )
     )
-    return [(args.out, ["freq_hz", "psd_shotnoise_units", "psd_db"],
-             (simulated.freq_grid, psd, squeezing.db_from_linear(psd)), metadata)], summary
+    return [(args.out, args.columns, (simulated.freq_grid, psd, squeezing.db_from_linear(psd)), metadata)], summary
 
 
 def cmd_shot_cal(args):
@@ -368,7 +376,7 @@ def cmd_shot_cal(args):
     summary = "shot-cal: slope={} r_squared={} (line through origin)".format(
         format_value(fit.slope), format_value(fit.r_squared)
     )
-    return [(args.out, ["power", "psd_level"], (powers, psd))], summary
+    return [(args.out, args.columns, (powers, psd))], summary
 
 
 def cmd_fit_crossing(args):
@@ -387,7 +395,7 @@ def cmd_fit_crossing(args):
              f"residual_rms={format_value(result.residual_rms)} rad/s"]
     for name, value, err in zip(names, values, errors):
         lines.append(f"  {name:>10s} = {format_value(value)} +- {format_value(err)}")
-    return [(args.out, ["param", "value", "stderr"], (names, values, errors))], "\n".join(lines)
+    return [(args.out, args.columns, (names, values, errors))], "\n".join(lines)
 
 
 def cmd_fit_dip(args):
@@ -397,7 +405,7 @@ def cmd_fit_dip(args):
     result = fitters.fit_lorentzian_dip(omega, t, args.window if args.window is not None else (0, omega.size))
     note = " (model mismatch: structured residuals)" if result.mismatch_warning else ""
     summary = f"fit-dip: converged in {result.n_iterations} iterations, t_min={format_value(result.t_min)}{note}"
-    return [(args.out, ["param", "value", "stderr"], (
+    return [(args.out, args.columns, (
         ("omega0_rad_s", "t_min", "fwhm_rad_s", "baseline"),
         (result.omega0, result.t_min, result.fwhm, result.baseline),
         [result.stderr[name] for name in ("omega0", "t_min", "fwhm", "baseline")],
@@ -424,7 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command", parser_class=_CommandParser)
 
-    def add(name, help_text, columns=None):
+    @contextlib.contextmanager
+    def add(name, help_text, columns=(), config=True):
+        """Declare one command: --config if it reads one, the flags added in the `with` block,
+        then --out if it writes a table, whose header `columns` its cmd_* reads as args.columns."""
         p = sub.add_parser(
             name,
             help=help_text,
@@ -433,92 +444,81 @@ def build_parser() -> argparse.ArgumentParser:
         )
         # "-1e-8" and "-.5:0:0.1" are values, not options: no ringlab option starts that way
         p._negative_number_matcher = NEGATIVE_NUMBER
-        p.set_defaults(func="cmd_" + name.replace("-", "_"))
-        return p
+        p.set_defaults(func="cmd_" + name.replace("-", "_"), columns=columns)
+        if config:
+            p.add_argument("--config", required=True)
+        yield p
+        if columns:
+            p.add_argument("--out", default="-")
 
-    p = add("validate", "Validate a device config file and print its composite efficiency.")
-    p.add_argument("--config", required=True)
+    with add("validate", "Validate a device config file and print its composite efficiency."):
+        pass
 
-    p = add("transmission", "Bus transmission spectrum at one heater setting.",
-            ["omega_rad_s", "t_power"])
-    p.add_argument("--config", required=True)
-    p.add_argument("--p1", type=finite_float, required=True, help="ring-1 heater power, mW")
-    p.add_argument("--p2", type=finite_float, required=True, help="ring-2 heater power, mW")
-    p.add_argument("--omega", type=parse_range, default=None,
-                   help="probe grid start:stop:step in rad/s (default: auto around both dips)")
-    p.add_argument("--margin-linewidths", type=margin_linewidths, default=10.0)
-    p.add_argument("--points", type=trace_points, default=4001)
-    p.add_argument("--dip-report", default=None,
-                   help="also write dip CSV: omega_center_rad_s,t_min,fwhm_rad_s,regime,eta_c")
-    p.add_argument("--out", default="-")
+    with add("transmission", "Bus transmission spectrum at one heater setting.",
+             ("omega_rad_s", "t_power")) as p:
+        p.add_argument("--p1", type=finite_float, required=True, help="ring-1 heater power, mW")
+        p.add_argument("--p2", type=finite_float, required=True, help="ring-2 heater power, mW")
+        p.add_argument("--omega", type=parse_range, default=None,
+                       help="probe grid start:stop:step in rad/s (default: auto around both dips)")
+        p.add_argument("--margin-linewidths", type=margin_linewidths, default=10.0)
+        p.add_argument("--points", type=trace_points, default=4001)
+        p.add_argument("--dip-report", default=None, help=f"also write dip CSV: {','.join(DIP_REPORT_COLUMNS)}")
 
-    p = add("crossing-sweep", "Both supermode branch frequencies versus ring-1 heater power.",
-            ["p1_mw", "p2_mw", "branch", "resonance_rad_s"])
-    p.add_argument("--config", required=True)
-    p.add_argument("--p1", type=parse_range, required=True, help="heater grid start:stop:step, mW")
-    p.add_argument("--p2", type=finite_float, required=True)
-    p.add_argument("--out", default="-")
+    with add("crossing-sweep", "Both supermode branch frequencies versus ring-1 heater power.",
+             ("p1_mw", "p2_mw", "branch", "resonance_rad_s")) as p:
+        p.add_argument("--p1", type=parse_range, required=True, help="heater grid start:stop:step, mW")
+        p.add_argument("--p2", type=finite_float, required=True)
 
-    p = add("etac-sweep", "Coupling efficiency along one branch versus ring-1 heater power.",
-            ["p1_mw", "omega_rad_s", "eta_c", "tau_c_s"])
-    p.add_argument("--config", required=True)
-    p.add_argument("--branch", choices=["upper", "lower"], required=True)
-    p.add_argument("--p1", type=parse_range, required=True)
-    p.add_argument("--p2", type=finite_float, required=True)
-    p.add_argument("--out", default="-")
+    with add("etac-sweep", "Coupling efficiency along one branch versus ring-1 heater power.",
+             ("p1_mw", "omega_rad_s", "eta_c", "tau_c_s")) as p:
+        p.add_argument("--branch", choices=["upper", "lower"], required=True)
+        p.add_argument("--p1", type=parse_range, required=True)
+        p.add_argument("--p2", type=finite_float, required=True)
 
-    p = add("squeeze-sweep", "Measured and inferred on-chip squeezing along a heater sweep.",
-            ["eta_c", "s_measured_db", "s_onchip_db", "omega_sideband_hz", "tau_c_s"])
-    p.add_argument("--config", required=True)
-    p.add_argument("--branch", choices=["upper", "lower"], required=True)
-    p.add_argument("--p1", type=parse_range, required=True)
-    p.add_argument("--p2", type=finite_float, required=True)
-    p.add_argument("--sideband-mhz", type=finite_float, default=3.0)
-    p.add_argument("--out", default="-")
+    with add("squeeze-sweep", "Measured and inferred on-chip squeezing along a heater sweep.",
+             ("eta_c", "s_measured_db", "s_onchip_db", "omega_sideband_hz", "tau_c_s")) as p:
+        p.add_argument("--branch", choices=["upper", "lower"], required=True)
+        p.add_argument("--p1", type=parse_range, required=True)
+        p.add_argument("--p2", type=finite_float, required=True)
+        p.add_argument("--sideband-mhz", type=finite_float, default=3.0)
 
-    p = add("squeeze-spectrum", "Squeezing spectrum versus sideband frequency for given efficiencies.",
-            ["f_hz", "s_linear", "s_db", "squeezing_factor_db"])
-    p.add_argument("--eta-c", type=finite_float, required=True)
-    p.add_argument("--eta-d", type=finite_float, required=True)
-    p.add_argument("--tau-c", type=finite_float, required=True, help="photon lifetime, s")
-    p.add_argument("--f", type=parse_range, required=True, help="sideband grid start:stop:step, Hz")
-    p.add_argument("--out", default="-")
+    with add("squeeze-spectrum", "Squeezing spectrum versus sideband frequency for given efficiencies.",
+             ("f_hz", "s_linear", "s_db", "squeezing_factor_db"), config=False) as p:
+        p.add_argument("--eta-c", type=finite_float, required=True)
+        p.add_argument("--eta-d", type=finite_float, required=True)
+        p.add_argument("--tau-c", type=finite_float, required=True, help="photon lifetime, s")
+        p.add_argument("--f", type=parse_range, required=True, help="sideband grid start:stop:step, Hz")
 
-    p = add("langevin-verify", "Stochastic verification of the squeezing spectrum at one operating point.",
-            ["freq_hz", "psd_shotnoise_units", "psd_db"])
-    p.add_argument("--config", required=True)
-    p.add_argument("--branch", choices=["upper", "lower"], default="lower")
-    p.add_argument("--p1", type=finite_float, default=50.0)
-    p.add_argument("--p2", type=finite_float, default=10.0)
-    p.add_argument("--seed", type=non_negative_int, default=12345)
-    p.add_argument("--trajectories", type=positive_int, default=200)
-    p.add_argument("--segments", type=welch_segments, default=94, help="Welch segments per trajectory")
-    p.add_argument("--dt-factor", type=dt_factor, default=0.01, help="time step in units of 1/gamma_total")
-    p.add_argument("--out", default="-")
-    p.check = _monte_carlo_budget
+    with add("langevin-verify", "Stochastic verification of the squeezing spectrum at one operating point.",
+             ("freq_hz", "psd_shotnoise_units", "psd_db")) as p:
+        p.add_argument("--branch", choices=["upper", "lower"], default="lower")
+        p.add_argument("--p1", type=finite_float, default=50.0)
+        p.add_argument("--p2", type=finite_float, default=10.0)
+        p.add_argument("--seed", type=non_negative_int, default=12345)
+        p.add_argument("--trajectories", type=positive_int, default=200)
+        p.add_argument("--segments", type=welch_segments, default=94, help="Welch segments per trajectory")
+        p.add_argument("--dt-factor", type=dt_factor, default=0.01, help="time step in units of 1/gamma_total")
+        p.check = _langevin_run_bounds
 
-    p = add("shot-cal", "Simulated balanced-detection shot-noise calibration versus power.",
-            ["power", "psd_level"])
-    p.add_argument("--powers", type=parse_powers, default="1,2,4,8", help="comma-separated powers")
-    p.add_argument("--seed", type=non_negative_int, default=0)
-    p.add_argument("--samples", type=shot_cal_samples, default=16384.0, help="samples per power")
-    p.add_argument("--out", default="-")
+    with add("shot-cal", "Simulated balanced-detection shot-noise calibration versus power.",
+             ("power", "psd_level"), config=False) as p:
+        p.add_argument("--powers", type=parse_powers, default="1,2,4,8", help="comma-separated powers")
+        p.add_argument("--seed", type=non_negative_int, default=0)
+        p.add_argument("--samples", type=shot_cal_samples, default=16384.0, help="samples per power")
 
-    p = add("fit-crossing", "Fit the avoided-crossing model to branch resonance data "
-            "(CSV: p1_mw,p2_mw,branch,resonance_rad_s or resonance_nm).",
-            ["param", "value", "stderr"])
-    p.add_argument("--data", required=True)
-    p.add_argument("--fix", action="append", type=parse_assignment, metavar="NAME=VALUE",
-                   help="hold a parameter fixed (repeatable)")
-    p.add_argument("--init", action="append", type=parse_assignment, metavar="NAME=VALUE",
-                   help="override the automatic starting value (repeatable)")
-    p.add_argument("--out", default="-")
+    with add("fit-crossing", "Fit the avoided-crossing model to branch resonance data "
+             "(CSV: p1_mw,p2_mw,branch,resonance_rad_s or resonance_nm).",
+             FIT_COLUMNS, config=False) as p:
+        p.add_argument("--data", required=True)
+        p.add_argument("--fix", action="append", type=parse_assignment, metavar="NAME=VALUE",
+                       help="hold a parameter fixed (repeatable)")
+        p.add_argument("--init", action="append", type=parse_assignment, metavar="NAME=VALUE",
+                       help="override the automatic starting value (repeatable)")
 
-    p = add("fit-dip", "Fit one Lorentzian dip in a trace CSV (omega_rad_s,t_power or wavelength_nm,t_power).",
-            ["param", "value", "stderr"])
-    p.add_argument("--data", required=True)
-    p.add_argument("--window", type=parse_index_range, default=None, help="index window start:stop")
-    p.add_argument("--out", default="-")
+    with add("fit-dip", "Fit one Lorentzian dip in a trace CSV (omega_rad_s,t_power or wavelength_nm,t_power).",
+             FIT_COLUMNS, config=False) as p:
+        p.add_argument("--data", required=True)
+        p.add_argument("--window", type=parse_index_range, default=None, help="index window start:stop")
 
     return parser
 

@@ -52,6 +52,7 @@ from .devicemodel import readonly_array
 from .squeezing import squeezing_level
 
 MAX_DT_FACTOR = 0.05            # largest G*dt of a run: the Euler bias stays well below 0.2 dB
+MIN_DURATION_FACTOR = 50        # shortest G*n_steps*dt of a run
 MIN_SEGMENT_SAMPLES = 16
 SHOT_CAL_SEGMENTS = 31          # Welch segments per power in shot_noise_calibration
 SHOT_CAL_MIN_SAMPLES = (SHOT_CAL_SEGMENTS + 1) * (MIN_SEGMENT_SAMPLES // 2)  # the fewest that fill them
@@ -85,10 +86,13 @@ class LangevinRun:
             raise ValueError(f"dt must be in (0, {MAX_DT_FACTOR}/gamma_total], got {self.dt}")
         if not isinstance(self.n_steps, numbers.Integral) or self.n_steps < 1:
             raise ValueError(f"n_steps must be a positive integer, got {self.n_steps!r}")
-        if self.n_steps * self.dt < 50.0 / self.gamma_total:
-            raise ValueError(f"n_steps * dt must be at least 50/gamma_total, got {self.n_steps * self.dt}")
-        if self.n_trajectories < 1:
-            raise ValueError(f"n_trajectories must be >= 1, got {self.n_trajectories}")
+        # checked as G*n_steps*dt, with room for the rounding of dt = dt_factor/G: a run
+        # whose n_steps*dt_factor reaches MIN_DURATION_FACTOR is never refused
+        if self.n_steps * self.dt * self.gamma_total < MIN_DURATION_FACTOR * (1 - 1e-12):
+            raise ValueError(f"n_steps * dt must be at least {MIN_DURATION_FACTOR}/gamma_total, "
+                             f"got {self.n_steps * self.dt}")
+        if not isinstance(self.n_trajectories, numbers.Integral) or self.n_trajectories < 1:
+            raise ValueError(f"n_trajectories must be a positive integer, got {self.n_trajectories!r}")
 
     @property
     def eta_c(self) -> float:

@@ -1,15 +1,18 @@
 """Command-line interface: ranges, CSV schemas, exit codes, determinism."""
 
+import argparse
 import csv
 import io
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
 import threading
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -1154,6 +1157,66 @@ def test_monte_carlo_budget_is_checked_on_the_parsed_segments(device_cfg_path, t
             f"{segments}, so a run has at most {MONTE_CARLO_MAX_SAMPLES} samples: {trajectories!r}\n")
 
 
+# (segments + 1) * 2048 * dt_factor must reach 50: the floor that LangevinRun puts at
+# n_steps * dt >= 50/gamma_total, scale-free, so it is checked before the config is read.
+FLOOR_CASES = [  # (flags, least segments, dt-factor)
+    (["--segments", "1", "--trajectories", "1"], 2, "0.01"),  # 2 * 2048 * 0.01 = 40.96
+    (["--segments", "2", "--dt-factor", "0.0081380208333333"], 3, "0.0081380208333333"),  # just below 50
+]
+
+
+@pytest.mark.parametrize("flags, least, factor", FLOOR_CASES, ids=["segments-1", "below-the-boundary"])
+def test_trajectory_shorter_than_50_over_gamma_is_a_usage_error(flags, least, factor, device_cfg_path, tmp_path,
+                                                                monkeypatch, capsys):
+    def no_trajectory(*args):
+        raise AssertionError("a trajectory started")
+
+    monkeypatch.setattr(langevin, "simulate_difference_quadrature", no_trajectory)
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert run(["langevin-verify", "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n")[0] + "\n"
+    assert run(["langevin-verify", "--config", str(device_cfg_path), *flags, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert not out.exists() and captured.out == ""
+    segments = flags[flags.index("--segments") + 1]
+    assert captured.err == (f"{usage}ringlab langevin-verify: error: argument --segments: must be at least {least} "
+                            f"at --dt-factor {factor}, so a trajectory lasts at least 50/gamma_total: {segments!r}\n")
+
+
+def test_trajectory_of_exactly_50_over_gamma_runs(device_cfg_path, tmp_path, capsys):
+    # the smallest dt-factor whose 3 * 2048 * dt-factor reaches 50: admitted, and not refused later either
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert run(["langevin-verify", "--config", str(device_cfg_path), "--segments", "2", "--trajectories", "1",
+                "--dt-factor", "0.008138020833333334", "--out", str(out)]) == 0
+    assert out.exists() and capsys.readouterr().err.startswith("langevin-verify: ")
+
+
+@pytest.mark.parametrize("segments", [1, 2, 5, 94, 4881])
+def test_run_the_parser_admits_is_long_enough_at_any_rate(segments, capsys):
+    # LangevinRun checks G * n_steps * (dt_factor / G), rounded twice: at the smallest
+    # dt-factor the parser admits it must still accept the run, whatever G is
+    n_steps = (segments + 1) * 2048
+    factor = 50 / n_steps
+    if Fraction(factor) * n_steps < 50:  # the parser counts exactly
+        factor = math.nextafter(factor, 1.0)
+
+    def refusal(value):
+        """The parser's error at this dt-factor, or None."""
+        try:
+            build_parser().parse_args(["langevin-verify", "--config", "c", "--segments", str(segments),
+                                       "--trajectories", "1", "--dt-factor", repr(value)])
+        except SystemExit:
+            return capsys.readouterr().err
+        return None
+
+    assert refusal(factor) is None
+    assert "argument --segments: must be at least" in refusal(math.nextafter(factor, 0.0))
+    for gamma_total in 10.0 ** np.random.default_rng(segments).uniform(0.0, 15.0, 2000):
+        assert langevin.LangevinRun(gamma_total, 0.5 * gamma_total, factor / gamma_total, n_steps, 1, 0)
+
+
 # --- shot-cal powers: at least two, none negative, one positive ------------------------
 
 
@@ -1387,6 +1450,28 @@ def test_command_returns_its_tables_and_writes_nothing(command, device_cfg_path,
     assert [table[0] for table in tables] == [path for path in (getattr(args, "out", None),
                                                                  getattr(args, "dip_report", None)) if path]
     assert isinstance(summary, str) and summary.startswith(("config ok", command))
+
+
+def test_every_command_writes_the_columns_its_help_lists(device_cfg_path, crossing_data, tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.setenv("COLUMNS", "1000")  # no help line is wrapped
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert sorted(commands) == sorted(PURE_RUNS)
+    trace = lorentzian_trace_file(tmp_path / "dip.csv", 6.0 * MHZ)
+    for command, argv in PURE_RUNS.items():
+        capsys.readouterr()
+        assert run([command, "--help"]) == 0
+        page = capsys.readouterr().out
+        listed = [line.split(": ")[1].split(", ") for line in page.splitlines() if line.startswith("output columns: ")]
+        listed += [columns.split(",") for columns in re.findall(r"also write dip CSV: (\S+)", page)]
+        argv = [arg.format(cfg=device_cfg_path, data=crossing_data, trace=trace, dir=tmp_path) for arg in argv]
+        assert run(argv) == 0, command
+        written = [argv[argv.index(flag) + 1] for flag in ("--out", "--dip-report") if flag in argv]
+        headers = [next(line for line in Path(path).read_text().splitlines() if not line.startswith("#")).split(",")
+                   for path in written]
+        assert headers == listed, command
+        assert ("--out" in page) == bool(listed), command
 
 
 def test_float_error_in_a_command_is_one_numeric_line(device_cfg_path):

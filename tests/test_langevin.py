@@ -67,6 +67,14 @@ def test_run_takes_a_positive_integer_step_count(n_steps):
         LangevinRun(GAMMA, 0.5 * GAMMA, 0.01 / GAMMA, n_steps, 1, 0)
 
 
+@pytest.mark.parametrize("n_trajectories", [0, -5, 2.5, 200.0, "200", None])
+def test_run_takes_a_positive_integer_trajectory_count(n_trajectories):
+    with pytest.raises(ValueError, match=f"^n_trajectories must be a positive integer, got "
+                                         f"{re.escape(repr(n_trajectories))}$"):
+        LangevinRun(GAMMA, 0.5 * GAMMA, 0.01 / GAMMA, 18432, n_trajectories, 0)
+    assert LangevinRun(GAMMA, 0.5 * GAMMA, 0.01 / GAMMA, 18432, np.int64(2), 0).n_trajectories == 2
+
+
 def test_run_shorter_than_50_over_gamma_is_refused():
     dt = 0.01 / GAMMA
     assert LangevinRun(GAMMA, 0.5 * GAMMA, dt, np.int64(5000), 1, 0).n_steps == 5000  # 5000 * dt = 50/GAMMA
