@@ -34,6 +34,8 @@ from .errors import ConfigError, DataError, FitError
 RANGE_REL_TOL = 1e-9          # stop is included when on-grid within this
 RANGE_MAX_POINTS = 10**7      # larger grids are refused before any allocation
 SEGMENT_SAMPLES = 4096        # Welch segment length for langevin-verify
+MAX_SEGMENTS = RANGE_MAX_POINTS // (SEGMENT_SAMPLES // 2) - 1  # the longest trajectory fits the range cap
+LONGEST_TRAJECTORY = (MAX_SEGMENTS + 1) * (SEGMENT_SAMPLES // 2)  # samples
 # Samples over all trajectories of one langevin-verify run: the default 200
 # trajectories at the longest trajectory, about 51 times the default run.
 MONTE_CARLO_MAX_SAMPLES = 200 * RANGE_MAX_POINTS
@@ -43,6 +45,12 @@ MONTE_CARLO_MAX_SAMPLES = 200 * RANGE_MAX_POINTS
 MARGIN_MAX_LINEWIDTHS = 1e200
 NEGATIVE_NUMBER = re.compile(r"^-\.?\d")  # an argument that starts so is a value
 DIP_REPORT_COLUMNS = ("omega_center_rad_s", "t_min", "fwhm_rad_s", "regime", "eta_c")
+# The tables fit-crossing and fit-dip read, which crossing-sweep and transmission
+# write: ({column: kind}, the frequency column in rad/s, the column of vacuum
+# wavelengths in nm that may be given in its place)
+CROSSING_TABLE = ({"p1_mw": float, "p2_mw": float, "branch": str, "resonance_rad_s": float},
+                  "resonance_rad_s", "resonance_nm")
+TRACE_TABLE = ({"omega_rad_s": float, "t_power": float}, "omega_rad_s", "wavelength_nm")
 FIT_COLUMNS = ("param", "value", "stderr")  # the table of both fits
 
 EXIT_CODES_HELP = """\
@@ -87,14 +95,29 @@ positive_float = _checked(finite_float, lambda value: value > 0, "positive")
 non_negative_int = _checked(int, lambda value: value >= 0, "non-negative")
 margin_linewidths = _checked(positive_float, lambda value: value <= MARGIN_MAX_LINEWIDTHS,
                              f"at most {MARGIN_MAX_LINEWIDTHS:g}")
-dt_factor = _checked(positive_float, lambda value: value <= langevin.MAX_DT_FACTOR,
-                     f"at most {langevin.MAX_DT_FACTOR}")
 # Sample budgets share the range cap, so a series too long to hold is refused before any allocation:
 # the points of a trace, and the samples of one trajectory, (segments + 1) * SEGMENT_SAMPLES/2
 trace_points = _checked(positive_int, lambda value: value <= RANGE_MAX_POINTS, f"at most {RANGE_MAX_POINTS}")
-welch_segments = _checked(positive_int, lambda value: (value + 1) * (SEGMENT_SAMPLES // 2) <= RANGE_MAX_POINTS,
-                          f"at most {RANGE_MAX_POINTS // (SEGMENT_SAMPLES // 2) - 1}, "
-                          f"so a trajectory has at most {RANGE_MAX_POINTS} samples")
+welch_segments = _checked(positive_int, lambda value: value <= MAX_SEGMENTS,
+                          f"at most {MAX_SEGMENTS}, so a trajectory has at most {RANGE_MAX_POINTS} samples")
+
+
+def _lasts_long_enough(samples: int, dt_factor: float) -> bool:
+    """Whether a trajectory of `samples` steps of dt_factor/gamma_total lasts
+    langevin.MIN_DURATION_FACTOR/gamma_total, counted exactly, in integers."""
+    p, q = dt_factor.as_integer_ratio()
+    return samples * p >= langevin.MIN_DURATION_FACTOR * q
+
+
+# The smallest time step at which the longest trajectory lasts long enough
+LEAST_DT_FACTOR = langevin.MIN_DURATION_FACTOR / LONGEST_TRAJECTORY
+if not _lasts_long_enough(LONGEST_TRAJECTORY, LEAST_DT_FACTOR):
+    LEAST_DT_FACTOR = math.nextafter(LEAST_DT_FACTOR, math.inf)
+dt_factor = _checked(
+    _checked(positive_float, lambda value: _lasts_long_enough(LONGEST_TRAJECTORY, value),
+             f"at least {LEAST_DT_FACTOR!r}, so a trajectory of at most {MAX_SEGMENTS} segments "
+             f"lasts at least {langevin.MIN_DURATION_FACTOR}/gamma_total"),
+    lambda value: value <= langevin.MAX_DT_FACTOR, f"at most {langevin.MAX_DT_FACTOR}")
 # shot-cal rounds --samples to a count, which must fill its Welch segments
 shot_cal_samples = _checked(
     _checked(positive_float, lambda value: round(value) >= langevin.SHOT_CAL_MIN_SAMPLES,
@@ -112,10 +135,10 @@ def _langevin_run_bounds(args) -> str | None:
     if args.trajectories > most:
         return (f"argument --trajectories: must be at most {most} at --segments {args.segments}, "
                 f"so a run has at most {MONTE_CARLO_MAX_SAMPLES} samples: {str(args.trajectories)!r}")
-    p, q = args.dt_factor.as_integer_ratio()  # samples * p/q is G times the trajectory's duration
-    if samples * p >= langevin.MIN_DURATION_FACTOR * q:
+    if _lasts_long_enough(samples, args.dt_factor):
         return None
-    least = -(-langevin.MIN_DURATION_FACTOR * q // (p * (SEGMENT_SAMPLES // 2))) - 1
+    p, q = args.dt_factor.as_integer_ratio()
+    least = -(-langevin.MIN_DURATION_FACTOR * q // (p * (SEGMENT_SAMPLES // 2))) - 1  # <= MAX_SEGMENTS by dt_factor
     return (f"argument --segments: must be at least {least} at --dt-factor {args.dt_factor}, "
             f"so a trajectory lasts at least {langevin.MIN_DURATION_FACTOR}/gamma_total: {str(args.segments)!r}")
 
@@ -203,6 +226,14 @@ def parse_powers(text: str) -> list[float]:
     return powers
 
 
+def _table_help(table: tuple[dict[str, type], str, str]) -> str:
+    """The header of CROSSING_TABLE or TRACE_TABLE, "or", then the header
+    from the frequency column on with the wavelength column in its place."""
+    schema, frequency, wavelength = table
+    names = list(schema)
+    return f"{','.join(names)} or {','.join([wavelength, *names[names.index(frequency) + 1:]])}"
+
+
 def _write_table(staged: dict, path: str, header: list[str], columns, comments=()) -> None:
     """Write a CSV table given as columns (see csvio.write_csv) to `path` ('-' is stdout).
 
@@ -238,11 +269,12 @@ def _write_table(staged: dict, path: str, header: list[str], columns, comments=(
         write_csv(stream, header, columns, comments)
 
 
-def _load_columns(path: str, schema: dict[str, type], frequency: str, wavelength: str) -> dict:
-    """Columns of a CSV file under `schema`, whose `frequency` column (rad/s)
-    may instead be given as vacuum wavelengths in a `wavelength` column (nm),
+def _load_columns(path: str, table: tuple[dict[str, type], str, str]) -> dict:
+    """Columns of a CSV file that holds CROSSING_TABLE or TRACE_TABLE, its
+    frequency column (rad/s) given as such or as vacuum wavelengths (nm),
     converted here.
     """
+    schema, frequency, wavelength = table
     columns = load_csv(path, schema, {frequency: wavelength})
     if wavelength in columns:
         columns[frequency] = devicemodel.pump_angular_frequency(columns.pop(wavelength))
@@ -380,10 +412,7 @@ def cmd_shot_cal(args):
 
 
 def cmd_fit_crossing(args):
-    data = fitters.CrossingDataset(**_load_columns(
-        args.data, {"p1_mw": float, "p2_mw": float, "branch": str, "resonance_rad_s": float},
-        "resonance_rad_s", "resonance_nm",
-    ))
+    data = fitters.CrossingDataset(**_load_columns(args.data, CROSSING_TABLE))
     result = fitters.fit_avoided_crossing(
         data,
         initial=dict(args.init or ()),
@@ -399,7 +428,7 @@ def cmd_fit_crossing(args):
 
 
 def cmd_fit_dip(args):
-    columns = _load_columns(args.data, {"omega_rad_s": float, "t_power": float}, "omega_rad_s", "wavelength_nm")
+    columns = _load_columns(args.data, TRACE_TABLE)
     order = np.argsort(columns["omega_rad_s"])
     omega, t = columns["omega_rad_s"][order], columns["t_power"][order]
     result = fitters.fit_lorentzian_dip(omega, t, args.window if args.window is not None else (0, omega.size))
@@ -454,8 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     with add("validate", "Validate a device config file and print its composite efficiency."):
         pass
 
-    with add("transmission", "Bus transmission spectrum at one heater setting.",
-             ("omega_rad_s", "t_power")) as p:
+    with add("transmission", "Bus transmission spectrum at one heater setting.", tuple(TRACE_TABLE[0])) as p:
         p.add_argument("--p1", type=finite_float, required=True, help="ring-1 heater power, mW")
         p.add_argument("--p2", type=finite_float, required=True, help="ring-2 heater power, mW")
         p.add_argument("--omega", type=parse_range, default=None,
@@ -465,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dip-report", default=None, help=f"also write dip CSV: {','.join(DIP_REPORT_COLUMNS)}")
 
     with add("crossing-sweep", "Both supermode branch frequencies versus ring-1 heater power.",
-             ("p1_mw", "p2_mw", "branch", "resonance_rad_s")) as p:
+             tuple(CROSSING_TABLE[0])) as p:
         p.add_argument("--p1", type=parse_range, required=True, help="heater grid start:stop:step, mW")
         p.add_argument("--p2", type=finite_float, required=True)
 
@@ -507,15 +535,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=shot_cal_samples, default=16384.0, help="samples per power")
 
     with add("fit-crossing", "Fit the avoided-crossing model to branch resonance data "
-             "(CSV: p1_mw,p2_mw,branch,resonance_rad_s or resonance_nm).",
-             FIT_COLUMNS, config=False) as p:
+             f"(CSV: {_table_help(CROSSING_TABLE)}).", FIT_COLUMNS, config=False) as p:
         p.add_argument("--data", required=True)
         p.add_argument("--fix", action="append", type=parse_assignment, metavar="NAME=VALUE",
                        help="hold a parameter fixed (repeatable)")
         p.add_argument("--init", action="append", type=parse_assignment, metavar="NAME=VALUE",
                        help="override the automatic starting value (repeatable)")
 
-    with add("fit-dip", "Fit one Lorentzian dip in a trace CSV (omega_rad_s,t_power or wavelength_nm,t_power).",
+    with add("fit-dip", f"Fit one Lorentzian dip in a trace CSV ({_table_help(TRACE_TABLE)}).",
              FIT_COLUMNS, config=False) as p:
         p.add_argument("--data", required=True)
         p.add_argument("--window", type=parse_index_range, default=None, help="index window start:stop")

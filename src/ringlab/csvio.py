@@ -10,14 +10,25 @@ trace) is parsed by numpy's C reader; one with a str or int column (a
 non-finite value in, is read one cell at a time, which names the fault
 or reads what only `float` does (`1_0`, non-ASCII digits, quoted cells).
 Both give the same values.  Error row numbers are the file's line
-numbers.  A table is written through one row template, a block of rows
-per `%`, so each column holds one kind of value; floats get 17
-significant digits so finite values survive a write/read round trip.
+numbers.
+
+A table is written from its columns, each holding one kind of value.
+Floats get 17 significant digits, so finite values survive a write/read
+round trip, byte for byte as '%.17g' writes them.  A block of rows is one
+uint8 matrix, its float cells made by one numpy kernel (_float_cells): it
+rounds |x| * 10**(16 - k) by Dekker's error-free product and certifies the
+17 digits when the power of ten is exact in float64 or the product's
+fraction lies farther than TIE_MARGIN from 1/2.  Each cell it cannot
+certify (ties and near-ties beside an inexact power of ten, 0, nan, inf,
+|x| outside [1e-280, 1e280]) is written by format_value, as is every cell
+of a block too small for numpy to pay.  A str cell or single value that
+holds a comma, a line break or a NUL is refused: it would break its row.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
@@ -28,8 +39,16 @@ import numpy as np
 
 from .errors import DataError
 
-WRITE_BLOCK = 4096                      # table rows formatted and written at a time
+WRITE_CELLS = 4096                      # table cells formatted and written at a time
 SEQUENCES = (np.ndarray, list, tuple)   # the kinds of a table column of cells
+ROW_BREAKERS = ",\n\r\0"                # what no str cell or single value may hold
+FLOAT_WIDTH = 29                        # byte slots of a float cell: "-", "0.000", 17 digits and ".", "e-308"
+KERNEL_CELLS = 256                      # a block of fewer float cells is written by format_value alone
+TIE_MARGIN = 1e-9                       # a rounding is certified this far from a tie; y's error is below 1e-14
+
+_SPLIT = 2.0**27 + 1.0  # Dekker's splitter: (a * _SPLIT) cuts a float64 into two halves of 26 bits
+_SLOTS = np.arange(18, dtype=np.uint8)[:, None]  # slot numbers of the digits, down a column
+_AFFIX_EXPONENT = 300  # exponents -300 to 300 have a column in _affixes()
 
 
 def format_value(value) -> str:
@@ -158,29 +177,199 @@ def write_csv(stream: io.TextIOBase, columns: list[str], table: Iterable,
               comments: Iterable[str] = ()) -> None:
     """Write optional '#' comment lines, the header, then the table's
     columns (iterated once): each a 1-d array, list or tuple of cells, or
-    one value for every row, formatted once into the row template.  A
-    column of cells takes '%.17g' if its first cell is a float (numpy
-    float64 included), '%s' otherwise, as format_value writes them.  Rows
-    go out WRITE_BLOCK at a time, one '%' and one write per block.  Columns
-    of cells of different lengths, or none, are a ValueError.
+    one value for every row, formatted once by format_value.  A column of
+    cells is written '%.17g', as format_value writes a float, if its first
+    cell is a float (numpy float64 included), and by str() otherwise.
+
+    The rows go out a block of about WRITE_CELLS cells at a time, as one
+    uint8 matrix with one column per row: each cell's bytes in a fixed
+    number of slots, NUL in the slots it leaves empty, a comma or newline
+    after it.  The NULs are deleted and the block written at once.  The
+    float cells of a block are made by one numpy kernel, _float_cells,
+    which certifies the 17 digits it rounds and hands each cell it cannot
+    certify to format_value, as it does all cells of a block of fewer than
+    KERNEL_CELLS floats.
+
+    Columns of cells of different lengths, or none, are a ValueError, and
+    so is a single value or a str cell whose text holds a comma, a line
+    break or a NUL, which would break its row.  A single value is refused
+    before anything is written, a cell before its block of rows.
     """
     table = list(table)
-    cells = [column for column in table if isinstance(column, SEQUENCES)]
-    lengths = sorted({len(column) for column in cells})
+    lengths = sorted({len(column) for column in table if isinstance(column, SEQUENCES)})
     if len(lengths) != 1:
         raise ValueError(f"table columns of different lengths: {lengths}" if lengths
                          else "table has no column of cells, only single values")
+    constants = {j: _text_cells(columns[j], [format_value(column)])
+                 for j, column in enumerate(table) if not isinstance(column, SEQUENCES)}
     for comment in comments:
         stream.write(f"# {comment}\n")
     stream.write(",".join(columns) + "\n")
     n_rows = lengths[0]
     if not n_rows:
         return
-    template = ",".join(("%.17g" if isinstance(column[0], float) else "%s") if isinstance(column, SEQUENCES)
-                        else format_value(column).replace("%", "%%") for column in table) + "\n"
-    block = np.empty((min(n_rows, WRITE_BLOCK), len(cells)), dtype=object)
-    for start in range(0, n_rows, WRITE_BLOCK):
-        k = min(WRITE_BLOCK, n_rows - start)
-        for j, column in enumerate(cells):
-            block[:k, j] = column[start:start + k]
-        stream.write((template * k) % tuple(block[:k].ravel().tolist()))
+    floats = [j for j, column in enumerate(table) if j not in constants and isinstance(column[0], float)]
+    block = max(1, WRITE_CELLS // len(table))
+    for start in range(0, n_rows, block):
+        stop = min(n_rows, start + block)
+        values = np.empty((len(floats), stop - start))
+        for i, j in enumerate(floats):
+            values[i] = table[j][start:stop]
+        cells = dict(zip(floats, _float_cells(values.ravel()).reshape(FLOAT_WIDTH, *values.shape).transpose(1, 0, 2)))
+        for j, column in enumerate(table):
+            if j not in cells:
+                cells[j] = constants[j] if j in constants else _text_cells(columns[j], column[start:stop])
+        rows = np.empty((sum(cells[j].shape[0] + 1 for j in range(len(table))), stop - start), np.uint8)
+        slot = 0
+        for j in range(len(table)):
+            width = cells[j].shape[0]
+            rows[slot:slot + width] = cells[j]  # a single value's one column is repeated
+            rows[slot + width] = ord(",")
+            slot += width + 1
+        rows[-1] = ord("\n")
+        stream.write(rows.T.tobytes().translate(None, b"\0").decode())
+
+
+def _text_cells(name: str, cells: Iterable) -> np.ndarray:
+    """The UTF-8 text of each cell of column `name` by str(), in the matrix
+    layout of _float_cells: one column per cell, NUL-padded.  A cell that
+    holds a comma, a line break or a NUL is a ValueError."""
+    texts = list(map(str, cells))
+    joined = "".join(texts)
+    if any(breaker in joined for breaker in ROW_BREAKERS):
+        cell = next(text for text in texts if any(breaker in text for breaker in ROW_BREAKERS))
+        raise ValueError(f"column {name!r}: cell {cell!r} holds a comma, line break or NUL, "
+                         "which would break its row")
+    return np.array([text.encode() for text in texts]).view(np.uint8).reshape(len(texts), -1).T
+
+
+# --- the float kernel ---------------------------------------------------------
+#
+# '%.17g' writes x as N * 10**(k - 16): k = floor(log10|x|) and N, the 17
+# digits, is y = |x| * 10**(16 - k) rounded half to even.  The kernel takes
+# k from numpy's log10 and checks it by the range of y: one outside
+# [10**16, 10**17) is redone at k - 1 or k + 1, so log10's last bit, which
+# differs between its kernels, never reaches a byte.  It forms y exactly as
+# far as rounding needs: 10**(16 - k) is held as two float64s, hi + lo (see
+# _power_of_ten), and |x| * hi is Dekker's error-free product, so y is
+# known to within 1e-14.  The 17 digits are certified when 10**(16 - k) is
+# exact in float64 (lo = 0 for 16 - k from 0 to 22; then y is exact and an
+# exact tie is rounded to even), or when y's fraction lies farther than
+# TIE_MARGIN from 1/2.  Every other cell goes to format_value: the rest of
+# the ties and near-ties, 0, nan, inf and any |x| outside [1e-280, 1e280],
+# subnormals included.  A carry to 10**17 is 10**16 at k + 1.  The layout
+# is '%g's: fixed if -4 <= k < 17, scientific otherwise, trailing zeros
+# dropped.
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """The '%.17g' text of each value of the float64 vector x, a uint8
+    matrix of FLOAT_WIDTH rows and one column per value: the slots of the
+    sign, of the "0.000" of a fixed layout, of 17 digits and a point and of
+    the exponent of a scientific layout, NUL in each slot the text leaves
+    empty."""
+    if x.size < KERNEL_CELLS:  # numpy's cost per call outweighs the saving
+        return _formatted(x)
+    a = np.abs(x)
+    certified = (a >= 1e-280) & (a <= 1e280)  # false for 0, subnormals, inf and nan
+    a[~certified] = 1.0
+    k = np.floor(np.log10(a)).astype(np.int64)  # the exponent, or one off next to a power of ten
+    whole, fraction, exact = _scaled(a, k)
+    step = (whole >= 10**17).astype(np.int64) - (whole < 10**16)
+    redo = np.flatnonzero(step)
+    if redo.size:
+        k[redo] += step[redo]
+        whole[redo], fraction[redo], exact[redo] = _scaled(a[redo], k[redo])
+        certified[redo] &= (whole[redo] >= 10**16) & (whole[redo] < 10**17)
+    certified &= exact | (np.abs(fraction - 0.5) > TIE_MARGIN)
+    whole += (fraction > 0.5) | ((fraction == 0.5) & (whole & 1 == 1))
+    carry = whole == 10**17
+    whole[carry] = 10**16
+    k += carry
+
+    halves = np.empty((2, x.size), np.int32)  # the upper 9 digits of whole and the lower 8
+    halves[0] = whole // 10**8
+    halves[1] = whole - halves[0].astype(np.int64) * 10**8
+    digits = np.empty((17, x.size), np.uint8)
+    for j in range(8, 0, -1):  # digit j of the upper half and digit j - 1 of the lower, into rows j and j + 8
+        tenth = halves // 10
+        digits[j::8] = halves - 10 * tenth
+        halves = tenth
+    digits[0] = halves[0]
+    digits += ord("0")
+    significant = ((digits != ord("0")) * _SLOTS[1:18]).max(axis=0)  # digits up to the last nonzero one
+
+    # Masks select by products: np.where is several times slower on these uint8 matrices.
+    fixed = (k >= -4) & (k < 17)
+    # digits before the point: k + 1 in a fixed layout, all 17 (no point) after its "0.000", one in a scientific one
+    point = np.where(fixed, np.where(k < 0, 17, k + 1), 1).astype(np.uint8)
+    shown = np.maximum(significant, (k + 1) * fixed).astype(np.uint8)  # digits written
+    digits *= _SLOTS[:17] < shown
+    cells = np.empty((FLOAT_WIDTH, x.size), np.uint8)
+    cells[0] = np.signbit(x) * np.uint8(ord("-"))
+    affixes = _affixes().take(k + _AFFIX_EXPONENT, axis=1)
+    cells[1:6] = affixes[:5]
+    region = cells[6:24]  # digit i in slot i before the point, "." in slot `point` if a digit follows, i + 1 after
+    np.multiply(_SLOTS[:18] == point, (shown > point) * np.uint8(ord(".")), out=region)
+    region[:17] += (_SLOTS[:17] < point) * digits
+    region[1:] += (_SLOTS[1:18] > point) * digits
+    cells[24:] = affixes[5:]
+    uncertified = np.flatnonzero(~certified)
+    if uncertified.size:
+        cells[:, uncertified] = _formatted(x[uncertified])
+    return cells
+
+
+def _formatted(x: np.ndarray) -> np.ndarray:
+    """The cells of the float64 vector x as format_value writes them, in
+    the matrix layout of _float_cells."""
+    texts = np.array([format_value(value).encode() for value in x.tolist()], dtype=f"S{FLOAT_WIDTH}")
+    return texts.view(np.uint8).reshape(x.size, FLOAT_WIDTH).T
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For y = a * 10**(16 - k): floor(y) as int64, y - floor(y) within
+    1e-14, and whether 10**(16 - k) is exact in float64, so that the
+    fraction is too."""
+    q = 16 - k
+    first = int(q.min())
+    hi, lo, hi_hi, hi_lo = np.array([_power_of_ten(i) for i in range(first, int(q.max()) + 1)]).T.take(
+        q - first, axis=1)
+    product = a * hi
+    split = a * _SPLIT
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    rest = ((a_hi * hi_hi - product) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo  # a * hi - product, exactly
+    rest += a * lo
+    below = np.floor(rest)  # product is whole where y >= 2**53, and y below 10**16 is redone
+    return product.astype(np.int64) + below.astype(np.int64), rest - below, lo == 0
+
+
+@functools.cache
+def _power_of_ten(q: int) -> tuple[float, float, float, float]:
+    """10**q as hi + lo, hi the float64 nearest it and lo the one nearest
+    10**q - hi, both found in integers, then hi's Dekker halves."""
+    if q >= 0:
+        hi = float(10**q)
+        lo = float(10**q - int(hi))
+    else:
+        hi = 1 / 10**-q  # int / int rounds correctly
+        numerator, denominator = hi.as_integer_ratio()
+        lo = (denominator - numerator * 10**-q) / (denominator * 10**-q)
+    split = hi * _SPLIT
+    hi_hi = split - (split - hi)
+    return hi, lo, hi_hi, hi - hi_hi
+
+
+@functools.cache
+def _affixes() -> np.ndarray:
+    """Column k + _AFFIX_EXPONENT: the 5 slots before a float cell's
+    digits at exponent k ("0." and zeros if -4 <= k < 0) and the 5 after
+    them ("e", a sign and 2 or 3 digits if k < -4 or k >= 17), NUL-padded."""
+    table = np.zeros((10, 2 * _AFFIX_EXPONENT + 1), np.uint8)
+    for k in range(-_AFFIX_EXPONENT, _AFFIX_EXPONENT + 1):
+        before = "0." + "0" * (-k - 1) if -4 <= k < 0 else ""
+        after = "" if -4 <= k < 17 else f"e{k:+03d}"
+        table[:, k + _AFFIX_EXPONENT] = np.frombuffer(before.ljust(5, "\0").encode() + after.ljust(5, "\0").encode(),
+                                                      np.uint8)
+    return table

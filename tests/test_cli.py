@@ -222,6 +222,23 @@ def test_csv_writer_refuses_ragged_or_constant_tables(table):
     assert stream.getvalue() == ""
 
 
+@pytest.mark.parametrize("breaker", [",", "\n", "\r", "\0"], ids=["comma", "newline", "return", "nul"])
+def test_csv_writer_refuses_a_cell_that_would_break_its_row(breaker):
+    # a single value is refused before the header, a cell before the block of rows that holds it
+    text = f"lower{breaker}upper"
+    for table, column, written_first in [
+        (([1.0, 2.0], ["lower", text]), "c1", "c0,c1\n"),
+        ((np.array(["a", text], dtype=object), [1, 2]), "c0", "c0,c1\n"),
+        ((text, (1.0, 2.0)), "c0", ""),
+        (([1.0, 2.0], "x", text), "c2", ""),
+    ]:
+        stream = io.StringIO()
+        with pytest.raises(ValueError, match=f"column '{column}': cell {re.escape(repr(text))} holds a comma, "
+                                             "line break or NUL, which would break its row"):
+            write_csv(stream, [f"c{j}" for j in range(len(table))], table)
+        assert stream.getvalue() == written_first
+
+
 def test_csv_missing_column_named():
     with pytest.raises(DataError, match="missing column 'b'"):
         parse_text("a\n1.0\n", {"a": float, "b": float})
@@ -1212,9 +1229,42 @@ def test_run_the_parser_admits_is_long_enough_at_any_rate(segments, capsys):
         return None
 
     assert refusal(factor) is None
-    assert "argument --segments: must be at least" in refusal(math.nextafter(factor, 0.0))
+    # below the least factor of the most segments, no segment count is enough: --dt-factor is refused
+    flag = "--dt-factor" if segments == cli.MAX_SEGMENTS else "--segments"
+    assert f"argument {flag}: must be at least" in refusal(math.nextafter(factor, 0.0))
     for gamma_total in 10.0 ** np.random.default_rng(segments).uniform(0.0, 15.0, 2000):
         assert langevin.LangevinRun(gamma_total, 0.5 * gamma_total, factor / gamma_total, n_steps, 1, 0)
+
+
+# Below 50 / (4882 * 2048) no --segments reaches 50/gamma_total, so --dt-factor is refused itself.
+LEAST_DT_FACTOR = "5.000832138467842e-06"  # the least float whose 4882 * 2048 multiple reaches 50
+
+
+@pytest.mark.parametrize("value", ["1e-6", "5e-324", repr(math.nextafter(float(LEAST_DT_FACTOR), 0.0))],
+                         ids=["1e-6", "least-float", "below-the-boundary"])
+def test_time_step_too_short_for_any_segment_count_is_a_usage_error(value, device_cfg_path, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert run(["langevin-verify", "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n")[0] + "\n"
+    for segments in ("4881", "94"):
+        assert run(["langevin-verify", "--config", str(device_cfg_path), "--segments", segments,
+                    "--dt-factor", value, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert not out.exists() and captured.out == ""
+        assert captured.err == (f"{usage}ringlab langevin-verify: error: argument --dt-factor: must be at least "
+                                f"{LEAST_DT_FACTOR}, so a trajectory of at most 4881 segments lasts at least "
+                                f"50/gamma_total: {value!r}\n")
+
+
+def test_least_time_step_is_admitted_at_the_most_segments(capsys):
+    assert Fraction(LEAST_DT_FACTOR) * 4882 * 2048 >= 50 > Fraction(math.nextafter(float(LEAST_DT_FACTOR), 0.0)) * 4882 * 2048
+    assert cli.LEAST_DT_FACTOR == float(LEAST_DT_FACTOR)
+    flags = ["langevin-verify", "--config", "c", "--trajectories", "1", "--dt-factor", LEAST_DT_FACTOR, "--segments"]
+    assert build_parser().parse_args([*flags, "4881"]).dt_factor == float(LEAST_DT_FACTOR)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([*flags, "4880"])
+    assert "argument --segments: must be at least 4881 at --dt-factor" in capsys.readouterr().err
 
 
 # --- shot-cal powers: at least two, none negative, one positive ------------------------
@@ -1459,14 +1509,30 @@ def test_every_command_writes_the_columns_its_help_lists(device_cfg_path, crossi
                    if isinstance(action, argparse._SubParsersAction)]
     assert sorted(commands) == sorted(PURE_RUNS)
     trace = lorentzian_trace_file(tmp_path / "dip.csv", 6.0 * MHZ)
+    reads = []  # (schema columns, {column: the column that may stand in for it}) of each table a command reads
+
+    def recording_load_csv(path, columns, alternatives=None):
+        reads.append((list(columns), alternatives or {}))
+        return load_csv(path, columns, alternatives)
+
+    monkeypatch.setattr(cli, "load_csv", recording_load_csv)
     for command, argv in PURE_RUNS.items():
         capsys.readouterr()
         assert run([command, "--help"]) == 0
         page = capsys.readouterr().out
         listed = [line.split(": ")[1].split(", ") for line in page.splitlines() if line.startswith("output columns: ")]
         listed += [columns.split(",") for columns in re.findall(r"also write dip CSV: (\S+)", page)]
+        # an input table is listed as its header "or" the header from the replaceable column on, replaced
+        listed_inputs = re.findall(r"\((?:CSV: )?(\w+(?:,\w+)+) or (\w+(?:,\w+)*)\)", page)
         argv = [arg.format(cfg=device_cfg_path, data=crossing_data, trace=trace, dir=tmp_path) for arg in argv]
+        reads.clear()
         assert run(argv) == 0, command
+        inputs = []
+        for names, alternatives in reads:
+            (replaced, other), = alternatives.items()
+            start = names.index(replaced)
+            inputs.append((",".join(names), ",".join([other, *names[start + 1:]])))
+        assert listed_inputs == inputs, command
         written = [argv[argv.index(flag) + 1] for flag in ("--out", "--dip-report") if flag in argv]
         headers = [next(line for line in Path(path).read_text().splitlines() if not line.startswith("#")).split(",")
                    for path in written]

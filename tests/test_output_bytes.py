@@ -11,7 +11,8 @@ in a subprocess with the kernel turned off.  A refactor that keeps the
 output contract keeps them; a change that moves any output byte on purpose
 must say why and record new digests.
 The small runs take about 0.1 s, the two large tables about 0.2 s and the
-subprocess about 0.4 s.
+subprocess, which also checks the CSV writer's float kernel on a million
+values (see tests/test_csvio.py), about 3.5 s.
 """
 
 import hashlib
@@ -122,10 +123,19 @@ def test_outputs_match_pinned_digests(device_cfg_path, tmp_path, capsys):
 def test_db_tables_without_the_x86_v4_kernel_match_their_digests(device_cfg_path, tmp_path):
     runs = [[*(arg.format(cfg=device_cfg_path, dir=tmp_path) for arg in args), "--out", str(tmp_path / f"{name}.csv")]
             for name, args in COMMANDS if f"{name}.csv" in NO_X86_V4_DIGESTS]
-    code = "import json, sys; from ringlab.cli import run; sys.exit(max(map(run, json.loads(sys.argv[1]))))"
-    env = {**os.environ, **NO_X86_V4, "PYTHONPATH": str(Path(ringlab.__file__).parents[1])}
-    subprocess.run([sys.executable, "-c", code, json.dumps(runs)], capture_output=True, env=env, check=True)
+    # The dB tables, then the CSV writer's float kernel, whose exponent comes from log10, against format_value
+    code = ("import json, sys\n"
+            "from ringlab.cli import run\n"
+            "from test_csvio import KERNEL_SEED, kernel_faults, kernel_samples\n"
+            "status = max(map(run, json.loads(sys.argv[1])))\n"
+            "print(json.dumps(kernel_faults(kernel_samples(KERNEL_SEED))[0][:20]))\n"
+            "sys.exit(status)\n")
+    path = os.pathsep.join([str(Path(ringlab.__file__).parents[1]), str(Path(__file__).parent)])
+    env = {**os.environ, **NO_X86_V4, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], capture_output=True, env=env, check=True,
+                          text=True)
     assert {name: sha256((tmp_path / name).read_bytes()) for name in NO_X86_V4_DIGESTS} == NO_X86_V4_DIGESTS
+    assert json.loads(done.stdout) == []
 
 
 def test_large_tables_match_pinned_digests(device_cfg_path, tmp_path, capsys):
