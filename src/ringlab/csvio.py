@@ -190,12 +190,16 @@ def write_csv(stream: io.TextIOBase, columns: list[str], table: Iterable,
     certify to format_value, as it does all cells of a block of fewer than
     KERNEL_CELLS floats.
 
-    Columns of cells of different lengths, or none, are a ValueError, and
+    A header of more or fewer names than the table has columns, or
+    columns of cells of different lengths, or none, are a ValueError, and
     so is a single value or a str cell whose text holds a comma, a line
-    break or a NUL, which would break its row.  A single value is refused
-    before anything is written, a cell before its block of rows.
+    break or a NUL, which would break its row.  The header and a single
+    value are refused before anything is written, a cell before its block
+    of rows.
     """
     table = list(table)
+    if len(columns) != len(table):
+        raise ValueError(f"header of {len(columns)} names for a table of {len(table)} columns")
     lengths = sorted({len(column) for column in table if isinstance(column, SEQUENCES)})
     if len(lengths) != 1:
         raise ValueError(f"table columns of different lengths: {lengths}" if lengths

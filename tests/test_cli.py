@@ -222,6 +222,15 @@ def test_csv_writer_refuses_ragged_or_constant_tables(table):
     assert stream.getvalue() == ""
 
 
+@pytest.mark.parametrize("names", [["a"], ["a", "b", "c"], []], ids=["fewer", "more", "none"])
+def test_csv_writer_refuses_a_header_that_does_not_match_the_table(names):
+    # `a\n1,2\n` would be read back refused or wrong
+    stream = io.StringIO()
+    with pytest.raises(ValueError, match=f"^header of {len(names)} names for a table of 2 columns$"):
+        write_csv(stream, names, ([1.0], [2.0]), comments=["written before the header"])
+    assert stream.getvalue() == ""
+
+
 @pytest.mark.parametrize("breaker", [",", "\n", "\r", "\0"], ids=["comma", "newline", "return", "nul"])
 def test_csv_writer_refuses_a_cell_that_would_break_its_row(breaker):
     # a single value is refused before the header, a cell before the block of rows that holds it
@@ -1161,7 +1170,7 @@ def test_monte_carlo_budget_is_checked_on_the_parsed_segments(device_cfg_path, t
     def no_trajectory(*args):
         raise AssertionError("a trajectory started")
 
-    monkeypatch.setattr(langevin, "simulate_difference_quadrature", no_trajectory)
+    monkeypatch.setattr(langevin, "trajectory_output_psd", no_trajectory)
     out = tmp_path / "out.csv"
     for trajectories, segments, most in (("201", "4881", 200), ("10" + "0" * 20, "1", 488281)):
         capsys.readouterr()
@@ -1188,7 +1197,7 @@ def test_trajectory_shorter_than_50_over_gamma_is_a_usage_error(flags, least, fa
     def no_trajectory(*args):
         raise AssertionError("a trajectory started")
 
-    monkeypatch.setattr(langevin, "simulate_difference_quadrature", no_trajectory)
+    monkeypatch.setattr(langevin, "trajectory_output_psd", no_trajectory)
     out = tmp_path / "out.csv"
     capsys.readouterr()
     assert run(["langevin-verify", "--help"]) == 0
@@ -1558,11 +1567,11 @@ def test_float_error_in_a_trajectory_thread_is_one_numeric_line(device_cfg_path,
     code = ("import sys\n"
             "import numpy as np\n"
             "from ringlab import cli, langevin\n"
-            "psd = langevin.output_psd\n"
+            "psd = langevin.trajectory_output_psd\n"
             "def overflowing(*args):\n"
             "    np.array([1e308]) * 10.0\n"
             "    return psd(*args)\n"
-            "langevin.output_psd = overflowing\n"
+            "langevin.trajectory_output_psd = overflowing\n"
             "sys.exit(cli.run(sys.argv[1:]))\n")
     out = tmp_path / "verify.csv"
     env = {**os.environ, "PYTHONPATH": str(Path(ringlab.__file__).parents[1]), "PYTHONWARNINGS": "default"}
@@ -1572,3 +1581,28 @@ def test_float_error_in_a_trajectory_thread_is_one_numeric_line(device_cfg_path,
     assert (done.returncode, done.stdout) == (5, "")
     assert done.stderr == "ringlab: error: numeric: overflow encountered in multiply\n"
     assert not out.exists()
+
+
+LONGEST_RUN_MAX_RSS_MIB = 64   # the whole process: interpreter, numpy and one trajectory's working set
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_longest_trajectory_runs_in_bounded_memory(device_cfg_path, tmp_path):
+    # one series of the longest trajectory alone is 76 MiB; a streamed trajectory holds a few MiB
+    code = ("import resource, sys\n"
+            "from ringlab import cli\n"
+            "status = cli.run(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "sys.exit(status)\n")
+    # ru_maxrss keeps, across exec, the peak of the address space that exec replaced: started
+    # straight from the test runner, the run would report the runner's.  A bare interpreter starts it.
+    launcher = "import subprocess, sys\nsys.exit(subprocess.run(sys.argv[1:]).returncode)\n"
+    out = tmp_path / "verify.csv"
+    env = {**os.environ, "PYTHONPATH": str(Path(ringlab.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", launcher, sys.executable, "-c", code, "langevin-verify",
+                           "--config", str(device_cfg_path), "--segments", str(cli.MAX_SEGMENTS),
+                           "--trajectories", "1", "--out", str(out)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert out.is_file() and cli.LONGEST_TRAJECTORY * 8 > LONGEST_RUN_MAX_RSS_MIB * 2**20
+    assert int(done.stdout) / 1024 <= LONGEST_RUN_MAX_RSS_MIB

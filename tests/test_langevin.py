@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -245,20 +246,69 @@ def test_blocked_welch_matches_mean_over_all_segments_bit_for_bit(monkeypatch, n
     assert spectrum.psd_normalized.tobytes() == _welch_reference(series, 0.25, n_segments).tobytes()
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="older interpreters keep call arguments alive in the caller")
-def test_trajectory_holds_at_most_three_series():
-    run = make_run(n_trajectories=1, segments=94, dt_factor=0.01)
-    series_bytes = 8 * run.n_steps
-    output_psd(simulate_difference_quadrature(run, 0)[1], run.dt, 94)  # imports and caches outside the window
+# --- streamed trajectories against the whole-series functions ---------------------------
+
+
+def _serial_average(run, n_segments):
+    """The trajectories' whole-series spectra summed one after another in trajectory order."""
+    acc = None
+    for trajectory in range(run.n_trajectories):
+        psd = output_psd(simulate_difference_quadrature(run, trajectory)[1], run.dt, n_segments).psd_normalized
+        acc = psd if acc is None else acc + psd
+    return acc / run.n_trajectories
+
+
+BLOCK = scan_block_length(0.01)   # 384 steps, of 6 scan rows
+
+
+@pytest.mark.parametrize("eta_c, n_steps, gamma_dt, chunk_steps, n_segments", [
+    (0.0, 5000, 0.01, 2 * BLOCK, 8),        # 4999 steps: 6 chunks of 2 blocks, then a block and a tail of 7
+    (0.37, 5000, 0.01, 2 * BLOCK, 8),
+    (1.0, 5000, 0.01, 2 * BLOCK, 8),
+    (0.5, 100, 0.01, 2 * BLOCK, 2),         # fewer steps than one block
+    (0.5, 1 + 3 * BLOCK, 0.01, 2 * BLOCK, 4),                     # whole blocks, no tail
+    (0.5, 1 + 2 * BLOCK + 2 * langevin.SCAN_ROW, 0.01, BLOCK, 4),  # a tail of whole rows
+    (0.5, 1 + 4 * BLOCK, 0.01, 2 * BLOCK, 4),                     # a last chunk of one sample and no drive
+    (0.6, 5000, 0.05, 200, 8),              # blocks of one row, 3 to a chunk
+    (0.6, 5000, 0.3, 50, 8),                # blocks of 11 steps, shorter than a row, 4 to a chunk
+    (0.6, 5000, 1e-4, 100, 8),              # blocks of SCAN_MAX_BLOCK: a chunk is at least one block
+    (0.6, 95 * 2048, 0.01, langevin.CHUNK_STEPS, 94),  # CLI default: segments and FFT blocks across chunk edges
+])
+def test_streamed_average_equals_serial_sum_of_whole_series_bit_for_bit(
+        monkeypatch, eta_c, n_steps, gamma_dt, chunk_steps, n_segments):
+    # a run record without LangevinRun's physical bounds (dt, duration), so that
+    # the kernels meet every edge case of the scan's blocks
+    run = types.SimpleNamespace(gamma_total=1.0, kappa_eff=eta_c, dt=gamma_dt, n_steps=n_steps,
+                                n_trajectories=2, seed=n_steps)
+    monkeypatch.setattr(langevin, "CHUNK_STEPS", chunk_steps)
+    streamed = averaged_output_psd(run, n_segments)
+    segments = output_psd(np.zeros(n_steps), gamma_dt, n_segments).n_segments
+    assert streamed.n_segments == 2 * segments
+    assert streamed.psd_normalized.tobytes() == _serial_average(run, n_segments).tobytes()
+    for trajectory in range(run.n_trajectories):
+        whole = output_psd(simulate_difference_quadrature(run, trajectory)[1], gamma_dt, n_segments)
+        one = langevin.trajectory_output_psd(run, trajectory, n_segments)
+        assert one.psd_normalized.tobytes() == whole.psd_normalized.tobytes()
+        assert one.freq_grid.tobytes() == whole.freq_grid.tobytes()
+
+
+TRAJECTORY_PEAK_BYTES = 3_000_000   # one streamed trajectory at the CLI's step and segment length
+
+
+@pytest.mark.parametrize("segments", [94, 940])
+def test_trajectory_memory_does_not_grow_with_its_length(segments):
+    # the CLI's run shape: segments of 4096 samples, dt = 0.01/G; a series of
+    # 940 segments is 15.4 MB, five times the bound
+    run = LangevinRun(GAMMA, 0.5 * GAMMA, 0.01 / GAMMA, (segments + 1) * 2048, 1, 5)
+    langevin.trajectory_output_psd(run, 0, segments)  # imports and caches outside the window
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        output_psd(simulate_difference_quadrature(run, 0)[1], run.dt, 94)
+        langevin.trajectory_output_psd(run, 0, segments)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 5_000_000
-    assert peak <= 3.1 * series_bytes
+    assert peak <= TRAJECTORY_PEAK_BYTES
 
 
 # --- trajectory thread pool -------------------------------------------------------
@@ -267,22 +317,18 @@ def test_trajectory_holds_at_most_three_series():
 @pytest.mark.parametrize("max_workers", [1, 3])
 def test_pooled_average_equals_serial_fixed_order_sum(monkeypatch, max_workers):
     run = make_run(eta_c=0.6, n_trajectories=5, segments=12, seed=77)
-    acc = None
-    for trajectory in range(run.n_trajectories):
-        psd = output_psd(simulate_difference_quadrature(run, trajectory)[1], run.dt, 12).psd_normalized
-        acc = psd if acc is None else acc + psd
-    expected = acc / run.n_trajectories
+    expected = _serial_average(run, 12)
 
     workers = set()
-    simulate = langevin.simulate_difference_quadrature
+    trajectory_psd = langevin.trajectory_output_psd
 
-    def recording_simulate(*args):
+    def recording_trajectory_psd(*args):
         workers.add(threading.get_ident())
-        return simulate(*args)
+        return trajectory_psd(*args)
 
     monkeypatch.setattr(langevin, "LANGEVIN_MAX_WORKERS", max_workers)
     monkeypatch.setattr(langevin, "_usable_cpus", lambda: 8)  # more threads than this host may have cores
-    monkeypatch.setattr(langevin, "simulate_difference_quadrature", recording_simulate)
+    monkeypatch.setattr(langevin, "trajectory_output_psd", recording_trajectory_psd)
     threads_before = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the threads as finely as the interpreter allows
