@@ -36,10 +36,13 @@ averaged_output_psd runs the trajectories of a run on a pool of at most
 LANGEVIN_MAX_WORKERS threads (numpy's RNG fill, ufuncs, cumulative sums
 and FFT release the GIL) and sums their spectra in trajectory order, so
 the result does not depend on the thread count.  Each trajectory is
-streamed: drawn, scanned and added to its Welch sum CHUNK_STEPS steps at
-a time in arrays its thread allocates once, so the memory of a thread is
-a constant, whatever n_steps; the spectrum is that of output_psd over
-simulate_difference_quadrature, bit for bit.
+streamed CHUNK_STEPS steps at a time through the one Euler step
+(_euler_chain) into the one chunk loop of its Welch sum
+(_WelchSum.stream), in arrays its thread allocates once, so the memory of
+a thread is a constant, whatever n_steps.  integrate_difference_quadrature
+takes the same step once over a whole series, and the spectrum is that of
+output_psd over simulate_difference_quadrature, bit for bit.
+shot_noise_calibration streams its photocurrents through the same loop.
 """
 
 from __future__ import annotations
@@ -192,6 +195,29 @@ def _scan(w: np.ndarray, state: float, gamma_dt: float) -> float:
     return state
 
 
+def _euler_chain(x: np.ndarray, dw_ext: np.ndarray, x_out: np.ndarray, state: float,
+                 kappa_eff: float, gamma_total: float, dt: float) -> float:
+    """The Euler step over one stretch of a trajectory, in place.
+
+    On entry x[0] is the sample the stretch starts from, `state` its scan
+    state, and x[1:] the internal increments.  x[k] = a*x[k-1] + w[k-1],
+    w = sqrt(G - kappa) dw_int + sqrt(kappa) dw_ext: the drive is formed
+    in x[1:] and scanned there into the next samples.  Then x_out =
+    sqrt(kappa) x - dw_ext/dt over the first len(x_out) samples, and
+    dw_ext holds dw_ext/dt.  Returns the scan's state after the stretch.
+    """
+    root_ext = np.sqrt(kappa_eff)
+    w = x[1:]
+    w *= np.sqrt(gamma_total - kappa_eff)
+    np.multiply(dw_ext[:w.size], root_ext, out=x_out[:w.size])   # x_out lends its room to the drive
+    w += x_out[:w.size]
+    state = _scan(w, state, gamma_total * dt)
+    dw_ext /= dt
+    np.multiply(x[:x_out.size], root_ext, out=x_out)
+    x_out -= dw_ext
+    return state
+
+
 def integrate_difference_quadrature(
     dw_ext: np.ndarray,
     dw_int: np.ndarray,
@@ -210,16 +236,11 @@ def integrate_difference_quadrature(
         raise ValueError("kappa_eff must be in [0, gamma_total]")
     if not 0.0 < gamma_total * dt < 1.0:
         raise ValueError(f"gamma_total*dt must be in (0, 1), got {gamma_total * dt}")
-    # x[k] = a*x[k-1] + w[k-1], w = sqrt(kappa) dw_ext + sqrt(G - kappa) dw_int;
-    # the drive is formed in x[1:] and scanned there into the samples
     x = np.empty(len(dw_int))
     x[:1] = x0
-    w = x[1:]   # w[k-1] drives x[k], so the last increments drive no sample
-    np.multiply(dw_int[:-1], np.sqrt(gamma_total - kappa_eff), out=w)
-    w += np.sqrt(kappa_eff) * dw_ext[:-1]
-    _scan(w, float(x0), gamma_total * dt)
-    x_out = np.divide(dw_ext, dt)
-    np.subtract(np.sqrt(kappa_eff) * x, x_out, out=x_out)
+    x[1:] = dw_int[:-1]   # the last increments drive no sample
+    x_out = np.empty(len(x))
+    _euler_chain(x, np.array(dw_ext, dtype=float), x_out, float(x0), kappa_eff, gamma_total, dt)
     return x, x_out
 
 
@@ -253,13 +274,12 @@ class _WelchSum:
 
     Segment spectra are added to `total` row by row, in segment order, a
     block of rows transformed at a time in arrays allocated once.  add()
-    takes whole segments of a series at hand.  A series streamed in pieces
-    of at most `chunk` samples is written into slot() and handed over by
-    push(), which adds the segments it completes and carries the
-    unfinished rest, less than one segment, to the front of the stage.
+    takes whole segments of a series at hand; stream() takes a series a
+    chunk at a time.  A chunk is CHUNK_STEPS samples in whole `block`s,
+    at most the series; without a block nothing is streamed.
     """
 
-    def __init__(self, n_samples: int, n_segments: int, dt: float, chunk: int = 0):
+    def __init__(self, n_samples: int, n_segments: int, dt: float, block: int = 0):
         if n_segments < 1:
             raise ValueError(f"n_segments must be >= 1, got {n_segments}")
         m = 2 * (n_samples // (n_segments + 1))
@@ -267,7 +287,7 @@ class _WelchSum:
             raise ValueError(
                 f"series too short: {n_samples} samples for {n_segments} half-overlapping segments"
             )
-        self.m, self.hop, self.dt = m, m // 2, dt
+        self.n_samples, self.m, self.hop, self.dt = n_samples, m, m // 2, dt
         self.n_rows = (n_samples - m) // self.hop + 1
         self.window = np.hanning(m)
         self.scale = dt / (m * np.mean(self.window**2))
@@ -276,13 +296,31 @@ class _WelchSum:
         self._spectra = np.empty((rows, m // 2 + 1), dtype=complex)
         self._sums = np.empty((rows + 1, m // 2 + 1))   # the running total, then a block's segment spectra
         self.total = np.zeros(m // 2 + 1)
-        self._stage = np.empty(m + chunk)
+        self.chunk = min(block * max(1, CHUNK_STEPS // block), n_samples) if block else 0
+        self._stage = np.empty(m + self.chunk)
         self._stage_segments = np.lib.stride_tricks.sliding_window_view(self._stage, m)[::self.hop]
-        self._fill = 0
 
-    def reset(self) -> None:
+    def stream(self):
+        """Sum a series streamed a chunk at a time, from zero.
+
+        Yields (start, slot) for each chunk, in order; the caller writes
+        the series' samples start .. start + len(slot) into slot.  The
+        segments they complete are then added, and the unfinished rest,
+        less than one segment, is carried to the front of the stage.
+        spectrum() is the series' estimate once the loop has run out.
+        """
         self.total[:] = 0.0
-        self._fill = 0
+        kept = 0
+        for start in range(0, self.n_samples, self.chunk):
+            count = min(self.chunk, self.n_samples - start)
+            yield start, self._stage[kept:kept + count]
+            kept += count
+            done = max(0, (kept - self.m) // self.hop + 1)   # segments complete in the stage
+            if done:
+                self.add(self._stage_segments[:done])
+                used = done * self.hop
+                kept -= used
+                self._stage[:kept] = self._stage[used:used + kept]
 
     def add(self, segments: np.ndarray) -> None:
         """Add the spectra of `segments`, rows of m samples, in order."""
@@ -299,20 +337,6 @@ class _WelchSum:
             power *= self.scale
             sums[0] = self.total
             np.add.reduce(sums, axis=0, out=self.total)   # row after row, as the rows of mean(axis=0)
-
-    def slot(self, count: int) -> np.ndarray:
-        """Where the next `count` samples of a streamed series are written."""
-        return self._stage[self._fill:self._fill + count]
-
-    def push(self, count: int) -> None:
-        """Take the `count` samples written into slot(count)."""
-        self._fill += count
-        done = max(0, (self._fill - self.m) // self.hop + 1)   # segments complete in the stage
-        if done:
-            self.add(self._stage_segments[:done])
-            start = done * self.hop
-            self._fill -= start
-            self._stage[:self._fill] = self._stage[start:start + self._fill]
 
     def spectrum(self) -> NoiseSpectrum:
         psd = self.total / self.n_rows
@@ -340,58 +364,40 @@ def output_psd(series: np.ndarray, dt: float, n_segments: int) -> NoiseSpectrum:
     return welch.spectrum()
 
 
-def _chunk_steps(block: int, n_steps: int) -> int:
-    """Steps per chunk of a streamed series: CHUNK_STEPS in whole blocks, at most the series."""
-    return min(block * max(1, CHUNK_STEPS // block), n_steps)
-
-
 class _TrajectoryWork:
     """One thread's arrays for the trajectories of a run, allocated once:
-    a chunk of the samples x (with the drive formed in them), of the
-    external increments, and the Welch sum with its stage, which holds
-    the output samples."""
+    the Welch sum, whose stage takes the output samples, and a chunk of
+    the samples x and of the external increments."""
 
     def __init__(self, run: LangevinRun, n_segments: int):
-        self.chunk = _chunk_steps(scan_block_length(run.gamma_total * run.dt), run.n_steps)
-        self.x = np.empty(self.chunk + 1)
-        self.dw_ext = np.empty(self.chunk)
-        self.welch = _WelchSum(run.n_steps, n_segments, run.dt, self.chunk)
+        self.welch = _WelchSum(run.n_steps, n_segments, run.dt, scan_block_length(run.gamma_total * run.dt))
+        self.x = np.empty(self.welch.chunk + 1)
+        self.dw_ext = np.empty(self.welch.chunk)
 
 
 def trajectory_output_psd(run: LangevinRun, trajectory: int, n_segments: int,
                           work: _TrajectoryWork | None = None) -> NoiseSpectrum:
     """output_psd(simulate_difference_quadrature(run, trajectory)[1], run.dt,
-    n_segments), bit for bit, streamed: the trajectory is drawn, scanned
-    and added to the Welch sum a chunk of steps at a time, in the arrays
-    of `work` (new ones if None), so its memory does not grow with
+    n_segments), bit for bit, streamed: the trajectory is drawn and
+    stepped into the Welch sum's stage a chunk of steps at a time, in the
+    arrays of `work` (new ones if None), so its memory does not grow with
     run.n_steps.  A chunk is whole scan blocks, the partial block last,
     and carries the scan's state and its last sample to the next."""
     rng_ext, rng_int, x0 = _trajectory_start(run, trajectory)
     work = work or _TrajectoryWork(run, n_segments)
-    x, dw_ext, welch, chunk = work.x, work.dw_ext, work.welch, work.chunk
-    welch.reset()
-    n, dt = run.n_steps, run.dt
-    sqrt_dt, root_ext, root_int = np.sqrt(dt), np.sqrt(run.kappa_eff), np.sqrt(run.gamma_total - run.kappa_eff)
-    x[0] = x0
-    state = float(x0)
-    for start in range(0, n, chunk):
-        count = min(chunk, n - start)        # the samples x[start:start + count] and their external draws
-        steps = min(chunk, n - 1 - start)    # the drive of the next `steps` samples
-        w, ext, out = x[1:steps + 1], dw_ext[:count], welch.slot(count)
+    x, sqrt_dt = work.x, np.sqrt(run.dt)
+    x[0] = state = float(x0)
+    for start, out in work.welch.stream():
+        count = len(out)
+        steps = min(count, run.n_steps - 1 - start)   # the last sample drives no step
+        w, dw_ext = x[1:steps + 1], work.dw_ext[:count]
         rng_int.standard_normal(out=w)
         w *= sqrt_dt
-        w *= root_int
-        rng_ext.standard_normal(out=ext)
-        ext *= sqrt_dt
-        np.multiply(ext[:steps], root_ext, out=out[:steps])   # the output slot lends its room to the drive
-        w += out[:steps]
-        state = _scan(w, state, run.gamma_total * dt)
-        np.divide(ext, dt, out=out)
-        np.multiply(x[:count], root_ext, out=x[:count])
-        np.subtract(x[:count], out, out=out)
+        rng_ext.standard_normal(out=dw_ext)
+        dw_ext *= sqrt_dt
+        state = _euler_chain(x[:steps + 1], dw_ext, out, state, run.kappa_eff, run.gamma_total, run.dt)
         x[0] = x[count]   # the first sample of the next chunk
-        welch.push(count)
-    return welch.spectrum()
+    return work.welch.spectrum()
 
 
 def averaged_output_psd(run: LangevinRun, n_segments: int) -> NoiseSpectrum:
@@ -419,16 +425,11 @@ def averaged_output_psd(run: LangevinRun, n_segments: int) -> NoiseSpectrum:
 
     workers = min(_usable_cpus(), run.n_trajectories, LANGEVIN_MAX_WORKERS)
     acc = None
-    total_segments = 0
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for spectrum in pool.map(one_trajectory, range(run.n_trajectories)):
-            total_segments += spectrum.n_segments
             acc = spectrum.psd_normalized if acc is None else acc + spectrum.psd_normalized
-    return NoiseSpectrum(
-        freq_grid=spectrum.freq_grid,
-        psd_normalized=acc / run.n_trajectories,
-        n_segments=total_segments,
-    )
+    return NoiseSpectrum(freq_grid=spectrum.freq_grid, psd_normalized=acc / run.n_trajectories,
+                         n_segments=spectrum.n_segments * run.n_trajectories)
 
 
 def _usable_cpus() -> int:
@@ -451,16 +452,19 @@ def analytic_psd(kappa_eff: float, gamma_total: float, freq_grid) -> NoiseSpectr
 def shot_noise_calibration(power_grid, n_samples: int, seed: int) -> list[tuple[float, float]]:
     """Balanced-detection shot-noise levels versus optical power.
 
-    Each power P produces two independent white photocurrent streams of
-    PSD P/2 (a 50:50 split), n_samples long at unit spacing (at least
-    SHOT_CAL_MIN_SAMPLES); the PSD of their difference, Welch-averaged
-    over SHOT_CAL_SEGMENTS segments, averages to P.  Both streams are
-    drawn and summed a chunk at a time, so memory does not grow with
-    n_samples.  Returns (power, mean PSD level) per grid point; the levels
-    fall on a line through the origin up to estimator variance.
+    Each power P produces two independent white photocurrent streams of PSD
+    P/2 (a 50:50 split), n_samples long at unit spacing (an integer, at
+    least SHOT_CAL_MIN_SAMPLES); the PSD of their difference, Welch-averaged
+    over SHOT_CAL_SEGMENTS segments, averages to P.  The streams are drawn
+    and differenced a chunk at a time.  Returns (power, mean PSD level) per
+    grid point; the levels fall on a line through the origin up to estimator
+    variance.
     """
+    if not isinstance(n_samples, numbers.Integral) or n_samples < SHOT_CAL_MIN_SAMPLES:
+        raise ValueError(f"n_samples must be an integer of at least {SHOT_CAL_MIN_SAMPLES}, got {n_samples!r}")
     levels = []
-    welch = None
+    welch = _WelchSum(n_samples, SHOT_CAL_SEGMENTS, 1.0, block=1)
+    drawn = np.empty(welch.chunk)
     for index, power in enumerate(power_grid):
         power = float(power)
         if power < 0:
@@ -468,21 +472,14 @@ def shot_noise_calibration(power_grid, n_samples: int, seed: int) -> list[tuple[
         if power == 0.0:
             levels.append((power, 0.0))
             continue
-        if welch is None:
-            chunk = _chunk_steps(1, n_samples)
-            welch = _WelchSum(n_samples, SHOT_CAL_SEGMENTS, 1.0, chunk)
-            drawn = np.empty(chunk)
-        welch.reset()
         rng1, rng2 = trajectory_generators(seed, index)
         scale = np.sqrt(0.5 * power)
-        for start in range(0, n_samples, chunk):
-            count = min(chunk, n_samples - start)
-            s1, s2 = welch.slot(count), drawn[:count]
+        for _, s1 in welch.stream():
+            s2 = drawn[:len(s1)]
             rng1.standard_normal(out=s1)
             s1 *= scale
             rng2.standard_normal(out=s2)
             s2 *= scale
             s1 -= s2
-            welch.push(count)
         levels.append((power, float(welch.spectrum().psd_normalized.mean())))
     return levels

@@ -76,6 +76,12 @@ def test_run_takes_a_positive_integer_trajectory_count(n_trajectories):
     assert LangevinRun(GAMMA, 0.5 * GAMMA, 0.01 / GAMMA, 18432, np.int64(2), 0).n_trajectories == 2
 
 
+@pytest.mark.parametrize("gamma_total", [0.0, -GAMMA, -math.inf])
+def test_run_takes_a_positive_decay_rate(gamma_total):
+    with pytest.raises(ValueError, match=f"^gamma_total must be positive, got {re.escape(str(gamma_total))}$"):
+        LangevinRun(gamma_total, 0.0, 0.01 / GAMMA, 10000, 1, 0)
+
+
 def test_run_shorter_than_50_over_gamma_is_refused():
     dt = 0.01 / GAMMA
     assert LangevinRun(GAMMA, 0.5 * GAMMA, dt, np.int64(5000), 1, 0).n_steps == 5000  # 5000 * dt = 50/GAMMA
@@ -114,6 +120,16 @@ def test_stationary_variance_is_one_half():
     assert abs(x.var() - 0.5) <= 3.0 * sigma_est
 
 
+@pytest.mark.parametrize("trajectory", [-1, 2, 3])
+def test_trajectory_index_outside_the_run_is_refused(trajectory):
+    run = make_run(n_trajectories=2, segments=8)
+    message = rf"^trajectory index {trajectory} outside \[0, 2\)$"
+    with pytest.raises(ValueError, match=message):
+        langevin.trajectory_output_psd(run, trajectory, 8)
+    with pytest.raises(ValueError, match=message):
+        simulate_difference_quadrature(run, trajectory)
+
+
 # --- PSD estimator ----------------------------------------------------------------
 
 
@@ -149,6 +165,31 @@ def test_zero_series_gives_zero_spectrum():
 def test_output_psd_rejects_short_series():
     with pytest.raises(ValueError, match="too short"):
         output_psd(np.zeros(64), 1.0, 32)
+
+
+@pytest.mark.parametrize("series, n_segments, message", [
+    (np.zeros(4096), 0, r"^n_segments must be >= 1, got 0$"),
+    (np.zeros(4096), -3, r"^n_segments must be >= 1, got -3$"),
+    (np.zeros((2, 4096)), 8, r"^series must be 1-d$"),
+    (np.float64(1.0), 1, r"^series must be 1-d$"),
+])
+def test_output_psd_rejects_bad_segment_counts_and_shapes(series, n_segments, message):
+    with pytest.raises(ValueError, match=message):
+        output_psd(series, 1.0, n_segments)
+
+
+@pytest.mark.parametrize("freq, psd, message", [
+    ([1.0, 2.0], [1.0], "matching non-empty 1-d arrays"),
+    ([1.0], [1.0, 2.0], "matching non-empty 1-d arrays"),
+    ([], [], "matching non-empty 1-d arrays"),
+    ([[1.0, 2.0]], [[1.0, 2.0]], "matching non-empty 1-d arrays"),
+    ([1.0, 2.0], [1.0, math.nan], "psd must be finite"),
+    ([1.0, 2.0], [math.inf, 1.0], "psd must be finite"),
+    ([1.0, 2.0], [1.0, -math.inf], "psd must be finite"),
+])
+def test_spectrum_refuses_mismatched_or_non_finite_arrays(freq, psd, message):
+    with pytest.raises(ValueError, match=message):
+        NoiseSpectrum(freq_grid=np.array(freq), psd_normalized=np.array(psd), n_segments=1)
 
 
 def test_spectrum_type_invariants():
@@ -206,6 +247,12 @@ def test_scan_block_length_keeps_weights_within_e4():
 def test_integrator_rejects_a_step_outside_the_unit_interval(gamma_dt):
     with pytest.raises(ValueError, match=r"gamma_total\*dt must be in \(0, 1\)"):
         integrate_difference_quadrature(np.zeros(10), np.zeros(10), 0.5, 1.0, gamma_dt)
+
+
+@pytest.mark.parametrize("kappa_eff", [-0.1, 1.5, math.nan])
+def test_integrator_rejects_a_coupling_outside_zero_to_gamma(kappa_eff):
+    with pytest.raises(ValueError, match=r"^kappa_eff must be in \[0, gamma_total\]$"):
+        integrate_difference_quadrature(np.zeros(10), np.zeros(10), kappa_eff, 1.0, 0.01)
 
 
 @pytest.mark.parametrize("eta_c, x0, n, gamma_dt", [
@@ -290,6 +337,60 @@ def test_streamed_average_equals_serial_sum_of_whole_series_bit_for_bit(
         one = langevin.trajectory_output_psd(run, trajectory, n_segments)
         assert one.psd_normalized.tobytes() == whole.psd_normalized.tobytes()
         assert one.freq_grid.tobytes() == whole.freq_grid.tobytes()
+
+
+def _trajectory_reference(run, trajectory):
+    """A trajectory's output samples from its own generator draws (initial
+    state, then the external and internal increments), stepped one at a
+    time by _integrate_reference."""
+    children = np.random.SeedSequence(entropy=run.seed, spawn_key=(trajectory,)).spawn(2)
+    rng_ext, rng_int = (np.random.default_rng(child) for child in children)
+    x0 = math.sqrt(1.0 / (2.0 - run.gamma_total * run.dt)) * rng_ext.standard_normal()
+    dw_ext = rng_ext.standard_normal(run.n_steps) * math.sqrt(run.dt)
+    dw_int = rng_int.standard_normal(run.n_steps) * math.sqrt(run.dt)
+    return _integrate_reference(dw_ext, dw_int, run.kappa_eff, run.gamma_total, run.dt, x0)[1]
+
+
+def _welch_bound(series, dt, n_segments):
+    """The most a bin of _welch_reference(series) can move between two
+    computations whose samples agree to 16 eps of the largest sample M, the
+    bound of test_integrator_matches_python_loop_within_16_eps.  Through
+    the Hann window, whose sum is under m/2, that moves a segment's DFT by
+    at most m/2 * 16 eps M.  Each of the two FFTs rounds by at most
+    5 log2(m) eps times the 2-norm of its output, which is at most m M (the
+    normwise FFT error bound with eps-accurate twiddle factors).  With
+    |A| <= m/2 * M a segment's DFT and E the sum of these errors, a bin
+    moves by at most scale * (2|A| + E) * E."""
+    eps = np.finfo(float).eps
+    m = 2 * (series.size // (n_segments + 1))
+    big = np.max(np.abs(series))
+    a = m / 2 * big
+    e = m / 2 * 16 * eps * big + 2 * 5 * math.log2(m) * eps * m * big
+    window = np.hanning(m)
+    return dt / (m * np.mean(window**2)) * (2 * a + e) * e
+
+
+@pytest.mark.parametrize("eta_c, n_steps, gamma_dt, chunk_steps, n_segments", [
+    (0.37, 5000, 0.01, 2 * BLOCK, 8),       # 6 chunks of 2 blocks, then a block and a tail of 7
+    (1.0, 1 + 4 * BLOCK, 0.01, 2 * BLOCK, 4),   # a last chunk of one sample and no drive
+    (0.6, 5000, 0.3, 50, 8),                # blocks of 11 steps, 4 to a chunk
+    (0.6, 95 * 2048, 0.01, langevin.CHUNK_STEPS, 94),  # CLI default
+])
+def test_streamed_trajectory_matches_a_step_by_step_reference(
+        monkeypatch, eta_c, n_steps, gamma_dt, chunk_steps, n_segments):
+    # the streamed path and integrate_difference_quadrature share the Euler
+    # step, so this is the check of the streamed spectrum against code it
+    # does not share: a Python loop over the same draws and an all-at-once Welch mean
+    run = types.SimpleNamespace(gamma_total=1.0, kappa_eff=eta_c, dt=gamma_dt, n_steps=n_steps,
+                                n_trajectories=2, seed=n_steps + 1)
+    monkeypatch.setattr(langevin, "CHUNK_STEPS", chunk_steps)
+    for trajectory in range(run.n_trajectories):
+        series = _trajectory_reference(run, trajectory)
+        reference = _welch_reference(series, gamma_dt, n_segments)
+        streamed = langevin.trajectory_output_psd(run, trajectory, n_segments).psd_normalized
+        bound = _welch_bound(series, gamma_dt, n_segments)
+        assert bound <= 1e-6 * np.median(reference)   # far below the spectrum itself
+        assert np.max(np.abs(streamed - reference)) <= bound
 
 
 TRAJECTORY_PEAK_BYTES = 3_000_000   # one streamed trajectory at the CLI's step and segment length
@@ -437,6 +538,64 @@ def test_shot_noise_line_through_origin():
     # each point consistent with the fitted line within 3 estimator sigmas
     for power, level in levels:
         assert abs(level - fit.slope * power) <= 3.0 * 0.009 * power
+
+
+def _shot_cal_reference(powers, n_samples, seed):
+    """Two whole draws per power, differenced, through output_psd and averaged."""
+    levels = []
+    for index, power in enumerate(map(float, powers)):
+        if power == 0.0:
+            levels.append((power, 0.0))
+            continue
+        children = np.random.SeedSequence(entropy=seed, spawn_key=(index,)).spawn(2)
+        rng1, rng2 = (np.random.default_rng(child) for child in children)
+        scale = np.sqrt(0.5 * power)
+        difference = rng1.standard_normal(n_samples) * scale - rng2.standard_normal(n_samples) * scale
+        psd = output_psd(difference, 1.0, langevin.SHOT_CAL_SEGMENTS).psd_normalized
+        levels.append((power, float(psd.mean())))
+    return levels
+
+
+@pytest.mark.parametrize("chunk_steps", [1, 333, langevin.CHUNK_STEPS])
+def test_shot_noise_levels_equal_whole_series_reference_bit_for_bit(monkeypatch, chunk_steps):
+    # 100 003 samples: 6 250-sample segments, so segments straddle chunk edges
+    # and a last chunk is short at every chunk size
+    monkeypatch.setattr(langevin, "CHUNK_STEPS", chunk_steps)
+    powers = [1, 2, 0, 8]
+    levels = shot_noise_calibration(powers, 100_003, 6)
+    assert np.array(levels).tobytes() == np.array(_shot_cal_reference(powers, 100_003, 6)).tobytes()
+
+
+SHOT_CAL_PEAK_BYTES = 6_000_000   # two powers; the whole streams of 10**6 samples are 16 MB
+
+
+@pytest.mark.parametrize("n_samples", [16_384, 100_003, 1_000_000])
+def test_shot_noise_memory_does_not_grow_with_its_sample_count(n_samples):
+    # what stays is a chunk, the stage and the Welch block arrays, which hold
+    # a few segments of n_samples/16 samples; 1.7, 2.3 and 4.8 MB measured
+    shot_noise_calibration([1.0, 2.0], n_samples, 0)   # imports and caches outside the window
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        shot_noise_calibration([1.0, 2.0], n_samples, 0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= SHOT_CAL_PEAK_BYTES
+
+
+@pytest.mark.parametrize("n_samples", [16384.0, 3, 0, langevin.SHOT_CAL_MIN_SAMPLES - 1, "16384", None])
+def test_shot_noise_takes_an_integer_sample_count_that_fills_its_segments(monkeypatch, n_samples):
+    levels = shot_noise_calibration([0.0, 1.0], np.int64(langevin.SHOT_CAL_MIN_SAMPLES), 0)
+    assert levels[0] == (0.0, 0.0) and levels[1][1] > 0.0
+    draws = []
+    monkeypatch.setattr(langevin, "trajectory_generators", lambda *args: draws.append(args))
+    with pytest.raises(ValueError, match=f"^n_samples must be an integer of at least "
+                                         f"{langevin.SHOT_CAL_MIN_SAMPLES}, got {re.escape(repr(n_samples))}$"):
+        shot_noise_calibration([1.0, 2.0], n_samples, 0)
+    with pytest.raises(ValueError, match="^n_samples must be"):
+        shot_noise_calibration([0.0, 0.0], n_samples, 0)
+    assert draws == []   # refused before any draw
 
 
 def test_shot_noise_rejects_negative_power():
