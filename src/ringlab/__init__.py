@@ -13,7 +13,7 @@ sweep is one array call whose results are columns.
 from .devicemodel import DeviceConfig, RingParams, detection_efficiency, load_config
 from .errors import ConfigError, DataError, FitError
 from .fitters import CrossingDataset, FitResult, fit_avoided_crossing, fit_lorentzian_dip, weighted_linear_fit
-from .langevin import LangevinRun, NoiseSpectrum, analytic_psd, output_psd, simulate_difference_quadrature
+from .langevin import LangevinRun, NoiseSpectrum, analytic_psd
 from .spectra import TransmissionDip, TransmissionTrace, eta_c_from_tmin, find_dips
 from .squeezing import infer_onchip, squeezing_level, squeezing_vs_coupling
 from .supermodes import SupermodeSolution, effective_rates, eta_c_vs_heater
@@ -43,8 +43,6 @@ __all__ = [
     "fit_lorentzian_dip",
     "infer_onchip",
     "load_config",
-    "output_psd",
-    "simulate_difference_quadrature",
     "squeezing_level",
     "squeezing_vs_coupling",
     "weighted_linear_fit",

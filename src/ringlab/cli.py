@@ -418,8 +418,7 @@ def cmd_fit_crossing(args):
         initial=dict(args.init or ()),
         fixed=dict(args.fix or ()),
     )
-    names = fitters.CROSSING_PARAMS
-    values, errors = [result.params[name] for name in names], [result.stderr[name] for name in names]
+    names, values, errors = list(result.params), list(result.params.values()), list(result.stderr.values())
     lines = [f"fit-crossing: converged in {result.n_iterations} iterations, "
              f"residual_rms={format_value(result.residual_rms)} rad/s"]
     for name, value, err in zip(names, values, errors):
@@ -433,11 +432,11 @@ def cmd_fit_dip(args):
     omega, t = columns["omega_rad_s"][order], columns["t_power"][order]
     result = fitters.fit_lorentzian_dip(omega, t, args.window if args.window is not None else (0, omega.size))
     note = " (model mismatch: structured residuals)" if result.mismatch_warning else ""
-    summary = f"fit-dip: converged in {result.n_iterations} iterations, t_min={format_value(result.t_min)}{note}"
+    summary = (f"fit-dip: converged in {result.n_iterations} iterations, "
+               f"t_min={format_value(result.params['t_min'])}{note}")
     return [(args.out, args.columns, (
         ("omega0_rad_s", "t_min", "fwhm_rad_s", "baseline"),
-        (result.omega0, result.t_min, result.fwhm, result.baseline),
-        [result.stderr[name] for name in ("omega0", "t_min", "fwhm", "baseline")],
+        list(result.params.values()), list(result.stderr.values()),
     ))], summary
 
 

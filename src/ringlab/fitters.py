@@ -75,9 +75,11 @@ class CrossingDataset:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Parameter estimates with standard errors (0.0 for fixed parameters).
+    """Parameter estimates with standard errors (0.0 for fixed parameters),
+    both keyed and ordered by parameter name, and the engine's run.
 
     Only a converged fit returns a result; the fits raise FitError otherwise.
+    mismatch_warning flags structured residuals (the dip fit only).
     """
 
     params: dict[str, float]
@@ -85,19 +87,7 @@ class FitResult:
     residual_rms: float
     n_iterations: int
     objective_trace: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class DipFitResult:
-    """Lorentzian dip fit: center, normalized minimum, width, baseline."""
-
-    omega0: float
-    t_min: float
-    fwhm: float
-    baseline: float
-    stderr: dict[str, float]
-    n_iterations: int
-    mismatch_warning: bool
+    mismatch_warning: bool = False
 
 
 @dataclass(frozen=True)
@@ -155,11 +145,7 @@ def _damped_least_squares(model, observed, theta0) -> _EngineResult:
         if np.all(np.abs(rhs) <= slack):
             break
         while lam <= _LAMBDA_MAX and len(trace) <= MAX_ITERATIONS:
-            try:
-                step = np.linalg.solve(normal + lam * identity, rhs) / scale
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
+            step = np.linalg.solve(normal + lam * identity, rhs) / scale
             prediction, jac_new = model(theta + step)
             r_new = prediction - observed
             cost_new = float(r_new @ r_new)
@@ -192,6 +178,15 @@ def _damped_least_squares(model, observed, theta0) -> _EngineResult:
         n_iterations=len(trace) - 1,
         objective_trace=tuple(trace),
     )
+
+
+def _fit_result(engine: _EngineResult, params: dict[str, float], free, mismatch_warning=False) -> FitResult:
+    """The reported parameters with the engine's standard errors for the
+    `free` ones, in the engine's order, and 0.0 for the held ones."""
+    stderr = dict.fromkeys(params, 0.0)
+    stderr.update(zip(free, engine.stderr.tolist()))
+    return FitResult(params, stderr, engine.residual_rms, engine.n_iterations, engine.objective_trace,
+                     mismatch_warning)
 
 
 # --- avoided-crossing fit -----------------------------------------------------
@@ -319,15 +314,7 @@ def fit_avoided_crossing(
     engine = _damped_least_squares(model, data.resonance_rad_s, [start[name] for name in free])
     params = unpack(engine.theta)
     params["kappa_12"] = abs(params["kappa_12"])  # sign not identifiable
-    stderr = dict.fromkeys(CROSSING_PARAMS, 0.0)
-    stderr.update(zip(free, engine.stderr.tolist()))
-    return FitResult(
-        params={name: params[name] for name in CROSSING_PARAMS},
-        stderr=stderr,
-        residual_rms=engine.residual_rms,
-        n_iterations=engine.n_iterations,
-        objective_trace=engine.objective_trace,
-    )
+    return _fit_result(engine, {name: params[name] for name in CROSSING_PARAMS}, free)
 
 
 # --- Lorentzian dip fit -------------------------------------------------------
@@ -349,15 +336,15 @@ def _count_deep_minima(t: np.ndarray) -> int:
     return int(entering[:1].sum()) + int(np.count_nonzero(entering[1:] > entering[:-1]))
 
 
-def fit_lorentzian_dip(omega, t, window: tuple[int, int]) -> DipFitResult:
+def fit_lorentzian_dip(omega, t, window: tuple[int, int]) -> FitResult:
     """Fit T(w) = b*(1 - d/(1 + 4(w - w0)^2/w_fwhm^2)) inside an index window
     of the trace t sampled at the ascending frequencies omega.
 
     The trace may be measured: unnormalized, noisy, with samples above 1.
-    Returns the dip center, the baseline-normalized minimum 1 - d, the
-    fwhm, and the baseline, each with a standard error.  The window must
-    hold exactly one dip (FitError otherwise); structured residuals
-    (lag-1 autocorrelation above 0.5, e.g. a sloped baseline) set
+    Its params are omega0 (the dip center), t_min (the baseline-normalized
+    minimum 1 - d), fwhm and baseline, each with a standard error.  The
+    window must hold exactly one dip (FitError otherwise); structured
+    residuals (lag-1 autocorrelation above 0.5, e.g. a sloped baseline) set
     mismatch_warning instead of silently passing.
     """
     lo, hi = window
@@ -391,21 +378,14 @@ def fit_lorentzian_dip(omega, t, window: tuple[int, int]) -> DipFitResult:
         return baseline * shape, np.column_stack([d_omega0, d_depth, d_width, shape])
 
     engine = _damped_least_squares(model, t, [omega0_0, depth0, width0, baseline0])
-    omega0, depth, width, baseline = engine.theta
+    omega0, depth, width, baseline = engine.theta.tolist()
     resid = engine.residuals
     denom = float(resid @ resid)
     rho = float(resid[:-1] @ resid[1:]) / denom if denom > 0 else 0.0
     # structure below 1e-6 of the baseline cannot corrupt the extraction
     material = engine.residual_rms > 1e-6 * abs(baseline)
-    return DipFitResult(
-        omega0=float(omega0),
-        t_min=1.0 - float(depth),
-        fwhm=abs(float(width)),
-        baseline=float(baseline),
-        stderr=dict(zip(("omega0", "t_min", "fwhm", "baseline"), engine.stderr.tolist())),
-        n_iterations=engine.n_iterations,
-        mismatch_warning=material and abs(rho) > 0.5,
-    )
+    params = {"omega0": omega0, "t_min": 1.0 - depth, "fwhm": abs(width), "baseline": baseline}
+    return _fit_result(engine, params, params, material and abs(rho) > 0.5)
 
 
 # --- linear fit ----------------------------------------------------------------

@@ -66,6 +66,8 @@ def test_zero_noise_recovery_with_one_parameter_held():
             result = fit_avoided_crossing(data, fixed={held: TRUTH[held]})
             for name in CROSSING_PARAMS:
                 assert result.params[name] == pytest.approx(TRUTH[name], rel=1e-8), (n_p1, held, name)
+            assert [name for name, err in result.stderr.items() if err == 0.0] == [held]
+            assert not result.mismatch_warning
 
 
 def test_noisy_recovery_within_stderr():
@@ -337,10 +339,11 @@ def test_count_deep_minima_matches_a_plain_loop_on_seeded_windows():
 def test_lorentzian_exact_round_trip():
     omega, t = make_dip_trace(t_min=0.2, fwhm=6.0 * MHZ, baseline=0.97)
     result = fit_lorentzian_dip(omega, t, (0, omega.size))
-    assert result.omega0 == pytest.approx(1.2066e15, abs=1e-8 * 1.2066e15)
-    assert result.t_min == pytest.approx(0.2, rel=1e-6)  # already baseline-normalized
-    assert result.fwhm == pytest.approx(6.0 * MHZ, rel=1e-6)
-    assert result.baseline == pytest.approx(0.97, rel=1e-8)
+    assert list(result.params) == list(result.stderr) == ["omega0", "t_min", "fwhm", "baseline"]
+    assert result.params["omega0"] == pytest.approx(1.2066e15, abs=1e-8 * 1.2066e15)
+    assert result.params["t_min"] == pytest.approx(0.2, rel=1e-6)  # already baseline-normalized
+    assert result.params["fwhm"] == pytest.approx(6.0 * MHZ, rel=1e-6)
+    assert result.params["baseline"] == pytest.approx(0.97, rel=1e-8)
     assert not result.mismatch_warning
 
 
@@ -357,17 +360,17 @@ def test_lorentzian_fits_each_dip_of_a_noise_free_two_ring_trace(cfg):
             center = round((dip.omega_center - omega[0]) / spacing)
             half = round(4.0 * dip.fwhm / spacing)
             result = fit_lorentzian_dip(omega, trace.t_power, (center - half, center + half + 1))
-            assert result.omega0 == pytest.approx(dip.omega_center, abs=0.01 * dip.fwhm)
-            assert result.t_min == pytest.approx(dip.t_min, abs=0.01)
-            assert result.fwhm == pytest.approx(dip.fwhm, rel=0.02)
-            assert result.baseline == pytest.approx(1.0, abs=0.01)
+            assert result.params["omega0"] == pytest.approx(dip.omega_center, abs=0.01 * dip.fwhm)
+            assert result.params["t_min"] == pytest.approx(dip.t_min, abs=0.01)
+            assert result.params["fwhm"] == pytest.approx(dip.fwhm, rel=0.02)
+            assert result.params["baseline"] == pytest.approx(1.0, abs=0.01)
 
 
 def test_lorentzian_noisy_tmin_within_002():
     for seed in range(100):
         omega, t = make_dip_trace(noise=0.01, seed=seed)
         result = fit_lorentzian_dip(omega, t, (0, omega.size))
-        assert abs(result.t_min - 0.2) <= 0.02
+        assert abs(result.params["t_min"] - 0.2) <= 0.02
 
 
 def test_lorentzian_sloped_baseline_flags_mismatch():

@@ -185,6 +185,17 @@ def test_find_dips_matches_a_plain_loop_on_seeded_traces():
     assert found > 300
 
 
+def test_find_dips_edge_on_a_plateau_at_the_half_level():
+    # at a threshold of 1, a minimum within 1e-10 of the baseline can lie at
+    # or above its own half-depth level: its equal right neighbour is the edge
+    t = np.array([1.0 + 1e-9, 1.0 - 1e-10, 1.0 - 1e-10, 1.0 + 1e-9])
+    trace = TransmissionTrace(omega_grid=np.arange(4.0), t_power=t)
+    [dip] = find_dips(trace, 1.0)
+    assert t[2] >= 0.5 * (1.0 + dip.t_min)
+    assert [(dip.omega_center, dip.t_min, dip.fwhm, dip.overlapping)] == loop_dips(trace, 1.0)
+    assert find_dips(trace) == []  # at the default threshold it is no dip
+
+
 # --- eta_c from T_min -----------------------------------------------------------
 
 

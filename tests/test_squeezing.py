@@ -188,7 +188,8 @@ def test_lower_bound_with_equality_only_at_zero_sideband():
 
 
 def test_sweep_monotone_and_endpoints(cfg):
-    sweep = squeezing_vs_coupling(cfg, "lower", np.arange(0.0, 50.5, 0.5), 10.0, 2.0 * math.pi * 3e6)
+    p1 = np.arange(0.0, 50.5, 0.5)
+    sweep = squeezing_vs_coupling(cfg, "lower", p1, 10.0, 2.0 * math.pi * 3e6)
     etas, measured, onchip = sweep.eta_c, sweep.s_measured_db, sweep.s_onchip_db
     assert np.all(np.diff(etas) > 0)
     assert np.all(np.diff(measured) < 0)  # more squeezing at higher eta_c
@@ -199,6 +200,11 @@ def test_sweep_monotone_and_endpoints(cfg):
     assert etas[-1] == pytest.approx(0.707, abs=0.002)
     assert onchip[-1] == pytest.approx(-3.9, abs=0.15)
     assert measured[-1] == pytest.approx(-1.8, abs=0.15)
+    # and the undercoupled endpoint at p1 = 18.5 mW at the paper's 0.5 dB measured, 0.9 dB on-chip
+    under = int(np.flatnonzero(p1 == 18.5)[0])
+    assert etas[under] == pytest.approx(0.363, abs=0.002)
+    assert onchip[under] == pytest.approx(-0.9, abs=0.15)
+    assert measured[under] == pytest.approx(-0.5, abs=0.15)
 
 
 def test_sweep_collapses_when_detection_is_perfect(cfg):
