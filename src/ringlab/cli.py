@@ -143,6 +143,14 @@ def _langevin_run_bounds(args) -> str | None:
             f"so a trajectory lasts at least {langevin.MIN_DURATION_FACTOR}/gamma_total: {str(args.segments)!r}")
 
 
+def _distinct_outputs(args) -> str | None:
+    """The usage error of a --dip-report naming the --out file, symlinks followed, else None ('-' is stdout)."""
+    report = args.dip_report
+    if report not in (None, "-") and args.out != "-" and os.path.realpath(report) == os.path.realpath(args.out):
+        return f"argument --dip-report: must not name the --out file: {report!r}"
+    return None
+
+
 class _CommandParser(argparse.ArgumentParser):
     """The parser of one command.  Its `check`, if set, sees the whole parsed
     namespace, for a bound that joins several flags, and returns the usage
@@ -490,6 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--margin-linewidths", type=margin_linewidths, default=10.0)
         p.add_argument("--points", type=trace_points, default=4001)
         p.add_argument("--dip-report", default=None, help=f"also write dip CSV: {','.join(DIP_REPORT_COLUMNS)}")
+        p.check = _distinct_outputs
 
     with add("crossing-sweep", "Both supermode branch frequencies versus ring-1 heater power.",
              tuple(CROSSING_TABLE[0])) as p:

@@ -79,8 +79,9 @@ def parse_csv(lines: io.TextIOBase, columns: dict[str, type], source: str = "<st
               alternatives: dict[str, str] | None = None) -> dict[str, np.ndarray | list]:
     """Columns {name -> values} of CSV text in a seekable text stream; see
     load_csv.  The stream is read from where it stands and, if the cell
-    reader is needed, again from its start.
+    reader is needed, again from there.
     """
+    start = lines.tell()
     content = filter(_is_content, lines)
     reader = csv.reader(content, skipinitialspace=True)
     header = [cell.strip() for cell in next(reader, ())]
@@ -89,7 +90,7 @@ def parse_csv(lines: io.TextIOBase, columns: dict[str, type], source: str = "<st
         table = _read_floats(content, header)  # the data lines: csv reads no further than the header
         if table is not None:
             return table
-    lines.seek(0)
+    lines.seek(start)
     return _read_cells(lines, header, columns, source)
 
 

@@ -116,42 +116,24 @@ def default_scan_grid(config: DeviceConfig, p1_mw: float, p2_mw: float,
     return np.linspace(lo, hi, n_points)
 
 
-def _quadratic_vertex(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Vertex of the parabola through three samples y0 > y1 <= y2 of a trace
-    (all >= 0), the only triples find_dips passes.  Its denominator is then
-    positive in floating point: for y0 <= 4*y1, Sterbenz's lemma makes y0 - 2*y1 exact,
-    so the sum is the rounded positive (y0 - y1) + (y2 - y1); for y0 > 4*y1
-    the difference already rounds positive and adding y2 keeps it so."""
-    denom = y[0] - 2.0 * y[1] + y[2]
-    h = 0.5 * (x[2] - x[0])
-    shift = 0.5 * (y[0] - y[2]) / denom
-    center = x[1] + shift * h
-    value = y[1] - 0.125 * (y[0] - y[2]) ** 2 / denom
-    return float(center), float(value)
-
-
 def _half_crossing(omega: np.ndarray, t: np.ndarray, i_min: int, level: float, direction: int) -> float | None:
     """Where t first rises through `level` going from the interior sample
-    i_min in `direction` (-1 or +1), by linear interpolation between the
-    first sample at or above `level` and the one before it; None if no
-    sample on that side reaches it."""
-    side = t[i_min + 1:] if direction > 0 else t[i_min - 1::-1]
-    reached = side >= level
+    i_min, which lies below it, in `direction` (-1 or +1), by linear
+    interpolation between the first sample at or above `level` and the one
+    before it; None if no sample on that side reaches it."""
+    reached = t[i_min::direction] >= level  # False at i_min
     k = int(np.argmax(reached))
     if not reached[k]:
         return None
-    j = i_min + direction * (k + 1)
-    i = j - direction
-    if t[j] == t[i]:
-        return float(omega[j])
+    i, j = i_min + direction * (k - 1), i_min + direction * k
     frac = (level - t[i]) / (t[j] - t[i])
     return float(omega[i] + frac * (omega[j] - omega[i]))
 
 
-def find_dips(trace: TransmissionTrace, threshold: float = DIP_THRESHOLD) -> list[TransmissionDip]:
+def find_dips(trace: TransmissionTrace) -> list[TransmissionDip]:
     """Locate and refine resonance dips in a transmission trace.
 
-    Local minima below `threshold` are refined by a 3-point quadratic fit;
+    Local minima below DIP_THRESHOLD are refined by a 3-point quadratic fit;
     the fwhm comes from the half-depth crossings relative to a baseline
     of 1 (model traces are normalized to a far-detuned plateau of 1).  Dips
     whose half-depth crossings fall outside the trace are dropped; dips
@@ -161,15 +143,22 @@ def find_dips(trace: TransmissionTrace, threshold: float = DIP_THRESHOLD) -> lis
     omega = trace.omega_grid
     t = trace.t_power
     mid = t[1:-1]
-    # below threshold and no higher than either neighbour; on a plateau only its first sample
-    candidates = np.flatnonzero((mid < threshold) & (mid < t[:-2]) & (mid <= t[2:])) + 1
+    # below DIP_THRESHOLD and no higher than either neighbour; on a plateau only its first sample
+    i = np.flatnonzero((mid < DIP_THRESHOLD) & (mid < t[:-2]) & (mid <= t[2:])) + 1
+    # The vertex of the parabola through each candidate and its neighbours y0 > y1 <= y2 (all >= 0).
+    # Its denominator is positive in floating point: for y0 <= 4*y1, Sterbenz's lemma makes y0 - 2*y1
+    # exact, so the sum is the rounded positive (y0 - y1) + (y2 - y1); for y0 > 4*y1 the difference
+    # already rounds positive and adding y2 keeps it so.  The vertex lies at most (1 + 1e-9 - y1)/8
+    # below y1, so a y1 below 0.99 lies below the half-depth level.
+    y0, y1, y2 = t[i - 1], t[i], t[i + 1]
+    gap, denom = y0 - y2, y0 - 2.0 * y1 + y2
+    centers = omega[i] + (0.5 * gap / denom) * (0.5 * (omega[i + 1] - omega[i - 1]))
     found = []
-    for i in candidates.tolist():
-        center, t_min = _quadratic_vertex(omega[i - 1 : i + 2], t[i - 1 : i + 2])
-        t_min = max(t_min, 0.0)
+    for i_min, center, y, g, d in zip(*(a.tolist() for a in (i, centers, y1, gap, denom))):
+        t_min = max(y - 0.125 * g ** 2 / d, 0.0)  # libm's pow: an array square can differ in the last bit
         level = 0.5 * (1.0 + t_min)
-        left = _half_crossing(omega, t, i, level, -1)
-        right = _half_crossing(omega, t, i, level, +1)
+        left = _half_crossing(omega, t, i_min, level, -1)
+        right = _half_crossing(omega, t, i_min, level, +1)
         if left is not None and right is not None:
             found.append((center, t_min, right - left))
     found.sort(key=lambda dip: dip[0])

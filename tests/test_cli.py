@@ -366,6 +366,9 @@ def test_float_cells_numpy_refuses_read_as_float_does(text, values):
     expected = {"a": values[:n], "b": values[n:]}
     assert_columns(reference_read(text), expected)
     assert_columns(parse_csv(io.StringIO(text), {"a": float, "b": float}), expected)  # read again from its start
+    stream = io.StringIO("x\n" + text)
+    stream.readline()  # past a preamble line: read again from there
+    assert_columns(parse_csv(stream, {"a": float, "b": float}), expected)
 
 
 def test_float_table_edge_cases_keep_their_reading():
@@ -734,6 +737,24 @@ def test_out_through_a_symlink_writes_its_target(device_cfg_path, tmp_path):
     assert link.is_symlink()
     assert target.read_text(encoding="utf-8").startswith("p1_mw,")
     assert sorted(tmp_path.iterdir()) == [link, target]
+
+
+def test_dip_report_to_the_out_file_is_a_usage_error(device_cfg_path, tmp_path, capsys):
+    # both tables would be staged to one temporary file, the dip report truncating the trace
+    target, link = tmp_path / "t.csv", tmp_path / "link.csv"
+    link.symlink_to(target)
+    capsys.readouterr()
+    assert run(["transmission", "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n")[0] + "\n"
+    for report in (target, link):
+        assert run(["transmission", "--config", str(device_cfg_path), "--p1", "40", "--p2", "10",
+                    "--out", str(target), "--dip-report", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and sorted(tmp_path.iterdir()) == [link]
+        assert captured.err == (f"{usage}ringlab transmission: error: argument --dip-report: "
+                                f"must not name the --out file: {str(report)!r}\n")
+    assert run(["transmission", "--config", str(device_cfg_path), "--p1", "40", "--p2", "10", "--points", "101",
+                "--out", "-", "--dip-report", "-"]) == 0  # both to stdout
 
 
 def test_out_to_a_device_writes_in_place(device_cfg_path):

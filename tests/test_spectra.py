@@ -126,23 +126,21 @@ def test_find_dips_flags_overlap():
     assert all(d.overlapping for d in dips)
 
 
-def loop_dips(trace, threshold, baseline=1.0):
-    """find_dips one sample at a time: every local minimum below threshold
-    (on a plateau its first sample), refined, then sorted and flagged."""
+def loop_dips(trace, baseline=1.0):
+    """find_dips one sample at a time: every local minimum below 0.99 (on a
+    plateau its first sample), refined, then sorted and flagged.  Each lies
+    below its half-depth level, so neither edge divides by zero."""
     omega, t = trace.omega_grid.tolist(), trace.t_power.tolist()
     dips = []
     for i in range(1, len(t) - 1):
-        if t[i] >= threshold or t[i] > t[i - 1] or t[i] > t[i + 1] or t[i] == t[i - 1]:
+        if t[i] >= 0.99 or t[i] > t[i - 1] or t[i] > t[i + 1] or t[i] == t[i - 1]:
             continue
         y0, y1, y2 = t[i - 1], t[i], t[i + 1]
         denom = y0 - 2.0 * y1 + y2
-        if denom <= 0.0:
-            center, t_min = omega[i], y1
-        else:
-            center = omega[i] + 0.5 * (y0 - y2) / denom * 0.5 * (omega[i + 1] - omega[i - 1])
-            t_min = y1 - 0.125 * (y0 - y2) ** 2 / denom
-        t_min = max(t_min, 0.0)
+        center = omega[i] + 0.5 * (y0 - y2) / denom * 0.5 * (omega[i + 1] - omega[i - 1])
+        t_min = max(y1 - 0.125 * (y0 - y2) ** 2 / denom, 0.0)
         level = 0.5 * (baseline + t_min)
+        assert t[i] < level, (i, t[i], level)
         edges = []
         for step in (-1, 1):
             j = i
@@ -151,7 +149,7 @@ def loop_dips(trace, threshold, baseline=1.0):
             if not 0 <= j + step < len(t):
                 break
             k = j + step
-            edges.append(omega[k] if t[k] == t[j] else omega[j] + (level - t[j]) / (t[k] - t[j]) * (omega[k] - omega[j]))
+            edges.append(omega[j] + (level - t[j]) / (t[k] - t[j]) * (omega[k] - omega[j]))
         if len(edges) == 2:
             dips.append([center, t_min, edges[1] - edges[0], False])
     dips.sort(key=lambda d: d[0])
@@ -178,22 +176,10 @@ def test_find_dips_matches_a_plain_loop_on_seeded_traces():
         if case % 5 == 2:
             t[1:4] = t[1]  # a plateau next to the edge
         trace = TransmissionTrace(omega_grid=omega, t_power=t)
-        threshold = (0.99, 0.5, 1.0)[case % 3]
-        got = [(d.omega_center, d.t_min, d.fwhm, d.overlapping) for d in find_dips(trace, threshold)]
-        assert got == loop_dips(trace, threshold), case
+        got = [(d.omega_center, d.t_min, d.fwhm, d.overlapping) for d in find_dips(trace)]
+        assert got == loop_dips(trace), case
         found += len(got)
     assert found > 300
-
-
-def test_find_dips_edge_on_a_plateau_at_the_half_level():
-    # at a threshold of 1, a minimum within 1e-10 of the baseline can lie at
-    # or above its own half-depth level: its equal right neighbour is the edge
-    t = np.array([1.0 + 1e-9, 1.0 - 1e-10, 1.0 - 1e-10, 1.0 + 1e-9])
-    trace = TransmissionTrace(omega_grid=np.arange(4.0), t_power=t)
-    [dip] = find_dips(trace, 1.0)
-    assert t[2] >= 0.5 * (1.0 + dip.t_min)
-    assert [(dip.omega_center, dip.t_min, dip.fwhm, dip.overlapping)] == loop_dips(trace, 1.0)
-    assert find_dips(trace) == []  # at the default threshold it is no dip
 
 
 # --- eta_c from T_min -----------------------------------------------------------

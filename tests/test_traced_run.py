@@ -2,8 +2,8 @@
 
 The tracer replaces each cmd_* and library function it names with a
 wrapper.  Installed before the parser is built, it must still see every
-command run through its wrapper, and the output must be that of an
-untraced run, byte for byte.
+command run through its wrapper, the output must be that of an untraced
+run, byte for byte, and each wrapped layer must be called.
 """
 
 import importlib.util
@@ -42,6 +42,7 @@ def commands(cfg: Path, out: Path) -> list[list[str]]:
         ["fit-crossing", "--data", str(out / "crossing.csv"), "--fix", f"alpha2={30.0 * MHZ!r}",
          "--out", str(out / "crossfit.csv")],
         ["shot-cal", "--samples", "2048", "--out", str(out / "shotcal.csv")],
+        ["langevin-verify", "--config", cfg, "--trajectories", "2", "--segments", "12", "--out", str(out / "psd.csv")],
     ]
 
 
@@ -74,4 +75,6 @@ def test_traced_commands_match_an_untraced_run(device_cfg_path, tmp_path, capsys
     for path in sorted((tmp_path / "plain").iterdir()):
         assert (tmp_path / "traced" / path.name).read_bytes() == path.read_bytes(), path.name
     assert tracer.calls["cli.command"] == len(commands(device_cfg_path, tmp_path))
-    assert tracer.calls["supermodes.solve"] > 0 and tracer.calls["fitters.fit"] > 0
+    # every layer is reached but the whole-series Monte Carlo, which no command calls
+    idle = {"langevin.rng", "langevin.filter", "langevin.welch"}
+    assert [key for _, _, key, *_ in tracing.SPANS if key not in idle and not tracer.calls[key]] == []
