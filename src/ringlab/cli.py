@@ -280,12 +280,16 @@ def _write_table(staged: dict, path: str, header: list[str], columns, comments=(
 def _load_columns(path: str, table: tuple[dict[str, type], str, str]) -> dict:
     """Columns of a CSV file that holds CROSSING_TABLE or TRACE_TABLE, its
     frequency column (rad/s) given as such or as vacuum wavelengths (nm),
-    converted here.
+    converted here; a wavelength that is not positive is a DataError.
     """
     schema, frequency, wavelength = table
     columns = load_csv(path, schema, {frequency: wavelength})
     if wavelength in columns:
-        columns[frequency] = devicemodel.pump_angular_frequency(columns.pop(wavelength))
+        nm = columns.pop(wavelength)
+        bad = devicemodel.first_flagged(nm <= 0, nm)  # -0.0 included
+        if bad is not None:
+            raise DataError(f"{path}: column {wavelength!r}: wavelength must be positive, got {bad!r}")
+        columns[frequency] = devicemodel.pump_angular_frequency(nm)
     return columns
 
 

@@ -3,14 +3,14 @@
 Files are UTF-8, with or without a byte-order mark, comma-separated, one
 header row naming the columns exactly; blank lines and lines starting
 with '#' are skipped, and spaces after a comma are not part of the next
-cell, so a quoted cell may follow one.  Tables are columns, float ones
-read as float64 arrays.  A table whose columns are all float (a `fit-dip`
-trace) is parsed by numpy's C reader; one with a str or int column (a
-`fit-crossing` table), and any all-float table numpy refuses or finds a
-non-finite value in, is read one cell at a time, which names the fault
-or reads what only `float` does (`1_0`, non-ASCII digits, quoted cells).
-Both give the same values.  Error row numbers are the file's line
-numbers.
+cell, so a quoted cell may follow one.  Tables are columns of float or
+str cells, float ones read as float64 arrays.  A table whose columns are
+all float (a `fit-dip` trace) is parsed by numpy's C reader; one with a
+str column (a `fit-crossing` table), and any all-float table numpy
+refuses or finds a non-finite value in, is read again from the file's
+first line, one cell at a time, which names the fault or reads what only
+`float` does (`1_0`, non-ASCII digits, quoted cells).  Both give the same
+values.  Error row numbers are the file's line numbers.
 
 A table is written from its columns, each holding one kind of value.
 Floats get 17 significant digits, so finite values survive a write/read
@@ -59,39 +59,29 @@ def format_value(value) -> str:
 
 def load_csv(path: str | Path, columns: dict[str, type],
              alternatives: dict[str, str] | None = None) -> dict[str, np.ndarray | list]:
-    """Read the columns of a file under a strict schema {column name -> float | str | int}.
+    """Read the columns of a file under a strict schema {column name -> float | str}.
 
     The header must contain exactly the schema's columns (any order);
-    errors name the offending column and row, and a float column is a
-    float64 array, a str or int column a list.  `alternatives` maps a
+    errors name the file, the offending column and its line, and a float
+    column is a float64 array, a str column a list.  `alternatives` maps a
     schema column to another name it may be given under instead.
     """
     try:
         with open(path, encoding="utf-8-sig") as lines:
-            return parse_csv(lines, columns, str(path), alternatives)
+            content = filter(_is_content, lines)
+            reader = csv.reader(content, skipinitialspace=True)
+            header = [cell.strip() for cell in next(reader, ())]
+            columns = _schema(header, columns, str(path), alternatives)
+            if all(kind is float for kind in columns.values()):
+                table = _read_floats(content, header)  # the data lines: csv reads no further than the header
+                if table is not None:
+                    return table
+            lines.seek(0)
+            return _read_cells(lines, header, columns, str(path))
     except OSError as exc:
         raise DataError(f"data file: {exc}") from None
     except UnicodeDecodeError:
         raise DataError(f"{path}: not UTF-8 text") from None
-
-
-def parse_csv(lines: io.TextIOBase, columns: dict[str, type], source: str = "<string>",
-              alternatives: dict[str, str] | None = None) -> dict[str, np.ndarray | list]:
-    """Columns {name -> values} of CSV text in a seekable text stream; see
-    load_csv.  The stream is read from where it stands and, if the cell
-    reader is needed, again from there.
-    """
-    start = lines.tell()
-    content = filter(_is_content, lines)
-    reader = csv.reader(content, skipinitialspace=True)
-    header = [cell.strip() for cell in next(reader, ())]
-    columns = _schema(header, columns, source, alternatives)
-    if all(kind is float for kind in columns.values()):
-        table = _read_floats(content, header)  # the data lines: csv reads no further than the header
-        if table is not None:
-            return table
-    lines.seek(start)
-    return _read_cells(lines, header, columns, source)
 
 
 def _is_content(line: str) -> bool:
@@ -151,7 +141,7 @@ def _read_cells(lines: Iterable[str], header: list[str], columns: dict[str, type
                 yield line
 
     reader = csv.reader(content(), skipinitialspace=True)
-    next(reader)  # the header, checked by parse_csv
+    next(reader)  # the header, checked by load_csv
     table = {name: [] for name in header}
     fields = [(name, columns[name], table[name].append) for name in header]
     for cells in reader:
@@ -163,15 +153,15 @@ def _read_cells(lines: Iterable[str], header: list[str], columns: dict[str, type
                 append(cell)
                 continue
             try:
-                value = kind(cell)
+                value = float(cell)
             except ValueError:
                 raise DataError(
                     f"{source}: row {row_number}, column {name!r}: not numeric: {cell!r}"
                 ) from None
-            if kind is float and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise DataError(f"{source}: row {row_number}, column {name!r}: non-finite value")
             append(value)
-    return {name: np.array(values) if columns[name] is float else values for name, values in table.items()}
+    return {name: values if columns[name] is str else np.array(values) for name, values in table.items()}
 
 
 def write_csv(stream: io.TextIOBase, columns: list[str], table: Iterable,

@@ -153,9 +153,9 @@ def find_dips(trace: TransmissionTrace) -> list[TransmissionDip]:
     y0, y1, y2 = t[i - 1], t[i], t[i + 1]
     gap, denom = y0 - y2, y0 - 2.0 * y1 + y2
     centers = omega[i] + (0.5 * gap / denom) * (0.5 * (omega[i + 1] - omega[i - 1]))
+    t_mins = np.maximum(y1 - 0.125 * (gap * gap) / denom, 0.0)  # gap * gap is correctly rounded; libm's pow is not
     found = []
-    for i_min, center, y, g, d in zip(*(a.tolist() for a in (i, centers, y1, gap, denom))):
-        t_min = max(y - 0.125 * g ** 2 / d, 0.0)  # libm's pow: an array square can differ in the last bit
+    for i_min, center, t_min in zip(i.tolist(), centers.tolist(), t_mins.tolist()):
         level = 0.5 * (1.0 + t_min)
         left = _half_crossing(omega, t, i_min, level, -1)
         right = _half_crossing(omega, t, i_min, level, +1)

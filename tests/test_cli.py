@@ -21,7 +21,7 @@ import pytest
 import ringlab
 from ringlab import cli, csvio, langevin
 from ringlab.cli import MONTE_CARLO_MAX_SAMPLES, RANGE_MAX_POINTS, build_parser, parse_range, run
-from ringlab.csvio import load_csv, parse_csv, write_csv
+from ringlab.csvio import load_csv, write_csv
 from ringlab.errors import DataError
 from ringlab.fitters import CROSSING_PARAMS
 
@@ -108,8 +108,16 @@ def write_csv_file(path, header, columns):
         write_csv(stream, header, columns)
 
 
-def parse_text(text, schema):
-    return parse_csv(io.StringIO(text), schema)
+@pytest.fixture
+def parse_text(tmp_path):
+    """parse_text(text, schema, alternatives=None): the columns of `text`
+    written to the file t.csv, as load_csv reads them."""
+    def parse(text, schema, alternatives=None):
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        return load_csv(path, schema, alternatives)
+
+    return parse
 
 
 def assert_columns(table, expected):
@@ -248,35 +256,36 @@ def test_csv_writer_refuses_a_cell_that_would_break_its_row(breaker):
         assert stream.getvalue() == written_first
 
 
-def test_csv_missing_column_named():
+def test_csv_missing_column_named(parse_text):
     with pytest.raises(DataError, match="missing column 'b'"):
         parse_text("a\n1.0\n", {"a": float, "b": float})
 
 
-def test_csv_unexpected_column_named():
+def test_csv_unexpected_column_named(parse_text):
     with pytest.raises(DataError, match="unexpected column 'c'"):
         parse_text("a,c\n1.0,2.0\n", {"a": float})
 
 
-def test_csv_duplicate_column_named():
+def test_csv_duplicate_column_named(parse_text):
     with pytest.raises(DataError, match="duplicate column 'a'"):
         parse_text("a,b,a\n1.0,2.0,3.0\n", {"a": float, "b": float})
 
 
-def test_csv_comment_lines_skipped():
+def test_csv_comment_lines_skipped(parse_text):
     columns = parse_text("# note\na,b\n# another\n1,2\n", {"a": float, "b": float})
     assert_columns(columns, {"a": [1.0], "b": [2.0]})
 
 
-def test_csv_bad_cell_reports_row_and_column():
+def test_csv_bad_cell_reports_row_and_column(parse_text):
     with pytest.raises(DataError, match=r"row 3, column 'b'"):
         parse_text("a,b\n1,2\n3,oops\n", {"a": float, "b": float})
-    # the row is the file's line, counting comment and blank lines
-    with pytest.raises(DataError, match=r"row 6, column 'b'"):
-        parse_text("# trace\n\n# rad/s, power\na,b\n1,2\n3,oops\n", {"a": float, "b": float})
+    # the row is the file's line, counting comment and blank lines, after a byte-order mark too
+    for bom in ("", "\ufeff"):
+        with pytest.raises(DataError, match=r"row 6, column 'b'"):
+            parse_text(bom + "# trace\n\n# rad/s, power\na,b\n1,2\n3,oops\n", {"a": float, "b": float})
 
 
-def test_csv_quoted_cell_after_a_space():
+def test_csv_quoted_cell_after_a_space(parse_text):
     columns = parse_text('omega_rad_s, "t_power"\n1, "0.5"\n', {"omega_rad_s": float, "t_power": float})
     assert_columns(columns, {"omega_rad_s": [1.0], "t_power": [0.5]})
 
@@ -288,16 +297,16 @@ def test_csv_not_utf8_is_a_data_error(tmp_path, capsys):
     assert capsys.readouterr().err == f"ringlab: error: data: {data}: not UTF-8 text\n"
 
 
-def test_csv_alternative_column_matched_on_header_cells():
+def test_csv_alternative_column_matched_on_header_cells(parse_text):
     def parse(text):
-        return parse_csv(io.StringIO(text), {"omega": float, "t": float}, "s", {"omega": "nm"})
+        return parse_text(text, {"omega": float, "t": float}, {"omega": "nm"})
 
     assert_columns(parse("nm,t\n1,2\n"), {"nm": [1.0], "t": [2.0]})
     assert_columns(parse("t,omega\n1,2\n"), {"t": [1.0], "omega": [2.0]})
-    with pytest.raises(DataError, match="s: unexpected column 'nm'"):
+    with pytest.raises(DataError, match=r"t\.csv: unexpected column 'nm'"):
         parse("omega,nm,t\n1,2,3\n")
     # a header cell merely containing the name is not the column
-    with pytest.raises(DataError, match="s: missing column 'nm'"):
+    with pytest.raises(DataError, match=r"t\.csv: missing column 'nm'"):
         parse("omega_x,t\n1,2\n")
 
 
@@ -349,10 +358,8 @@ def test_float_tables_read_bit_for_bit_as_csv_and_float(tmp_path, monkeypatch):
         names = ["omega_rad_s", "t_power", "x", "y"][: int(rng.integers(1, 5))]
         text = seeded_float_text(rng, (1, 2, int(rng.integers(3, 300)))[case % 3], names)
         schema = dict.fromkeys(names, float)
-        expected = bits(reference_read(text))
-        assert bits(parse_csv(io.StringIO(text), schema)) == expected, case
         path.write_text(("\ufeff" if case % 2 else "") + text, encoding="utf-8", newline="")  # a BOM on every other file
-        assert bits(load_csv(path, schema)) == expected, case
+        assert bits(load_csv(path, schema)) == bits(reference_read(text)), case
 
 
 @pytest.mark.parametrize("text, values", [
@@ -361,27 +368,25 @@ def test_float_tables_read_bit_for_bit_as_csv_and_float(tmp_path, monkeypatch):
     ("a,b\n\u0661\u0662,\uff13\n", [12.0, 3.0]),  # Arabic-Indic and fullwidth digits
     ("a,b\n1,2\n3_0,4\n", [1.0, 30.0, 2.0, 4.0]),
 ], ids=["underscore", "quoted-after-space", "non-ascii-digits", "underscore-after-a-numpy-row"])
-def test_float_cells_numpy_refuses_read_as_float_does(text, values):
+def test_float_cells_numpy_refuses_read_as_float_does(text, values, parse_text):
     n = len(values) // 2
     expected = {"a": values[:n], "b": values[n:]}
     assert_columns(reference_read(text), expected)
-    assert_columns(parse_csv(io.StringIO(text), {"a": float, "b": float}), expected)  # read again from its start
-    stream = io.StringIO("x\n" + text)
-    stream.readline()  # past a preamble line: read again from there
-    assert_columns(parse_csv(stream, {"a": float, "b": float}), expected)
+    assert_columns(parse_text(text, {"a": float, "b": float}), expected)
 
 
-def test_float_table_edge_cases_keep_their_reading():
+def test_float_table_edge_cases_keep_their_reading(parse_text, tmp_path):
     schema = {"a": float, "b": float}
+    source = re.escape(str(tmp_path / "t.csv"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's "input contained no data" warning included
         assert_columns(parse_text("a,b\n# no rows\n\n", schema), {"a": [], "b": []})
     # a '#' after a value is part of the cell, not a comment
-    with pytest.raises(DataError, match=r"^<string>: row 2, column 'b': not numeric: '2 # note'$"):
+    with pytest.raises(DataError, match=rf"^{source}: row 2, column 'b': not numeric: '2 # note'$"):
         parse_text("a,b\n1,2 # note\n", schema)
-    with pytest.raises(DataError, match=r"^<string>: row 4, column 'a': non-finite value$"):
+    with pytest.raises(DataError, match=rf"^{source}: row 4, column 'a': non-finite value$"):
         parse_text("a,b\n1,2\n\n1e999,3\n", schema)
-    with pytest.raises(DataError, match=r"^<string>: row 3: expected 2 cells, got 3$"):
+    with pytest.raises(DataError, match=rf"^{source}: row 3: expected 2 cells, got 3$"):
         parse_text("a,b\n# c\n1,2,3\n4,5,6\n", schema)
 
 
@@ -686,7 +691,7 @@ def test_transmission_with_dip_report(device_cfg_path, tmp_path):
     assert dips["eta_c"][lower] == pytest.approx(0.696, abs=0.02)
 
 
-def test_dip_report_marks_overlapping_dips_indeterminate(device_cfg_path, tmp_path, capsys):
+def test_dip_report_marks_overlapping_dips_indeterminate(device_cfg_path, tmp_path, capsys, parse_text):
     # a 3 MHz inter-ring coupling puts the two dips at the crossing within 3 fwhm of each other
     weak = tmp_path / "weak.cfg"
     weak.write_text(device_cfg_path.read_text(encoding="utf-8").replace("kappa_12_mhz = 150.0", "kappa_12_mhz = 3", 1))
@@ -937,6 +942,30 @@ def test_csv_loader_accepts_a_byte_order_mark(command, device_cfg_path, tmp_path
         assert run([command, "--data", str(data), *extra, "--out", str(out)]) == 0
         outputs.append((out.read_bytes(), capsys.readouterr().err))
     assert outputs[1] == outputs[0]
+
+
+WAVELENGTH_TABLES = {  # command -> its wavelength column and a table with {} for two cells of it
+    "fit-dip": ("wavelength_nm", "wavelength_nm,t_power\n1550.0,0.9\n{},0.5\n{},0.9\n"),
+    "fit-crossing": ("resonance_nm", "p1_mw,p2_mw,branch,resonance_nm\n20,10,lower,1550.0\n25,10,lower,{}\n"
+                                     "30,10,lower,{}\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(WAVELENGTH_TABLES))
+@pytest.mark.parametrize("cell", ["0", "-0.0", "-1550", "1e-300"])
+def test_wavelength_that_is_not_positive_is_a_data_error(command, cell, tmp_path, capsys):
+    # 0 would divide by zero and a negative wavelength fit at negative frequencies; a positive one
+    # so small that its frequency overflows stays a float error
+    column, text = WAVELENGTH_TABLES[command]
+    data, out = tmp_path / "nm.csv", tmp_path / "fit.csv"
+    data.write_text(text.format(cell, "-5" if float(cell) <= 0 else "1551.0"), encoding="utf-8")  # the first is named
+    if float(cell) > 0:
+        expected = 5, "numeric: overflow encountered in divide"
+    else:
+        expected = 4, f"data: {data}: column {column!r}: wavelength must be positive, got {float(cell)!r}"
+    assert run([command, "--data", str(data), "--out", str(out)]) == expected[0]
+    assert capsys.readouterr().err == f"ringlab: error: {expected[1]}\n"
+    assert not out.exists()
 
 
 def test_shot_cal(tmp_path, capsys):

@@ -138,7 +138,7 @@ def loop_dips(trace, baseline=1.0):
         y0, y1, y2 = t[i - 1], t[i], t[i + 1]
         denom = y0 - 2.0 * y1 + y2
         center = omega[i] + 0.5 * (y0 - y2) / denom * 0.5 * (omega[i + 1] - omega[i - 1])
-        t_min = max(y1 - 0.125 * (y0 - y2) ** 2 / denom, 0.0)
+        t_min = max(y1 - 0.125 * ((y0 - y2) * (y0 - y2)) / denom, 0.0)
         level = 0.5 * (baseline + t_min)
         assert t[i] < level, (i, t[i], level)
         edges = []
@@ -180,6 +180,15 @@ def test_find_dips_matches_a_plain_loop_on_seeded_traces():
         assert got == loop_dips(trace), case
         found += len(got)
     assert found > 300
+
+
+def test_find_dips_squares_the_vertex_gap_correctly_rounded():
+    # glibc 2.36's pow(gap, 2) is one ulp above the correctly rounded gap * gap here, and the
+    # t_min it gives differs in its last bit, so a scalar `**` makes the bytes depend on libm
+    y0, y1, y2 = 0.890768, 0.346645, 0.649061
+    gap = y0 - y2
+    (dip,) = find_dips(TransmissionTrace(omega_grid=np.arange(5.0), t_power=np.array([1.0, y0, y1, y2, 1.0])))
+    assert dip.t_min == y1 - 0.125 * (gap * gap) / (y0 - 2.0 * y1 + y2)
 
 
 # --- eta_c from T_min -----------------------------------------------------------
