@@ -280,16 +280,23 @@ def _write_table(staged: dict, path: str, header: list[str], columns, comments=(
 def _load_columns(path: str, table: tuple[dict[str, type], str, str]) -> dict:
     """Columns of a CSV file that holds CROSSING_TABLE or TRACE_TABLE, its
     frequency column (rad/s) given as such or as vacuum wavelengths (nm),
-    converted here; a wavelength that is not positive is a DataError.
+    converted here.  A frequency that is not positive, and a wavelength
+    that is not positive or too short for a finite frequency, is a
+    DataError naming the first such cell (-0.0 included).
     """
     schema, frequency, wavelength = table
     columns = load_csv(path, schema, {frequency: wavelength})
-    if wavelength in columns:
-        nm = columns.pop(wavelength)
-        bad = devicemodel.first_flagged(nm <= 0, nm)  # -0.0 included
-        if bad is not None:
-            raise DataError(f"{path}: column {wavelength!r}: wavelength must be positive, got {bad!r}")
+    if wavelength not in columns:
+        devicemodel.reject(columns[frequency] <= 0, columns[frequency],
+                           lambda v: f"{path}: column {frequency!r}: frequency must be positive, got {v!r}", DataError)
+        return columns
+    nm = columns.pop(wavelength)
+    devicemodel.reject(nm <= 0, nm,
+                       lambda v: f"{path}: column {wavelength!r}: wavelength must be positive, got {v!r}", DataError)
+    with np.errstate(over="ignore"):  # a wavelength this short is refused next
         columns[frequency] = devicemodel.pump_angular_frequency(nm)
+    devicemodel.reject(np.isinf(columns[frequency]), nm, lambda v: f"{path}: column {wavelength!r}: "
+                       f"wavelength too short for a finite frequency, got {v!r}", DataError)
     return columns
 
 

@@ -146,17 +146,17 @@ def _check_wavelength(wavelength_nm: float) -> None:
     _positive(wavelength_nm, "pump.wavelength_nm", "pump wavelength must be positive")
 
 
-def first_flagged(bad, values):
-    """The entry of `values` at the first set position of the mask `bad`
-    (flat order) as a Python scalar, or None when no position is set.
+def reject(bad, values, message, error=ValueError) -> None:
+    """Raise error(message(first)) when the mask `bad` has a set position,
+    with `first` the entry of `values` at the first one (flat order) as a
+    Python scalar.
 
     Lets a check over a whole grid name the value a loop over the grid
     would have stopped at.
     """
     bad = np.asarray(bad)
-    if not bad.any():
-        return None
-    return np.broadcast_to(values, bad.shape).flat[int(np.argmax(bad))].item()
+    if bad.any():
+        raise error(message(np.broadcast_to(values, bad.shape).flat[int(np.argmax(bad))].item()))
 
 
 def readonly_array(values) -> np.ndarray:
@@ -173,9 +173,7 @@ def ring_frequency(ring: RingParams, power_mw):
     array; out of range, the error names the first offending power."""
     p_max = ring.heater_p_max_mw
     power = np.asarray(power_mw)
-    bad = first_flagged(~((0.0 <= power) & (power <= p_max)), power)
-    if bad is not None:
-        raise ValueError(f"heater power {bad} mW outside [0, {p_max}] mW")
+    reject(~((0.0 <= power) & (power <= p_max)), power, lambda p: f"heater power {p} mW outside [0, {p_max}] mW")
     return ring.omega0 + -ring.heater_alpha * power_mw
 
 

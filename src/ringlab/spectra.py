@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devicemodel import DeviceConfig, first_flagged, readonly_array, ring_frequency
+from .devicemodel import DeviceConfig, readonly_array, reject, ring_frequency
 from .supermodes import solve_both
 
 REGIME_OVERCOUPLED = "overcoupled"
@@ -90,10 +90,8 @@ def bus_transmission(omega, omega1, omega2, gamma1, gamma2, kappa_ext, kappa_12)
     with np.errstate(over="ignore", invalid="ignore"):
         s_out = 1.0 + kappa_ext * d2 / (d1 * d2 + kappa_12 * kappa_12)
     t = np.abs(s_out) ** 2
-    bad = ~np.isfinite(t)
-    if bad.any():
-        raise ValueError("probe grid too far from the resonances: transmission not finite "
-                         f"at omega = {first_flagged(bad, w)!r} rad/s")
+    reject(~np.isfinite(t), w, lambda omega: "probe grid too far from the resonances: "
+           f"transmission not finite at omega = {omega!r} rad/s")
     return float(t) if np.isscalar(omega) else t
 
 

@@ -22,20 +22,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .devicemodel import DeviceConfig, detection_efficiency, first_flagged
+from .devicemodel import DeviceConfig, detection_efficiency, reject
 from .supermodes import eta_c_vs_heater
-
-
-def _reject(bad, values, message: str) -> None:
-    """ValueError naming the first of `values` flagged in the mask `bad`."""
-    first = first_flagged(bad, values)
-    if first is not None:
-        raise ValueError(f"{message}, got {first}")
 
 
 def db_from_linear(s_linear):
     """Linear power ratio to dB (10*log10); scalar or array."""
-    _reject(np.asarray(s_linear) <= 0, s_linear, "linear value must be positive")
+    reject(np.asarray(s_linear) <= 0, s_linear, lambda s: f"linear value must be positive, got {s}")
     db = 10.0 * np.log10(s_linear)
     return float(db) if db.ndim == 0 else db
 
@@ -49,8 +42,8 @@ def squeezing_level(eta_c, eta_d, tau_c, omega_sideband):
     """Normalized noise S (linear units); every argument a scalar or an array."""
     for name, eta in (("eta_c", eta_c), ("eta_d", eta_d)):
         eta = np.asarray(eta)
-        _reject(~((0.0 <= eta) & (eta <= 1.0)), eta, f"{name} must be in [0, 1]")
-    _reject(np.asarray(tau_c) <= 0, tau_c, "tau_c must be positive")
+        reject(~((0.0 <= eta) & (eta <= 1.0)), eta, lambda e: f"{name} must be in [0, 1], got {e}")
+    reject(np.asarray(tau_c) <= 0, tau_c, lambda t: f"tau_c must be positive, got {t}")
     with np.errstate(over="ignore"):  # W*tau_c past the float range: the roll-off is 0, its limit
         rolloff = lorentzian_rolloff(omega_sideband * tau_c)
     return 1.0 - eta_c * eta_d * rolloff

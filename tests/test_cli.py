@@ -954,17 +954,33 @@ WAVELENGTH_TABLES = {  # command -> its wavelength column and a table with {} fo
 @pytest.mark.parametrize("command", sorted(WAVELENGTH_TABLES))
 @pytest.mark.parametrize("cell", ["0", "-0.0", "-1550", "1e-300"])
 def test_wavelength_that_is_not_positive_is_a_data_error(command, cell, tmp_path, capsys):
-    # 0 would divide by zero and a negative wavelength fit at negative frequencies; a positive one
-    # so small that its frequency overflows stays a float error
+    # 0 would divide by zero, a negative wavelength fit at negative frequencies, and one so short
+    # that its frequency overflows name no file; the braces in the path are printed as they are
     column, text = WAVELENGTH_TABLES[command]
-    data, out = tmp_path / "nm.csv", tmp_path / "fit.csv"
-    data.write_text(text.format(cell, "-5" if float(cell) <= 0 else "1551.0"), encoding="utf-8")  # the first is named
-    if float(cell) > 0:
-        expected = 5, "numeric: overflow encountered in divide"
-    else:
-        expected = 4, f"data: {data}: column {column!r}: wavelength must be positive, got {float(cell)!r}"
-    assert run([command, "--data", str(data), "--out", str(out)]) == expected[0]
-    assert capsys.readouterr().err == f"ringlab: error: {expected[1]}\n"
+    data, out = tmp_path / "a{0}b.csv", tmp_path / "fit.csv"
+    data.write_text(text.format(cell, "-5" if float(cell) <= 0 else "1e-310"), encoding="utf-8")  # the first is named
+    problem = "wavelength must be positive" if float(cell) <= 0 else "wavelength too short for a finite frequency"
+    assert run([command, "--data", str(data), "--out", str(out)]) == 4
+    assert capsys.readouterr().err == f"ringlab: error: data: {data}: column {column!r}: {problem}, got {float(cell)!r}\n"
+    assert not out.exists()
+
+
+FREQUENCY_TABLES = {  # command -> its rad/s column and a table with {} for two cells of it
+    "fit-dip": ("omega_rad_s", "omega_rad_s,t_power\n1.2066e15,0.9\n{},0.5\n{},0.9\n"),
+    "fit-crossing": ("resonance_rad_s", "p1_mw,p2_mw,branch,resonance_rad_s\n20,10,lower,1.2066e15\n"
+                                        "25,10,lower,{}\n30,10,lower,{}\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FREQUENCY_TABLES))
+@pytest.mark.parametrize("cell", ["0", "-0.0", "-1.2066e15"])
+def test_frequency_that_is_not_positive_is_a_data_error(command, cell, tmp_path, capsys):
+    column, text = FREQUENCY_TABLES[command]
+    data, out = tmp_path / "a{0}b.csv", tmp_path / "fit.csv"
+    data.write_text(text.format(cell, "-5"), encoding="utf-8")  # the first is named
+    assert run([command, "--data", str(data), "--out", str(out)]) == 4
+    assert capsys.readouterr().err == (f"ringlab: error: data: {data}: column {column!r}: "
+                                       f"frequency must be positive, got {float(cell)!r}\n")
     assert not out.exists()
 
 

@@ -79,6 +79,16 @@ def test_passivity_over_random_configs(cfg):
         assert t.max() <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("omega, first", [(1e307, "1e+307"), (np.array([1e15, 1e15, -1e307, 1e307]), "-1e+307")],
+                         ids=["scalar", "array"])
+def test_probe_grid_too_far_error_text(omega, first):
+    gamma = 2.0 * MHZ
+    with pytest.raises(ValueError) as error:
+        bus_transmission(omega, 1e15, 1.001e15, gamma, gamma, 5.0 * gamma, 75.0 * gamma)
+    assert str(error.value) == ("probe grid too far from the resonances: "
+                                f"transmission not finite at omega = {first} rad/s")
+
+
 # --- dip extraction -------------------------------------------------------------
 
 

@@ -77,6 +77,16 @@ def test_array_range_errors_name_the_first_offending_value():
         db_from_linear(np.array([0.5, 0.0, -1.0]))
 
 
+@pytest.mark.parametrize("name", ["eta_c", "eta_d"])
+@pytest.mark.parametrize("eta, first", [(1.25, "1.25"), (np.array([0.5, -0.0, -0.25, 2.0]), "-0.25")],
+                         ids=["scalar", "array"])
+def test_efficiency_range_error_text(name, eta, first):
+    args = {"eta_c": 0.5, "eta_d": 0.5, "tau_c": 1e-8, "omega_sideband": 0.0, name: eta}
+    with pytest.raises(ValueError) as error:
+        squeezing_level(**args)
+    assert str(error.value) == f"{name} must be in [0, 1], got {first}"
+
+
 def test_parameter_range_errors():
     with pytest.raises(ValueError):
         squeezing_level(1.2, 1.0, 1e-8, 0.0)
