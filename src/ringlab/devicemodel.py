@@ -4,14 +4,13 @@ All frequencies and rates are stored internally as *angular* quantities in
 rad/s, and all loss/coupling rates are *energy* (photon-number) decay rates;
 the corresponding field-amplitude rates are half as large.  Configuration
 files and the CLI accept values with explicit unit suffixes (``_mhz``,
-``_ghz``, ``_rad_s``, ``_nm``, ``_um``, ``_mw``, ``_loss_db``) and are
+``_ghz``, ``_rad_s``, ``_nm``, ``_mw``, ``_loss_db``) and are
 converted exactly once, at ingestion.  dB always means ``10*log10`` of a
 power ratio.
 
 Config file schema (INI syntax, ``#`` comments)::
 
     [ring1]                    # identically for [ring2]
-    radius_um = 115.0
     omega0_offset_mhz = 750.0  # resonance at zero heater power, relative to
                                # the pump angular frequency (or give the
                                # absolute value via omega0_rad_s)
@@ -56,11 +55,11 @@ C_VACUUM = 299792458.0  # m/s
 _TWO_PI = 2.0 * math.pi
 
 # The keys of the fixed-key sections: {field: ((unit suffix, factor to
-# internal units), ...)}; a key is a field name plus one of its suffixes.
-_RATE = (("_rad_s", 1.0), ("_mhz", _TWO_PI * 1e6), ("_ghz", _TWO_PI * 1e9))
+# internal units), ...)}; a key is a field name plus one of its suffixes,
+# and a missing field is named with its first suffix.
+_RATE = (("_mhz", _TWO_PI * 1e6), ("_rad_s", 1.0), ("_ghz", _TWO_PI * 1e9))
 _AS_GIVEN = (("", 1.0),)
 _RING_FIELDS = {
-    "radius_um": _AS_GIVEN,
     "omega0": _RATE,
     "omega0_offset": _RATE,
     "gamma_i": _RATE,
@@ -73,13 +72,12 @@ _PUMP_FIELDS = {"wavelength_nm": _AS_GIVEN}
 
 @dataclass(frozen=True)
 class RingParams:
-    """One microring: geometry, cold resonance, intrinsic loss, heater.
+    """One microring: cold resonance, intrinsic loss, heater.
 
     heater_alpha is the rad/s of resonance shift per mW of heater power;
     a positive value red-shifts (lowers) the resonance as the power rises.
     """
 
-    radius_um: float
     omega0: float           # resonance at zero heater power, rad/s
     gamma_i: float          # intrinsic energy decay rate, rad/s
     heater_alpha: float     # rad/s per mW
@@ -102,15 +100,13 @@ class DeviceConfig:
     kappa_ext: float
     kappa_12: float
     detection: tuple[tuple[str, float], ...]
-    pump_wavelength_nm: float
 
     def __post_init__(self) -> None:
         for path, ring in (("ring1", self.ring1), ("ring2", self.ring2)):
-            _positive(ring.radius_um, f"{path}.radius_um", "radius must be positive")
             _positive(ring.omega0, f"{path}.omega0", "resonance frequency must be positive")
             _positive(ring.gamma_i, f"{path}.gamma_i", "intrinsic loss must be positive")
-            _require(math.isfinite(ring.heater_alpha), f"{path}.heater.alpha", "tuning coefficient must be finite")
-            _positive(ring.heater_p_max_mw, f"{path}.heater.p_max_mw", "maximum heater power must be positive")
+            _require(math.isfinite(ring.heater_alpha), f"{path}.heater_alpha", "tuning coefficient must be finite")
+            _positive(ring.heater_p_max_mw, f"{path}.heater_p_max_mw", "maximum heater power must be positive")
         _positive(self.kappa_ext, "coupling.kappa_ext", "external coupling rate must be positive")
         _positive(self.kappa_12, "coupling.kappa_12", "inter-ring coupling must be positive")
         _require(len(self.detection) > 0, "detection.stages", "at least one detection stage required")
@@ -120,7 +116,6 @@ class DeviceConfig:
                 f"detection.{name}",
                 f"stage efficiency must be in (0, 1], got {eff!r}",
             )
-        _check_wavelength(self.pump_wavelength_nm)
 
 
 def db_loss_to_efficiency(loss_db: float) -> float:
@@ -140,10 +135,6 @@ def _require(condition: bool, path: str, message: str) -> None:
 
 def _positive(value: float, path: str, message: str) -> None:
     _require(math.isfinite(value) and value > 0, path, message)
-
-
-def _check_wavelength(wavelength_nm: float) -> None:
-    _positive(wavelength_nm, "pump.wavelength_nm", "pump wavelength must be positive")
 
 
 def reject(bad, values, message, error=ValueError) -> None:
@@ -193,10 +184,10 @@ def _parse_float(section: configparser.SectionProxy, key: str, path: str) -> flo
         raise ConfigError(f"{path}.{key}: not a number: {raw!r}") from None
 
 
-def _read_section(parser: configparser.ConfigParser, name: str, fields: dict) -> dict:
-    """{field: value in internal units, or None when not given} of the
-    fixed-key section `name`; `fields` maps each field to its accepted
-    (unit suffix, factor) pairs."""
+def _read_section(parser: configparser.ConfigParser, name: str, fields: dict, optional=()) -> dict:
+    """{field: value in internal units} of the fixed-key section `name`;
+    `fields` maps each field to its accepted (unit suffix, factor) pairs.
+    A field not given is missing, unless it is `optional` (then None)."""
     if name not in parser:
         raise ConfigError(f"{name}: missing section")
     section = parser[name]
@@ -212,12 +203,13 @@ def _read_section(parser: configparser.ConfigParser, name: str, fields: dict) ->
                 if values[field] is not None:
                     raise ConfigError(f"{name}.{key}: duplicate unit variants for {field}")
                 values[field] = _parse_float(section, key, name) * factor
+        if values[field] is None and field not in optional:
+            raise ConfigError(f"{name}.{field}{units[0][0]}: missing key")
     return values
 
 
 def _parse_ring(parser: configparser.ConfigParser, name: str, omega_pump: float) -> RingParams:
-    ring = _read_section(parser, name, _RING_FIELDS)
-    _require(ring["radius_um"] is not None, f"{name}.radius_um", "missing key")
+    ring = _read_section(parser, name, _RING_FIELDS, optional=("omega0", "omega0_offset"))
     omega0, offset = ring["omega0"], ring.pop("omega0_offset")
     _require(
         omega0 is None or offset is None,
@@ -225,9 +217,6 @@ def _parse_ring(parser: configparser.ConfigParser, name: str, omega_pump: float)
         "give omega0 either absolute or as a pump offset, not both",
     )
     _require(omega0 is not None or offset is not None, f"{name}.omega0_offset_mhz", "missing key (or omega0_rad_s)")
-    _require(ring["gamma_i"] is not None, f"{name}.gamma_i_mhz", "missing key")
-    _require(ring["heater_alpha"] is not None, f"{name}.heater_alpha_mhz_per_mw", "missing key")
-    _require(ring["heater_p_max_mw"] is not None, f"{name}.heater_p_max_mw", "missing key")
     if omega0 is None:
         ring["omega0"] = omega_pump + offset
     return RingParams(**ring)
@@ -272,16 +261,13 @@ def parse_config(text: str) -> DeviceConfig:
         raise ConfigError(_syntax_error(text, folded, "indented line"))
 
     wavelength_nm = _read_section(parser, "pump", _PUMP_FIELDS)["wavelength_nm"]
-    _require(wavelength_nm is not None, "pump.wavelength_nm", "missing key")
-    _check_wavelength(wavelength_nm)
+    _positive(wavelength_nm, "pump.wavelength_nm", "pump wavelength must be positive")
     omega_pump = pump_angular_frequency(wavelength_nm)
 
     ring1 = _parse_ring(parser, "ring1", omega_pump)
     ring2 = _parse_ring(parser, "ring2", omega_pump)
 
     coupling = _read_section(parser, "coupling", _COUPLING_FIELDS)
-    for field, value in coupling.items():
-        _require(value is not None, f"coupling.{field}_mhz", "missing key")
 
     if "detection" not in parser:
         raise ConfigError("detection: missing section")
@@ -301,7 +287,7 @@ def parse_config(text: str) -> DeviceConfig:
         if name not in ("ring1", "ring2", "coupling", "detection", "pump"):
             raise ConfigError(f"{name}: unknown section")
 
-    return DeviceConfig(ring1, ring2, **coupling, detection=tuple(stages), pump_wavelength_nm=wavelength_nm)
+    return DeviceConfig(ring1, ring2, **coupling, detection=tuple(stages))
 
 
 def load_config(path: str | Path) -> DeviceConfig:

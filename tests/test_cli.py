@@ -416,13 +416,11 @@ def test_validate_bad_config(tmp_path, capsys):
 def device_text_with(gamma="2.0"):
     return f"""
 [ring1]
-radius_um = 115.0
 omega0_offset_mhz = 750.0
 gamma_i_mhz = {gamma}
 heater_alpha_mhz_per_mw = 30.0
 heater_p_max_mw = 100.0
 [ring2]
-radius_um = 115.0
 omega0_offset_mhz = 300.0
 gamma_i_mhz = 2.0
 heater_alpha_mhz_per_mw = 30.0
@@ -449,15 +447,18 @@ def validate_text(text, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line, replacement, message", [
-    ("radius_um = 115.0", "radius_um = 11%5", "ring1.radius_um: not a number: '11%5'"),
+    ("gamma_i_mhz = 2.0", "gamma_i_mhz = 11%5", "ring1.gamma_i_mhz: not a number: '11%5'"),
     ("heater_alpha_mhz_per_mw = 30.0", "heater_alpha_mhz_per_mw = 30\nheater_alpha_rad_s_per_mw = 1",
      "ring1.heater_alpha_rad_s_per_mw: duplicate unit variants for heater_alpha"),
+    ("gamma_i_mhz = 2.0", "gamma_i_rad_s = 1\ngamma_i_mhz = 2.0",
+     "ring1.gamma_i_rad_s: duplicate unit variants for gamma_i"),
     *(("wavelength_nm = 1561.1", f"wavelength_nm = {value}", "pump.wavelength_nm: pump wavelength must be positive")
       for value in ("nan", "inf", "0", "-1")),
     ("[coupling]\nkappa_ext_mhz = 5.0\nkappa_12_mhz = 150.0\n", "", "coupling: missing section"),
     ("[detection]\ngrating = 0.85\nlens_loss_db = 0.7\nphotodiode = 0.80\n", "", "detection: missing section"),
     ("lens_loss_db = 0.7", "lens_loss_db = -0.7", "detection.lens_loss_db: dB loss must be non-negative"),
-], ids=["percent", "two-alpha-units", "wavelength-nan", "wavelength-inf", "wavelength-0", "wavelength-minus-1",
+], ids=["percent", "two-alpha-units", "two-rate-units",
+        "wavelength-nan", "wavelength-inf", "wavelength-0", "wavelength-minus-1",
         "no-coupling", "no-detection", "negative-db-loss"])
 def test_validate_names_the_offending_key(line, replacement, message, device_cfg_path, tmp_path, capsys):
     text = device_cfg_path.read_text(encoding="utf-8")
@@ -466,7 +467,7 @@ def test_validate_names_the_offending_key(line, replacement, message, device_cfg
 
 
 CONFIG_MUTATIONS = ("rename", "bad-suffix", "drop", "not-a-number", "duplicate-key", "duplicate-section")
-BAD_UNITS = {"um": "mm", "mhz": "khz", "mw": "w", "nm": "pm"}
+BAD_UNITS = {"mhz": "khz", "mw": "w", "nm": "pm"}
 NOT_NUMBERS = ("abc", "1.5.0", "2 MHz", "11%5", "")
 
 
@@ -538,8 +539,8 @@ def test_validate_default_section_is_an_unknown_section(default, device_cfg_path
 
 
 @pytest.mark.parametrize("line, replacement, message", [
-    ("radius_um = 115.0", "radius_um", "line 14: not a key = value line: 'radius_um'"),
-    ("[ring1]", "radius_um = 1\n[ring1]", "line 13: outside any section: 'radius_um = 1'"),
+    ("omega0_offset_mhz = 750.0", "omega0_offset_mhz", "line 14: not a key = value line: 'omega0_offset_mhz'"),
+    ("[ring1]", "gamma_i_mhz = 1\n[ring1]", "line 13: outside any section: 'gamma_i_mhz = 1'"),
 ], ids=["bare-key", "key-above-header"])
 def test_validate_syntax_error_names_the_line(line, replacement, message, device_cfg_path, tmp_path, capsys):
     text = device_cfg_path.read_text(encoding="utf-8").replace(line, replacement, 1)
@@ -547,10 +548,11 @@ def test_validate_syntax_error_names_the_line(line, replacement, message, device
 
 
 @pytest.mark.parametrize("line, replacement, folded", [
-    ("radius_um = 115.0", "radius_um = 115.0\n   gamma_i_mhz = 3", "line 15: indented line: 'gamma_i_mhz = 3'"),
-    ("photodiode = 0.80", "photodiode = 0.80\n  0.9", "line 35: indented line: '0.9'"),
-    ("photodiode = 0.80", "photodiode = 0.80\n\n  # a note\n\n  0.9", "line 38: indented line: '0.9'"),
-    ("radius_um = 115.0", "  radius_um = 115.0", None),
+    ("omega0_offset_mhz = 750.0", "omega0_offset_mhz = 750.0\n   gamma_i_mhz = 3",
+     "line 15: indented line: 'gamma_i_mhz = 3'"),
+    ("photodiode = 0.80", "photodiode = 0.80\n  0.9", "line 33: indented line: '0.9'"),
+    ("photodiode = 0.80", "photodiode = 0.80\n\n  # a note\n\n  0.9", "line 36: indented line: '0.9'"),
+    ("omega0_offset_mhz = 750.0", "  omega0_offset_mhz = 750.0", None),
     ("gamma_i_mhz = 2.0", "gamma_i_mhz = 2.0\n    # an indented comment", None),
 ], ids=["key-under-a-key", "value-under-a-key", "after-blank-and-comment", "first-key", "comment"])
 def test_validate_refuses_indented_lines_that_would_fold(line, replacement, folded, device_cfg_path, tmp_path,

@@ -17,6 +17,8 @@ from ringlab.devicemodel import (
     ring_frequency,
 )
 from ringlab.errors import ConfigError
+from ringlab.spectra import compute_trace
+from ringlab.supermodes import solve_both
 
 MHZ = 2.0 * math.pi * 1e6
 
@@ -25,8 +27,8 @@ MHZ = 2.0 * math.pi * 1e6
 
 
 def test_direct_construction_is_checked(cfg):
-    with pytest.raises(ConfigError, match=r"^pump\.wavelength_nm: pump wavelength must be positive$"):
-        DeviceConfig(cfg.ring1, cfg.ring2, cfg.kappa_ext, cfg.kappa_12, cfg.detection, math.nan)
+    with pytest.raises(ConfigError, match=r"^coupling\.kappa_ext: external coupling rate must be positive$"):
+        DeviceConfig(cfg.ring1, cfg.ring2, math.nan, cfg.kappa_12, cfg.detection)
 
 
 def test_zero_intrinsic_loss_rejected(cfg):
@@ -47,12 +49,92 @@ def test_nonpositive_rates_rejected(cfg):
         dataclasses.replace(cfg, kappa_ext=-1e6, kappa_12=1e6)
 
 
+def with_field(cfg, path, value):
+    """A copy of cfg with the field at `path` ("kappa_12", "ring1.gamma_i")
+    set to `value`, built through dataclasses.replace and so checked."""
+    ring, _, field = path.rpartition(".")
+    if not ring:
+        return dataclasses.replace(cfg, **{field: value})
+    return dataclasses.replace(cfg, **{ring: dataclasses.replace(getattr(cfg, ring), **{field: value})})
+
+
+RING_INVARIANTS = (
+    ("omega0", 0.0, "resonance frequency must be positive"),
+    ("gamma_i", math.nan, "intrinsic loss must be positive"),
+    ("heater_alpha", math.inf, "tuning coefficient must be finite"),
+    ("heater_p_max_mw", 0.0, "maximum heater power must be positive"),
+)
+
+
+INVARIANTS = [
+    *((f"{ring}.{field}", value, f"{ring}.{field}: {problem}")
+      for ring in ("ring1", "ring2") for field, value, problem in RING_INVARIANTS),
+    ("kappa_ext", -1.0, "coupling.kappa_ext: external coupling rate must be positive"),
+    ("kappa_12", 0.0, "coupling.kappa_12: inter-ring coupling must be positive"),
+    ("detection", (), "detection.stages: at least one detection stage required"),
+    ("detection", (("grating", 0.85), ("lens", 1.2)), "detection.lens: stage efficiency must be in (0, 1], got 1.2"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", INVARIANTS, ids=[path for path, _, _ in INVARIANTS])
+def test_each_invariant_names_its_record_field(path, value, message, cfg):
+    with pytest.raises(ConfigError) as excinfo:
+        with_field(cfg, path, value)
+    assert str(excinfo.value) == message
+    named = str(excinfo.value).split(": ", 1)[0].split(".")
+    field = path.rpartition(".")[2]
+    record = RingParams if "." in path else DeviceConfig
+    assert field in {f.name for f in dataclasses.fields(record)}
+    # a detection path goes on from the field to the stage it refuses
+    assert named[-1] == field or named[0] == field == "detection"
+
+
+HEATER_SETTINGS = ((0.0, 0.0), (25.0, 10.0), (50.0, 40.0))
+PROBE_POWERS = np.linspace(-10.0, 200.0, 43)
+PROBE_GRID = pump_angular_frequency(1561.1) + np.linspace(-2e10, 2e10, 401)
+
+
+def model_probes(cfg):
+    """What the model computes from a device: both supermodes at a few
+    heater settings, a transmission trace on a fixed grid, the detection
+    efficiency and which probe powers each ring's heater map refuses."""
+    refused = []
+    for ring in (cfg.ring1, cfg.ring2):
+        for power in PROBE_POWERS:
+            try:
+                ring_frequency(ring, power)
+            except ValueError:
+                refused.append(power)
+    return (
+        [dataclasses.astuple(solution) for p1, p2 in HEATER_SETTINGS for solution in solve_both(cfg, p1, p2)],
+        compute_trace(cfg, 25.0, 10.0, PROBE_GRID).t_power.tolist(),
+        detection_efficiency(cfg.detection),
+        refused,
+    )
+
+
+RECORD_PATHS = [
+    *(f"{ring}.{field.name}" for ring in ("ring1", "ring2") for field in dataclasses.fields(RingParams)),
+    *(field.name for field in dataclasses.fields(DeviceConfig) if field.name not in ("ring1", "ring2")),
+]
+
+
+@pytest.mark.parametrize("path", RECORD_PATHS)
+def test_every_record_field_is_read(path, cfg):
+    """A field that no probe reads is a field nothing reads: a different
+    valid value must change at least one probe."""
+    ring, _, field = path.rpartition(".")
+    value = getattr(getattr(cfg, ring) if ring else cfg, field)
+    changed = (("all", 0.5),) if field == "detection" else 1.5 * value
+    assert model_probes(with_field(cfg, path, changed)) != model_probes(cfg)
+
+
 # --- heater map ---------------------------------------------------------------
 
 
 def bare_ring(alpha: float, p_max_mw: float) -> RingParams:
     """A ring whose cold resonance is 0, so its resonance is the heater shift."""
-    return RingParams(radius_um=100.0, omega0=0.0, gamma_i=1.0, heater_alpha=alpha, heater_p_max_mw=p_max_mw)
+    return RingParams(omega0=0.0, gamma_i=1.0, heater_alpha=alpha, heater_p_max_mw=p_max_mw)
 
 
 def test_heater_zero_power_gives_zero_detuning():
@@ -116,14 +198,12 @@ def test_detection_order_invariance():
 
 VALID_TEXT = """
 [ring1]
-radius_um = 115.0
 omega0_offset_mhz = 750.0
 gamma_i_mhz = 2.0
 heater_alpha_mhz_per_mw = 30.0
 heater_p_max_mw = 100.0
 
 [ring2]
-radius_um = 115.0
 omega0_offset_mhz = 300.0
 gamma_i_mhz = 2.0
 heater_alpha_mhz_per_mw = 30.0
@@ -148,12 +228,11 @@ def test_parse_valid_text_matches_default():
     omega_pump = 2.0 * math.pi * 299792458.0 / (1561.1 * 1e-9)
     heater = {"heater_alpha": 30.0 * MHZ, "heater_p_max_mw": 100.0}
     expected = DeviceConfig(
-        ring1=RingParams(radius_um=115.0, omega0=omega_pump + 750.0 * MHZ, gamma_i=2.0 * MHZ, **heater),
-        ring2=RingParams(radius_um=115.0, omega0=omega_pump + 300.0 * MHZ, gamma_i=2.0 * MHZ, **heater),
+        ring1=RingParams(omega0=omega_pump + 750.0 * MHZ, gamma_i=2.0 * MHZ, **heater),
+        ring2=RingParams(omega0=omega_pump + 300.0 * MHZ, gamma_i=2.0 * MHZ, **heater),
         kappa_ext=5.0 * MHZ,
         kappa_12=150.0 * MHZ,
         detection=(("grating", 0.85), ("lens", 10.0 ** (-0.7 / 10.0)), ("photodiode", 0.80)),
-        pump_wavelength_nm=1561.1,
     )
     assert parse_config(VALID_TEXT) == expected
 
@@ -184,8 +263,8 @@ def test_parse_error_names_unknown_key():
 
 
 def test_parse_error_names_missing_key():
-    with pytest.raises(ConfigError, match=r"ring2\.radius_um"):
-        parse_config(VALID_TEXT.replace("[ring2]\nradius_um = 115.0", "[ring2]"))
+    with pytest.raises(ConfigError, match=r"^ring2\.heater_p_max_mw: missing key$"):
+        parse_config(VALID_TEXT.replace("heater_p_max_mw = 100.0\n\n[coupling]", "\n[coupling]"))
 
 
 def test_parse_rejects_both_omega0_forms():

@@ -1,12 +1,15 @@
-"""README.md against the code: its example command lines parse, and the
-bounds it quotes are the ones the parser and the Monte Carlo enforce."""
+"""README.md against the code: its example command lines parse, the
+bounds it quotes are the ones the parser and the Monte Carlo enforce, and
+the config schema it and the devicemodel docstring spell is device.cfg's."""
 
+import itertools
 import shlex
 from pathlib import Path
 
-from ringlab import cli, langevin
+from ringlab import cli, devicemodel, langevin
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def readme_text() -> str:
@@ -40,3 +43,27 @@ def test_readme_bounds_match_the_code():
             f"{spaced(cli.MAX_SEGMENTS)}, reach the floor") in text
     assert f"rounds to fewer than {langevin.SHOT_CAL_MIN_SAMPLES} samples" in text
     assert f"`--segments {cli.MAX_SEGMENTS}`" in text
+
+
+def config_keys(text: str) -> dict[str, list[str]]:
+    """{section: its keys, in order} of config text; comments dropped."""
+    keys, section = {}, None
+    for line in text.splitlines():
+        content = line.split("#", 1)[0].strip()
+        if content.startswith("["):
+            section = content.strip("[]")
+            keys[section] = []
+        elif content:
+            keys[section].append(content.split("=", 1)[0].strip())
+    return keys
+
+
+def test_docs_spell_the_config_schema():
+    device = config_keys((ROOT / "device.cfg").read_text(encoding="utf-8"))
+    assert device.pop("ring2") == device["ring1"]  # both docs say [ring2] is keyed identically
+    readme_block = readme_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    schema = devicemodel.__doc__.split("Config file schema", 1)[1].split("::\n", 1)[1]
+    # the literal block runs to the docstring's next unindented line
+    docstring_block = "\n".join(itertools.takewhile(lambda line: not line or line[0] == " ", schema.splitlines()))
+    assert config_keys(readme_block) == device
+    assert config_keys(docstring_block) == device
