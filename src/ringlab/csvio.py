@@ -4,13 +4,17 @@ Files are UTF-8, with or without a byte-order mark, comma-separated, one
 header row naming the columns exactly; blank lines and lines starting
 with '#' are skipped, and spaces after a comma are not part of the next
 cell, so a quoted cell may follow one.  Tables are columns of float or
-str cells, float ones read as float64 arrays.  A table whose columns are
-all float (a `fit-dip` trace) is parsed by numpy's C reader; one with a
-str column (a `fit-crossing` table), and any all-float table numpy
-refuses or finds a non-finite value in, is read again from the file's
-first line, one cell at a time, which names the fault or reads what only
-`float` does (`1_0`, non-ASCII digits, quoted cells).  Both give the same
-values.  Error row numbers are the file's line numbers.
+str cells, float ones read as float64 arrays.  The data lines of a table
+whose columns are all float (a `fit-dip` trace) are read from the file's
+bytes, a chunk of READ_BYTES at a time, by one numpy kernel (_float_table):
+the writer's inverse, it reads each cell as N * 10**q and rounds it by
+Dekker's error-free product, certifying the float64 it finds; each cell
+it cannot certify is read by float.  A table with a str column (a
+`fit-crossing` table), and any all-float table outside the kernel's
+grammar or with a non-finite value, is read again from the file's first
+line, one cell at a time, which names the fault or reads what only `float`
+does (`1_0`, non-ASCII digits, quoted cells).  Both give the same values,
+bit for bit.  Error row numbers are the file's line numbers.
 
 A table is written from its columns, each holding one kind of value.
 Floats get 17 significant digits, so finite values survive a write/read
@@ -27,13 +31,13 @@ holds a comma, a line break or a NUL is refused: it would break its row.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import functools
 import io
-import itertools
 import math
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable
 
 import numpy as np
 
@@ -45,10 +49,15 @@ ROW_BREAKERS = ",\n\r\0"                # what no str cell or single value may h
 FLOAT_WIDTH = 29                        # byte slots of a float cell: "-", "0.000", 17 digits and ".", "e-308"
 KERNEL_CELLS = 256                      # a block of fewer float cells is written by format_value alone
 TIE_MARGIN = 1e-9                       # a rounding is certified this far from a tie; y's error is below 1e-14
+READ_BYTES = 65536                      # bytes of an all-float table read at a time, cut at a line end
+READ_MARGIN = 2.0**-44                  # a reading is certified this far from a tie, in gaps; its error is below 2**-47
 
 _SPLIT = 2.0**27 + 1.0  # Dekker's splitter: (a * _SPLIT) cuts a float64 into two halves of 26 bits
 _SLOTS = np.arange(18, dtype=np.uint8)[:, None]  # slot numbers of the digits, down a column
 _AFFIX_EXPONENT = 300  # exponents -300 to 300 have a column in _affixes()
+_POWER_EXPONENT = 300  # powers of ten 10**-300 to 10**300 have a row in _powers()
+_NUMBER_BYTES = b"0123456789+-.eE, \t\n"  # the bytes of the data lines the number kernel reads
+_HIGH = 0x8080808080808080  # the top bit of each byte of a word
 
 
 def format_value(value) -> str:
@@ -64,19 +73,23 @@ def load_csv(path: str | Path, columns: dict[str, type],
     The header must contain exactly the schema's columns (any order);
     errors name the file, the offending column and its line, and a float
     column is a float64 array, a str column a list.  `alternatives` maps a
-    schema column to another name it may be given under instead.
+    schema column to another name it may be given under instead.  The
+    data lines of an all-float table are read from the file's bytes by
+    the number kernel (_float_table), a bounded chunk at a time; a table
+    with a str column, and one the kernel hands back, is read one cell at
+    a time by _read_cells, which names a faulty cell by its line.
     """
     try:
         with open(path, encoding="utf-8-sig") as lines:
-            content = filter(_is_content, lines)
-            reader = csv.reader(content, skipinitialspace=True)
+            reader = csv.reader(filter(_is_content, lines), skipinitialspace=True)
             header = [cell.strip() for cell in next(reader, ())]
             columns = _schema(header, columns, str(path), alternatives)
+            lines.seek(0)
             if all(kind is float for kind in columns.values()):
-                table = _read_floats(content, header)  # the data lines: csv reads no further than the header
+                table = _float_table(lines.buffer, header)
                 if table is not None:
                     return table
-            lines.seek(0)
+                lines.seek(0)
             return _read_cells(lines, header, columns, str(path))
     except OSError as exc:
         raise DataError(f"data file: {exc}") from None
@@ -109,23 +122,6 @@ def _schema(header: list[str], columns: dict[str, type], source: str,
         if header.count(name) > 1:
             raise DataError(f"{source}: duplicate column {name!r}")
     return columns
-
-
-def _read_floats(rows: Iterator[str], header: list[str]) -> dict[str, np.ndarray] | None:
-    """The columns of all-float data lines, parsed by numpy's C reader; None
-    if there are none, numpy refuses them or a value is not finite, so that
-    the cell-by-cell reader names the fault or reads what only `float` does
-    (`1_0`, non-ASCII digits, quoted cells)."""
-    first = next(rows, None)
-    if first is None:  # numpy would warn of no data
-        return None
-    try:
-        values = np.loadtxt(itertools.chain([first], rows), delimiter=",", comments=None, ndmin=2, dtype=float)
-    except ValueError:
-        return None
-    if values.shape[1] != len(header) or not np.isfinite(values).all():
-        return None
-    return dict(zip(header, values.T))
 
 
 def _read_cells(lines: Iterable[str], header: list[str], columns: dict[str, type],
@@ -162,6 +158,239 @@ def _read_cells(lines: Iterable[str], header: list[str], columns: dict[str, type
                 raise DataError(f"{source}: row {row_number}, column {name!r}: non-finite value")
             append(value)
     return {name: values if columns[name] is str else np.array(values) for name, values in table.items()}
+
+
+# --- the number kernel --------------------------------------------------------
+#
+# _float_table reads the data lines of an all-float table from the file's
+# bytes, READ_BYTES at a time cut at a line end: the inverse of the
+# writer's kernel.  A chunk's cells are split at commas and line ends by
+# whole-chunk byte arrays; a chunk that holds a blank or '#' line, or a
+# line that starts with a blank, is first filtered line by line, and the
+# blanks around a cell are dropped.  A cell's last 24 bytes are read as 3
+# uint64 words, and word arithmetic finds its digits, its point, its sign
+# and its exponent, checks that nothing else is in it and reads it as
+# x = N * 10**q: N its mantissa's digits without the point (8 at a time,
+# after Lemire), q its exponent less the digits after the point.  10**q is
+# held as hi + lo (see _power_of_ten), N as two float64s (its nearest and
+# the exact rest) and N * hi as Dekker's error-free product, so x is known
+# as s + t, s the float64 nearest that sum, to within 2**-101 |s|, which
+# is 2**-47 of the gap from s to the float64 below it: lo's own rounding
+# and the roundings of the cross terms and their sums each add less than
+# 2**-104 |s|.  The reading s is certified when |t| lies more than
+# READ_MARGIN gaps inside half that gap, the smaller of s's two.  Each cell
+# the kernel cannot certify is read by float: exact ties and near-ties,
+# cells with more than 18 digits from the first nonzero one to the
+# mantissa's end or more than 3 exponent digits, and cells whose q lies
+# outside [-290, 262], as does that of every x outside [1e-290, 1e280),
+# subnormals included: the range keeps every term of the product a normal
+# float64.  A cell float refuses or reads as non-finite,
+# a wrong number of cells on a line, or a byte outside the kernel's
+# grammar (quotes, '_', letters but e and E, non-ASCII, a '#' after a
+# value, a lone carriage return) hands the table to _read_cells.
+
+
+def _float_table(raw: BinaryIO, header: list[str]) -> dict[str, np.ndarray] | None:
+    """The columns of the all-float table in the binary file `raw`, read by
+    the number kernel after the lines up to the header; None where the
+    table lies outside the kernel's grammar or a value is not finite, so
+    that the cell-by-cell reader names the fault or reads what only `float`
+    does."""
+    line = raw.readline().removeprefix(codecs.BOM_UTF8)
+    while True:  # the header is the first line that is neither blank nor a comment, as in text mode
+        if not line or line.count(b"\r") > line.endswith(b"\r\n"):  # a lone CR ends a line in text mode
+            return None
+        if _is_content(line.decode()):
+            break
+        line = raw.readline()
+    parts = [[np.empty(0)] for _ in header]
+    carry = b""
+    while True:
+        data = raw.read(READ_BYTES)
+        if data:
+            cut = data.rfind(b"\n") + 1
+            if not cut:
+                carry += data
+                continue
+            piece, carry = carry + data[:cut], data[cut:]
+        elif carry:
+            piece, carry = carry + b"\n", b""  # the last line, without an end
+        else:
+            break
+        values = _float_values(piece, len(header))
+        if values is None:
+            return None
+        for part, column in zip(parts, values.reshape(-1, len(header)).T):
+            part.append(column.copy())  # the chunk's matrix is freed
+    table = {}
+    for name, part in zip(header, parts):
+        table[name] = np.concatenate(part)
+        part.clear()
+    return table
+
+
+def _float_values(piece: bytes, n_columns: int) -> np.ndarray | None:
+    """The values of the data lines `piece`, each line ended, row by row;
+    None if a line does not hold n_columns cells, a byte lies outside the
+    kernel's grammar, or a cell is not a finite number for float."""
+    if b"\r" in piece:
+        piece = piece.replace(b"\r\n", b"\n")
+        if b"\r" in piece:
+            return None
+    if not piece.isascii():  # a non-ASCII comment included: _read_cells checks the text is UTF-8
+        return None
+    b = np.frombuffer(piece, np.uint8)
+    separators = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
+    if not _rows_of(b, separators, n_columns) or _has_skipped_lines(b, separators[n_columns - 1::n_columns]):
+        piece = b"\n".join([line for line in piece.split(b"\n") if line.lstrip()[:1] not in b"#"] + [b""])
+        if not piece:
+            return np.empty(0)
+        b = np.frombuffer(piece, np.uint8)
+        separators = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
+        if not _rows_of(b, separators, n_columns):
+            return None
+    starts = np.empty_like(separators)
+    starts[0] = 0
+    starts[1:] = separators[:-1] + 1
+    ends = separators
+    if b" " in piece or b"\t" in piece:  # blanks around cells: dropped, so the bytes between cells are checked
+        if piece.translate(None, _NUMBER_BYTES):
+            return None
+        solid = np.flatnonzero((b > ord(",")) | (b == ord("+")))  # the bytes of numbers
+        first = np.searchsorted(solid, starts)
+        last = np.searchsorted(solid, ends)  # a cell's own bytes are solid[first:last]
+        solid = np.append(solid, b.size)
+        blank = first == last
+        starts, ends = np.where(blank, starts, solid[first]), np.where(blank, starts, solid[last - 1] + 1)
+    values, certified = _numbers(bytes(24) + piece + bytes(8), starts + 24, ends + 24)
+    uncertified = np.flatnonzero(~certified)
+    for i, start, end in zip(uncertified.tolist(), starts[uncertified].tolist(), ends[uncertified].tolist()):
+        cell = piece[start:end]
+        if cell.translate(None, _NUMBER_BYTES):
+            return None
+        try:
+            values[i] = float(cell)
+        except ValueError:
+            return None
+        if not math.isfinite(values[i]):
+            return None
+    return values
+
+
+def _rows_of(b: np.ndarray, separators: np.ndarray, n_columns: int) -> bool:
+    """Whether the separators (commas and line ends) at these positions of
+    b end rows of n_columns cells."""
+    line_ends = b[separators] == ord("\n")
+    return (separators.size % n_columns == 0 and bool(line_ends[n_columns - 1::n_columns].all())
+            and np.count_nonzero(line_ends) * n_columns == separators.size)
+
+
+def _has_skipped_lines(b: np.ndarray, line_ends: np.ndarray) -> bool:
+    """Whether a line of b may be blank or a comment: one that starts with
+    a blank, another control byte or '#'."""
+    heads = b[line_ends[:-1] + 1]
+    return b[0] <= ord(" ") or b[0] == ord("#") or bool(((heads <= ord(" ")) | (heads == ord("#"))).any())
+
+
+def _numbers(buffer: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 value of each cell buffer[start:end] and whether the
+    kernel certifies it; a cell outside its grammar is not certified.  The
+    buffer's bytes are ASCII, its first 24 and last 8 NULs."""
+    whole, q, valid, negative = _decimals(buffer, starts, ends)
+    zero = valid & (whole == 0)
+    certified = valid & (whole != 0) & ((q + 290).view(np.uint64) <= 552)
+    n_hi = whole.astype(np.float64)
+    n_lo = (whole - n_hi.astype(np.int64)).astype(np.float64)  # exact: |n_lo| <= 64
+    product, rest, hi, lo = _times_power(n_hi, np.where(certified, q, 0))
+    rest += n_lo * hi + n_lo * lo
+    values = product + rest
+    tail = rest - (values - product)  # values + tail = product + rest, exactly
+    gap = values - (values.view(np.int64) - 1).view(np.float64)  # to the float64 below, the smaller gap
+    certified &= np.abs(tail) < gap * (0.5 - READ_MARGIN)
+    values[zero] = 0.0
+    np.negative(values, out=values, where=negative)
+    return values, certified | zero
+
+
+def _decimals(buffer: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For each cell buffer[start:end], as x = whole * 10**q: whole (int64,
+    below 10**18 where valid), q, whether the cell is valid in the kernel's
+    grammar with whole below 10**18, and whether it starts with '-'."""
+    keep, distances, last, powers = _swar_tables()
+    size = ends - starts
+    bytes_ = np.frombuffer(buffer, np.uint8)
+    # the 24 bytes up to each cell's end as 3 words, the cell's last byte the last word's top one
+    x = np.ndarray((len(buffer) - 7,), "<u8", buffer, 0, (1,))[ends - 24 + np.array([[0], [8], [16]])]
+    x &= keep.take(np.minimum(size, 24), axis=0).T  # the bytes before the cell are NUL
+    point = _equal(x, ord("."))
+    mark = _equal(x[2] | 0x2020202020202020, ord("e"))  # an exponent's 'e' or 'E' lies in the last word
+    x ^= 0x3030303030303030
+    digit = (x + 0x7676767676767676) & _HIGH ^ _HIGH  # the top bit of each digit byte
+    n_digits = np.bitwise_count(digit).sum(axis=0, dtype=np.uint8)
+    x &= (digit >> 7) * 0xFF  # each digit's value, 0 in every other byte
+    del digit
+    n_points = np.bitwise_count(point).sum(axis=0, dtype=np.uint8)
+    at_point = (((point >> 7) * distances) >> 56).sum(axis=0).view(np.int64)  # a point's distance from the end
+    del point
+    first = bytes_[starts]
+    signed = (first == ord("+")) | (first == ord("-"))
+    n_marks = at_e = e_signed = e_digits = exponent = 0
+    if mark.any():
+        n_marks = np.bitwise_count(mark).astype(np.int64)
+        at_e = (((mark >> 7) * distances[2]) >> 56).astype(np.int64)
+        after_e = bytes_[ends - at_e + 1]
+        e_signed = (at_e > 1) & ((after_e == ord("+")) | (after_e == ord("-")))
+        e_digits = np.maximum(at_e - 1 - e_signed, 0)  # 0 without an 'e'
+        exponent = _eight_digits(x[2] & last.take(e_digits, mode="clip")).view(np.int64)
+        exponent[e_signed & (after_e == ord("-"))] *= -1
+        shift = (8 * np.minimum(at_e, 7)).astype(np.uint64)  # the exponent's bytes, shifted out of the mantissa
+        carry = (x[:2] >> 1) >> (63 - shift)
+        x <<= shift
+        x[1:] |= carry
+    # every byte but a leading sign, a point, an 'e' and its sign is a digit, and the mantissa has one
+    # (a cell of more than 24 bytes leaves a byte unexplained, unless its first is a sign)
+    valid = (size - n_digits - n_points - signed == n_marks + e_signed) & (n_points <= 1) & (n_digits > e_digits)
+    if mark.any():
+        valid &= ((n_marks <= 1) & ((n_points == 0) | (at_point > at_e))
+                  & ((n_marks == 0) | ((e_digits >= 1) & (e_digits <= 3))))
+    valid &= x[0] << 16 == 0  # at most 18 places: whole < 10**18
+    low = _eight_digits(x[1:])
+    whole = ((x[0] >> 48) & 0xFF) * 10**17 + (x[0] >> 56) * 10**16 + low[0] * 10**8 + low[1]
+    places = (at_point - at_e) * n_points  # the point and the digits after it
+    high, low = np.divmod(whole, powers.take(places, mode="clip"))
+    whole = (high * powers.take(places - n_points, mode="clip") + low).view(np.int64)  # the point's 0 left out
+    return whole, exponent - places + n_points, valid, first == ord("-")
+
+
+def _eight_digits(words: np.ndarray) -> np.ndarray:
+    """The number each word's 8 digit values make, its first byte the most
+    significant (Lemire, "Number parsing at a gigabyte per second")."""
+    words = words * 10 + (words >> 8)  # pairs
+    return ((words & 0x000000FF000000FF) * (100 + (1000000 << 32))
+            + ((words >> 16) & 0x000000FF000000FF) * (1 + (10000 << 32))) >> 32
+
+
+def _equal(x: np.ndarray, byte: int) -> np.ndarray:
+    """The top bit of each byte of the words x that equals `byte`, all of
+    x's bytes below 0x80."""
+    return ((x ^ (byte * 0x0101010101010101)) + 0x7F7F7F7F7F7F7F7F) & _HIGH ^ _HIGH
+
+
+@functools.cache
+def _swar_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The number kernel's word constants: row s of the first keeps the
+    bytes of 3 words within s of their end; the second's word k sums a
+    single byte's distance from the end into its top byte; entry e of the
+    third keeps a word's last e bytes; the fourth holds 10**0 to 10**19."""
+    keep = np.zeros((25, 3), np.uint64)
+    distances = np.zeros((3, 1), np.uint64)
+    for k in range(3):
+        for i in range(8):
+            distance = 24 - 8 * k - i
+            keep[distance:, k] |= np.uint64(0xFF << 8 * i)
+            distances[k] |= np.uint64(distance << 8 * (7 - i))
+    last = np.array([(2**64 - 1) ^ (2 ** (64 - 8 * e) - 1) if e else 0 for e in range(4)], np.uint64)
+    return keep, distances, last, 10 ** np.arange(20, dtype=np.uint64)
 
 
 def write_csv(stream: io.TextIOBase, columns: list[str], table: Iterable,
@@ -326,21 +555,32 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     """For y = a * 10**(16 - k): floor(y) as int64, y - floor(y) within
     1e-14, and whether 10**(16 - k) is exact in float64, so that the
     fraction is too."""
-    q = 16 - k
-    first = int(q.min())
-    hi, lo, hi_hi, hi_lo = np.array([_power_of_ten(i) for i in range(first, int(q.max()) + 1)]).T.take(
-        q - first, axis=1)
+    product, rest, _, lo = _times_power(a, 16 - k)
+    below = np.floor(rest)  # product is whole where y >= 2**53, and y below 10**16 is redone
+    return product.astype(np.int64) + below.astype(np.int64), rest - below, lo == 0
+
+
+def _times_power(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """a * 10**q as product + rest, product the float64 a * hi and rest
+    the exact rest of that product (Dekker) plus a * lo, with 10**q's
+    hi and lo (see _power_of_ten)."""
+    hi, lo, hi_hi, hi_lo = _powers().take(q + _POWER_EXPONENT, axis=0).T
     product = a * hi
     split = a * _SPLIT
     a_hi = split - (split - a)
     a_lo = a - a_hi
     rest = ((a_hi * hi_hi - product) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo  # a * hi - product, exactly
     rest += a * lo
-    below = np.floor(rest)  # product is whole where y >= 2**53, and y below 10**16 is redone
-    return product.astype(np.int64) + below.astype(np.int64), rest - below, lo == 0
+    return product, rest, hi, lo
 
 
 @functools.cache
+def _powers() -> np.ndarray:
+    """Row q + _POWER_EXPONENT: _power_of_ten(q), for the writer's and the
+    reader's kernels."""
+    return np.array([_power_of_ten(q) for q in range(-_POWER_EXPONENT, _POWER_EXPONENT + 1)])
+
+
 def _power_of_ten(q: int) -> tuple[float, float, float, float]:
     """10**q as hi + lo, hi the float64 nearest it and lo the one nearest
     10**q - hi, both found in integers, then hi's Dekker halves."""

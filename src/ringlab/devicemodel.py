@@ -109,7 +109,7 @@ class DeviceConfig:
             _positive(ring.heater_p_max_mw, f"{path}.heater_p_max_mw", "maximum heater power must be positive")
         _positive(self.kappa_ext, "coupling.kappa_ext", "external coupling rate must be positive")
         _positive(self.kappa_12, "coupling.kappa_12", "inter-ring coupling must be positive")
-        _require(len(self.detection) > 0, "detection.stages", "at least one detection stage required")
+        _require(len(self.detection) > 0, "detection", "at least one detection stage required")
         for name, eff in self.detection:
             _require(
                 math.isfinite(eff) and 0.0 < eff <= 1.0,

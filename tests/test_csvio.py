@@ -1,4 +1,4 @@
-"""The CSV writer's float kernel against format_value, value by value.
+"""The CSV float kernels against format_value and float, value by value.
 
 csvio._float_cells writes a float64 vector as '%.17g' cells with numpy
 arithmetic and hands each cell it cannot certify to format_value.  The
@@ -7,16 +7,25 @@ first: raw bit patterns, every decade of the float range, exact ties of the
 17th digit, the carries to 10**16 and 10**17 and the switches between the
 fixed and the scientific layout.  kernel_faults is also run in a subprocess
 without numpy's AVX-512 log10 kernel (see tests/test_output_bytes.py).
+
+csvio.load_csv reads an all-float table by the inverse kernel, which hands
+each cell it cannot certify to float.  Its tests fail if the cell-by-cell
+reader is reached, unless they say otherwise, and compare bits with float.
 """
 
 import math
+import re
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from ringlab import csvio
-from ringlab.csvio import format_value, write_csv
+from ringlab.cli import run
+from ringlab.csvio import format_value, load_csv, write_csv
+from ringlab.errors import DataError
 
 CHUNK = 65536  # values given to the kernel at once
 KERNEL_SEED = 2323
@@ -130,3 +139,153 @@ def test_writing_a_large_float_table_holds_little_memory(tmp_path):
         finally:
             tracemalloc.stop()
     assert peak <= 1.1 * 2**20
+
+
+# --- the number kernel of the reader against float ------------------------------
+
+
+@pytest.fixture
+def kernel_only(monkeypatch):
+    """Fails a test that falls back to the cell-by-cell reader."""
+    monkeypatch.setattr(csvio, "_read_cells", lambda *args: pytest.fail("fell back to the cell reader"))
+
+
+@pytest.fixture
+def certified(monkeypatch):
+    """The kernel's certified flags, in the order of its cells."""
+    flags = []
+    numbers = csvio._numbers
+
+    def recording(*args):
+        values, ok = numbers(*args)
+        flags.extend(ok.tolist())
+        return values, ok
+
+    monkeypatch.setattr(csvio, "_numbers", recording)
+    return flags
+
+
+def read_cells(tmp_path, cells, n_columns=1):
+    """The values load_csv reads from the cells written n_columns to a line."""
+    names = [f"c{j}" for j in range(n_columns)]
+    lines = [",".join(names)] + [",".join(cells[i:i + n_columns]) for i in range(0, len(cells), n_columns)]
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join(lines) + "\n")
+    table = load_csv(path, dict.fromkeys(names, float))
+    return np.column_stack([table[name] for name in names]).ravel()
+
+
+def same_bits(got, expected) -> bool:
+    return np.array_equal(np.asarray(got).view(np.int64), np.asarray(expected, dtype=np.float64).view(np.int64))
+
+
+def test_written_floats_read_back_bit_for_bit(tmp_path, kernel_only, certified):
+    rng = np.random.default_rng(3303)
+    raw = rng.integers(0, 2**64, size=40_000, dtype=np.uint64).view(np.float64)
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                1.7976931348623157e308, 2.0**53 - 1, 2.0**53, 2.0**53 + 2, -(2.0**53 + 2), 0.1, 1e22, 1e23]
+    values = np.concatenate([raw[np.isfinite(raw)], specials, [float(f"1e{k}") for k in range(-323, 309)]])
+    values = values[: values.size // 2 * 2]
+    path = tmp_path / "t.csv"
+    with open(path, "w", encoding="utf-8", newline="") as stream:
+        write_csv(stream, ["a", "b"], [values[0::2], values[1::2]])
+    assert path.stat().st_size > 10 * csvio.READ_BYTES  # many chunks, each cut at a line end
+    table = load_csv(path, {"a": float, "b": float})
+    assert same_bits(np.column_stack([table["a"], table["b"]]).ravel(), values)
+    # the kernel certifies every cell but those whose x = N * 10**q has q outside [-290, 262], which
+    # takes in every x outside [1e-290, 1e280) and none inside [1e-270, 1e260]
+    size = np.abs(values)
+    handed = certified.count(False)
+    assert np.count_nonzero((size != 0) & ((size < 1e-290) | (size >= 1e280))) <= handed
+    assert handed <= np.count_nonzero((size != 0) & ((size < 1e-270) | (size > 1e260)))
+
+
+def grammar_cells(rng, n):
+    """n seeded cells in float's decimal grammar: signs, leading zeros, '.5'
+    and '5.', 'e' and 'E' with 1-3 digit signed exponents, 1-25 digits."""
+    cells = []
+    for _ in range(n):
+        digits = "".join(map(str, rng.integers(0, 10, size=int(rng.choice([1, 3, 9, 16, 17, 18, 19, 21, 25])))))
+        digits = "0" * int(rng.choice([0, 0, 1, 4])) + digits
+        cut = int(rng.integers(0, len(digits) + 1))
+        mantissa = (digits, "." + digits, digits + ".", digits[:cut] + "." + digits[cut:])[rng.integers(4)]
+        exponent = ""
+        if rng.random() < 0.6:
+            exponent = (str(rng.choice(["e", "E"])) + str(rng.choice(["", "+", "-"]))
+                        + str(rng.integers(0, 10 ** rng.integers(1, 4))).zfill(int(rng.integers(1, 4))))
+        cells.append(str(rng.choice(["", "", "-", "+"])) + mantissa + exponent)
+    return [cell for cell in cells if math.isfinite(float(cell))]
+
+
+def test_float_grammar_read_as_float_does(tmp_path, kernel_only, certified):
+    rng = np.random.default_rng(3304)
+    cells = grammar_cells(rng, 9_000)
+    cells = cells[: len(cells) // 3 * 3]
+    assert same_bits(read_cells(tmp_path, cells, 3), [float(cell) for cell in cells])
+    assert certified.count(True) > len(cells) / 2
+
+
+def midpoint_strings(rng, n):
+    """Decimal strings at the midpoint of seeded adjacent float64s, to 17-19
+    significant digits and 1 off in their last one."""
+    strings = []
+    for value in rng.uniform(1.0, 10.0, size=n) * 10.0 ** rng.integers(-250, 250, size=n):
+        mid = (Decimal(value) + Decimal(np.nextafter(value, np.inf))) / 2
+        digits = int(rng.integers(17, 20))
+        mantissa, exponent = format(mid, f".{digits - 1}e").split("e")
+        for step in (-1, 0, 1):
+            strings.append(format(Decimal(mantissa) + step * Decimal(10) ** (1 - digits), f".{digits - 1}f")
+                           + "e" + exponent)
+    return strings
+
+
+def test_decimal_midpoints_read_as_float_does(tmp_path, kernel_only, certified):
+    rng = np.random.default_rng(3305)
+    ties = ["9007199254740993", "-9007199254740993"]  # 2**53 + 1, between 2**53 and 2**53 + 2
+    # ties at 1/2 and 1/4 above a float64 in [2**52, 2**53) and [2**51, 2**52), where 10**q is inexact
+    ties += [f"{2**52 + k}.5" for k in rng.integers(0, 2**52, size=200)]
+    ties += [f"{2**51 + k // 2}.{(25, 75)[k % 2]}" for k in rng.integers(0, 2**52, size=200)]
+    exact = "1.00000000000000011102230246251565404236316680908203125"  # 1 + 2**-53
+    cells = ties + ["9007199254740992", "9007199254740994", exact, exact[:-1] + "4", exact[:-1] + "6",
+                    "-" + exact] + midpoint_strings(rng, 3000)
+    assert same_bits(read_cells(tmp_path, cells), [float(cell) for cell in cells])
+    assert not any(certified[:len(ties)])  # exact ties are left to float
+    assert certified[len(ties):len(ties) + 2] == [True, True]
+
+
+@pytest.mark.parametrize("other", ["0.5", "5e-1"], ids=["plain", "exponents"])
+@pytest.mark.parametrize("cell", ["1e", "1e+", "e5", ".", "+", "-", "", "1.2.3", "1e5e5", "1e5.5", "1-2", "--1",
+                                  ".e1", "5.e", "1 2", "1e0x", "0x10", "1_0e"])
+def test_malformed_cell_is_named_by_the_cell_reader(cell, other, tmp_path):
+    # each cell beside cells with and without an exponent, which the kernel reads by two paths
+    data = tmp_path / "t.csv"
+    data.write_text("a,b\n" + "".join(f"{k},{other}\n" for k in range(3000)) + f"1,{cell}\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(data))}: row 3002, column 'b': not numeric: "
+                                        f"{re.escape(repr(cell))}$"):
+        load_csv(data, {"a": float, "b": float})
+
+
+def test_overflowing_cell_keeps_its_message(tmp_path, capsys, count_calls):
+    calls = count_calls(csvio, "_read_cells")
+    data = tmp_path / "trace.csv"
+    data.write_text("omega_rad_s,t_power\n" + "".join(f"{1.2e15 + k},0.5\n" for k in range(3000)) + "1.3e15,1e309\n")
+    assert run(["fit-dip", "--data", str(data)]) == 4
+    assert capsys.readouterr().err == f"ringlab: error: data: {data}: row 3002, column 't_power': non-finite value\n"
+    assert calls["_read_cells"] == 1
+
+
+def test_reading_a_large_float_table_holds_little_memory(tmp_path, kernel_only):
+    rng = np.random.default_rng(2)
+    omega = 1.2066e15 + np.linspace(-2e10, 2e10, 40_001)
+    power = 1 - 0.9 / (1 + ((omega - 1.2066e15) / 3e8) ** 2) + 1e-4 * rng.standard_normal(omega.size)
+    path = tmp_path / "trace.csv"
+    with open(path, "w", encoding="utf-8", newline="") as stream:
+        write_csv(stream, ["omega_rad_s", "t_power"], [omega, power])
+    tracemalloc.start()
+    try:
+        table = load_csv(path, {"omega_rad_s": float, "t_power": float})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same_bits(table["t_power"], power)
+    assert peak <= 2 * 2**20  # the two columns alone are 0.64 MB; the file is 1.5 MB

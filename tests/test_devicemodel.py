@@ -71,7 +71,7 @@ INVARIANTS = [
       for ring in ("ring1", "ring2") for field, value, problem in RING_INVARIANTS),
     ("kappa_ext", -1.0, "coupling.kappa_ext: external coupling rate must be positive"),
     ("kappa_12", 0.0, "coupling.kappa_12: inter-ring coupling must be positive"),
-    ("detection", (), "detection.stages: at least one detection stage required"),
+    ("detection", (), "detection: at least one detection stage required"),
     ("detection", (("grating", 0.85), ("lens", 1.2)), "detection.lens: stage efficiency must be in (0, 1], got 1.2"),
 ]
 
