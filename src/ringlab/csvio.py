@@ -56,7 +56,7 @@ _SPLIT = 2.0**27 + 1.0  # Dekker's splitter: (a * _SPLIT) cuts a float64 into tw
 _SLOTS = np.arange(18, dtype=np.uint8)[:, None]  # slot numbers of the digits, down a column
 _AFFIX_EXPONENT = 300  # exponents -300 to 300 have a column in _affixes()
 _POWER_EXPONENT = 300  # powers of ten 10**-300 to 10**300 have a row in _powers()
-_NUMBER_BYTES = b"0123456789+-.eE, \t\n"  # the bytes of the data lines the number kernel reads
+_NUMBER_BYTES = b"0123456789+-.eE \t\r"  # the bytes of a cell the number kernel reads, float's blanks too
 _HIGH = 0x8080808080808080  # the top bit of each byte of a word
 
 
@@ -166,28 +166,30 @@ def _read_cells(lines: Iterable[str], header: list[str], columns: dict[str, type
 # bytes, READ_BYTES at a time cut at a line end: the inverse of the
 # writer's kernel.  A chunk's cells are split at commas and line ends by
 # whole-chunk byte arrays; a chunk that holds a blank or '#' line, or a
-# line that starts with a blank, is first filtered line by line, and the
-# blanks around a cell are dropped.  A cell's last 24 bytes are read as 3
-# uint64 words, and word arithmetic finds its digits, its point, its sign
-# and its exponent, checks that nothing else is in it and reads it as
-# x = N * 10**q: N its mantissa's digits without the point (8 at a time,
-# after Lemire), q its exponent less the digits after the point.  10**q is
-# held as hi + lo (see _power_of_ten), N as two float64s (its nearest and
-# the exact rest) and N * hi as Dekker's error-free product, so x is known
-# as s + t, s the float64 nearest that sum, to within 2**-101 |s|, which
-# is 2**-47 of the gap from s to the float64 below it: lo's own rounding
-# and the roundings of the cross terms and their sums each add less than
-# 2**-104 |s|.  The reading s is certified when |t| lies more than
-# READ_MARGIN gaps inside half that gap, the smaller of s's two.  Each cell
-# the kernel cannot certify is read by float: exact ties and near-ties,
-# cells with more than 18 digits from the first nonzero one to the
-# mantissa's end or more than 3 exponent digits, and cells whose q lies
-# outside [-290, 262], as does that of every x outside [1e-290, 1e280),
-# subnormals included: the range keeps every term of the product a normal
-# float64.  A cell float refuses or reads as non-finite,
-# a wrong number of cells on a line, or a byte outside the kernel's
-# grammar (quotes, '_', letters but e and E, non-ASCII, a '#' after a
-# value, a lone carriage return) hands the table to _read_cells.
+# line that starts with a blank, is first filtered line by line.  A cell
+# keeps the blanks around it, and the last cell of a CRLF line its CR.
+# A cell's last 24 bytes are read as 3 uint64 words, and word arithmetic
+# finds its digits, its point, its sign and its exponent, checks that
+# nothing else is in it and reads it as x = N * 10**q: N its mantissa's
+# digits without the point (8 at a time, after Lemire), q its exponent
+# less the digits after the point.  10**q is held as hi + lo (see
+# _power_of_ten), N as two float64s (its nearest and the exact rest) and
+# N * hi as Dekker's error-free product, so x is known as s + t, s the
+# float64 nearest that sum, to within 2**-101 |s|, which is 2**-47 of the
+# gap from s to the float64 below it: lo's own rounding and the roundings
+# of the cross terms and their sums each add less than 2**-104 |s|.  The
+# reading s is certified when |t| lies more than READ_MARGIN gaps inside
+# half that gap, the smaller of s's two.  Each cell the kernel cannot
+# certify is read by float, which strips blanks and CRs as _read_cells
+# does: blank-padded cells and the last cells of CRLF lines, exact ties
+# and near-ties, cells with more than 18 digits from the first nonzero one
+# to the mantissa's end or more than 3 exponent digits, and cells whose q
+# lies outside [-290, 262], as does that of every x outside [1e-290,
+# 1e280), subnormals included: the range keeps every term of the product a
+# normal float64.  A cell float refuses or reads as non-finite, a wrong
+# number of cells on a line, or a byte outside the kernel's grammar
+# (quotes, '_', letters but e and E, non-ASCII, a '#' after a value, a
+# lone carriage return) hands the table to _read_cells.
 
 
 def _float_table(raw: BinaryIO, header: list[str]) -> dict[str, np.ndarray] | None:
@@ -232,11 +234,11 @@ def _float_table(raw: BinaryIO, header: list[str]) -> dict[str, np.ndarray] | No
 def _float_values(piece: bytes, n_columns: int) -> np.ndarray | None:
     """The values of the data lines `piece`, each line ended, row by row;
     None if a line does not hold n_columns cells, a byte lies outside the
-    kernel's grammar, or a cell is not a finite number for float."""
-    if b"\r" in piece:
-        piece = piece.replace(b"\r\n", b"\n")
-        if b"\r" in piece:
-            return None
+    kernel's grammar, or a cell is not a finite number for float.  A cell
+    with a blank or a tab around it, or a CRLF line's CR after it, is left
+    to float, which strips them."""
+    if b"\r" in piece and piece.count(b"\r") != piece.count(b"\r\n"):  # `in` first: a count scans the chunk
+        return None
     if not piece.isascii():  # a non-ASCII comment included: _read_cells checks the text is UTF-8
         return None
     b = np.frombuffer(piece, np.uint8)
@@ -252,19 +254,9 @@ def _float_values(piece: bytes, n_columns: int) -> np.ndarray | None:
     starts = np.empty_like(separators)
     starts[0] = 0
     starts[1:] = separators[:-1] + 1
-    ends = separators
-    if b" " in piece or b"\t" in piece:  # blanks around cells: dropped, so the bytes between cells are checked
-        if piece.translate(None, _NUMBER_BYTES):
-            return None
-        solid = np.flatnonzero((b > ord(",")) | (b == ord("+")))  # the bytes of numbers
-        first = np.searchsorted(solid, starts)
-        last = np.searchsorted(solid, ends)  # a cell's own bytes are solid[first:last]
-        solid = np.append(solid, b.size)
-        blank = first == last
-        starts, ends = np.where(blank, starts, solid[first]), np.where(blank, starts, solid[last - 1] + 1)
-    values, certified = _numbers(bytes(24) + piece + bytes(8), starts + 24, ends + 24)
+    values, certified = _numbers(bytes(24) + piece + bytes(8), starts + 24, separators + 24)
     uncertified = np.flatnonzero(~certified)
-    for i, start, end in zip(uncertified.tolist(), starts[uncertified].tolist(), ends[uncertified].tolist()):
+    for i, start, end in zip(uncertified.tolist(), starts[uncertified].tolist(), separators[uncertified].tolist()):
         cell = piece[start:end]
         if cell.translate(None, _NUMBER_BYTES):
             return None

@@ -13,6 +13,7 @@ each cell it cannot certify to float.  Its tests fail if the cell-by-cell
 reader is reached, unless they say otherwise, and compare bits with float.
 """
 
+import io
 import math
 import re
 import tracemalloc
@@ -251,6 +252,31 @@ def test_decimal_midpoints_read_as_float_does(tmp_path, kernel_only, certified):
     assert same_bits(read_cells(tmp_path, cells), [float(cell) for cell in cells])
     assert not any(certified[:len(ties)])  # exact ties are left to float
     assert certified[len(ties):len(ties) + 2] == [True, True]
+
+
+def test_cells_with_whitespace_are_left_to_float(tmp_path, kernel_only, certified):
+    # a written table given ', ' separators, tab-padded cells and CRLF ends: the kernel certifies
+    # every bare cell and leaves each cell with a blank, a tab or a CR beside it to float
+    rng = np.random.default_rng(3306)
+    values = rng.choice([-1.0, 1.0], size=(6000, 3)) * 10.0 ** rng.uniform(-270, 260, size=(6000, 3))
+    stream = io.StringIO()
+    write_csv(stream, ["a", "b", "c"], list(values.T))
+    header, *rows = stream.getvalue().splitlines()
+    text, cells = [header + "\n"], []
+    for row in rows:
+        padded = [("\t" + cell + "\t" if rng.random() < 0.1 else cell) for cell in row.split(",")]
+        padded[1:] = [(" " + cell if rng.random() < 0.2 else cell) for cell in padded[1:]]  # ', ' separators
+        if rng.random() < 0.3:
+            padded[-1] += "\r"  # a CRLF end
+        cells += padded
+        text.append(",".join(padded) + "\n")
+    path = tmp_path / "t.csv"
+    path.write_bytes("".join(text).encode())
+    assert path.stat().st_size > 5 * csvio.READ_BYTES
+    table = load_csv(path, dict.fromkeys("abc", float))
+    assert same_bits(np.column_stack([table[name] for name in "abc"]).ravel(), [float(cell.strip()) for cell in cells])
+    assert certified == [cell == cell.strip() for cell in cells]
+    assert 0 < certified.count(False) < len(cells) / 2
 
 
 @pytest.mark.parametrize("other", ["0.5", "5e-1"], ids=["plain", "exponents"])
