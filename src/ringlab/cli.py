@@ -43,6 +43,9 @@ MONTE_CARLO_MAX_SAMPLES = 200 * RANGE_MAX_POINTS
 # transmission is 1 to double precision far short of it, and stays finite
 # there for rates below 1e50 rad/s (kappa_ext * detuning below 1e300).
 MARGIN_MAX_LINEWIDTHS = 1e200
+# shot-cal's positive powers lie here, so the calibration's sum of squared
+# powers is a finite, normal float64 (each square in [1e-300, 1e300])
+POWER_RANGE = (1e-150, 1e150)
 NEGATIVE_NUMBER = re.compile(r"^-\.?\d")  # an argument that starts so is a value
 DIP_REPORT_COLUMNS = ("omega_center_rad_s", "t_min", "fwhm_rad_s", "regime", "eta_c")
 # The tables fit-crossing and fit-dip read, which crossing-sweep and transmission
@@ -217,8 +220,9 @@ def parse_assignment(pair: str) -> tuple[str, float]:
 
 
 def parse_powers(text: str) -> list[float]:
-    """Comma-separated powers, none negative; empty entries are skipped.  The
-    calibration line through the origin needs two of them, one positive."""
+    """Comma-separated powers, each 0 or in POWER_RANGE; empty entries are
+    skipped.  The calibration line through the origin needs two of them,
+    one positive."""
     try:
         powers = [finite_float(p) for p in text.split(",") if p.strip()]
     except ValueError:
@@ -231,6 +235,9 @@ def parse_powers(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"at least two powers required: {text!r}")
     if max(powers) == 0:
         raise argparse.ArgumentTypeError(f"at least one power must be positive: {text!r}")
+    low, high = POWER_RANGE
+    if not all(p == 0 or low <= p <= high for p in powers):
+        raise argparse.ArgumentTypeError(f"powers must be 0 or within [{low:g}, {high:g}]: {text!r}")
     return powers
 
 

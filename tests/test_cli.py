@@ -715,6 +715,14 @@ def test_unwritable_out_exits_4(device_cfg_path, tmp_path, capsys):
     assert capsys.readouterr().err == f"ringlab: error: data: [Errno 2] No such file or directory: '{out}'\n"
 
 
+def test_missing_data_file_exits_4(tmp_path, capsys):
+    data = tmp_path / "trace.csv"
+    capsys.readouterr()
+    assert run(["fit-dip", "--data", str(data)]) == 4
+    assert capsys.readouterr().err == (f"ringlab: error: data: data file: [Errno 2] No such file or directory: "
+                                       f"'{data}'\n")
+
+
 def test_failed_command_leaves_no_output_file(device_cfg_path, tmp_path, capsys):
     out = tmp_path / "t.csv"
     assert run(["transmission", "--config", str(device_cfg_path), "--p1", "40", "--p2", "10",
@@ -1129,6 +1137,26 @@ def test_non_finite_flag_value_is_a_usage_error(flag, argv, value, device_cfg_pa
     assert captured.err == f"{usage}ringlab {command}: error: argument {flag}: not a finite number: {value!r}\n"
 
 
+# --- a NAME=VALUE value must be numeric --------------------------------------------
+
+
+@pytest.mark.parametrize("flag, pair, message", [
+    ("--fix", "kappa_12=abc", "value for 'kappa_12' must be numeric: 'abc'"),
+    ("--init", "alpha1=1e", "value for 'alpha1' must be numeric: '1e'"),
+    ("--fix", "kappa_12", "expected name=value, got 'kappa_12'"),
+], ids=["fix", "init", "no-value"])
+def test_non_numeric_assignment_is_a_usage_error(flag, pair, message, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert run(["fit-crossing", "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n")[0] + "\n"
+    assert run(["fit-crossing", "--data", str(tmp_path / "crossing.csv"), flag, pair, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert not out.exists()
+    assert captured.out == ""
+    assert captured.err == f"{usage}ringlab fit-crossing: error: argument {flag}: {message}\n"
+
+
 # --- counts and margins must be positive ---------------------------------------------
 
 TRANSMISSION = ["transmission", "--config", "{cfg}", "--p1", "40", "--p2", "10"]
@@ -1344,7 +1372,7 @@ def test_least_time_step_is_admitted_at_the_most_segments(capsys):
     assert "argument --segments: must be at least 4881 at --dt-factor" in capsys.readouterr().err
 
 
-# --- shot-cal powers: at least two, none negative, one positive ------------------------
+# --- shot-cal powers: at least two, each 0 or in POWER_RANGE, one positive -------------
 
 
 @pytest.mark.parametrize("value, message", [
@@ -1354,6 +1382,16 @@ def test_least_time_step_is_admitted_at_the_most_segments(capsys):
     ("-0.5", "powers must be non-negative: '-0.5'"),
     ("5", "at least two powers required: '5'"),
     ("0,0", "at least one power must be positive: '0,0'"),
+    ("1,x", "powers must be numeric: '1,x'"),
+    # past the ends of POWER_RANGE the calibration's sum of squared powers overflows or is zero
+    ("1e154,1e154", "powers must be 0 or within [1e-150, 1e+150]: '1e154,1e154'"),
+    ("1,1e300", "powers must be 0 or within [1e-150, 1e+150]: '1,1e300'"),
+    ("0,1e306", "powers must be 0 or within [1e-150, 1e+150]: '0,1e306'"),
+    ("1e-320,1e-320", "powers must be 0 or within [1e-150, 1e+150]: '1e-320,1e-320'"),
+    (f"1,{math.nextafter(1e150, math.inf)!r}", "powers must be 0 or within [1e-150, 1e+150]: "
+                                                 f"'1,{math.nextafter(1e150, math.inf)!r}'"),
+    (f"1,{math.nextafter(1e-150, 0.0)!r}", "powers must be 0 or within [1e-150, 1e+150]: "
+                                            f"'1,{math.nextafter(1e-150, 0.0)!r}'"),
 ])
 def test_bad_power_list_is_a_usage_error(value, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
@@ -1367,7 +1405,7 @@ def test_bad_power_list_is_a_usage_error(value, message, tmp_path, capsys):
     assert captured.err == f"{usage}ringlab shot-cal: error: argument --powers: {message}\n"
 
 
-@pytest.mark.parametrize("value", ["1,2", "0,1", "2,2,2"])
+@pytest.mark.parametrize("value", ["1,2", "0,1", "2,2,2", "1e-150,1e150", "0,1e-150", ",".join(["1e150"] * 8)])
 def test_shot_cal_line_through_two_or_equal_powers(value, tmp_path, capsys):
     out = tmp_path / "cal.csv"
     capsys.readouterr()

@@ -207,6 +207,8 @@ def test_dataset_invariants():
     good = synthetic_crossing()
     with pytest.raises(ValueError, match="6 rows"):
         CrossingDataset(good.p1_mw[:5], good.p2_mw[:5], good.branch[:5], good.resonance_rad_s[:5])
+    with pytest.raises(ValueError, match="^dataset columns must have equal length$"):
+        CrossingDataset(good.p1_mw, good.p2_mw[:-1], good.branch, good.resonance_rad_s)
     with pytest.raises(ValueError, match="branch"):
         CrossingDataset(good.p1_mw, good.p2_mw, ("upper",) * good.p1_mw.size, good.resonance_rad_s)
     with pytest.raises(ValueError, match="distinct"):

@@ -454,6 +454,13 @@ def test_analytic_psd_limits():
     assert half == pytest.approx(1.0 - 0.6 / 2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("kappa_eff, gamma_total", [(1.5 * GAMMA, GAMMA), (-1.0, GAMMA), (0.0, 0.0)],
+                         ids=["kappa-above-gamma", "negative-kappa", "zero-gamma"])
+def test_analytic_psd_rejects_rates_outside_their_range(kappa_eff, gamma_total):
+    with pytest.raises(ValueError, match=r"^rates must satisfy 0 <= kappa_eff <= gamma_total, gamma_total > 0$"):
+        analytic_psd(kappa_eff, gamma_total, [1e6])
+
+
 def test_analytic_psd_matches_deep_squeezing_point():
     omega = 0.425 * GAMMA
     s = analytic_psd(0.7 * GAMMA, GAMMA, [omega / (2 * np.pi)]).psd_normalized[0]

@@ -274,6 +274,17 @@ def test_tmin_roundtrip_against_effective_rates(cfg):
 # --- trace type invariants ------------------------------------------------------
 
 
+@pytest.mark.parametrize("t_min, fwhm, message", [
+    (-0.1, 1e7, r"t_min must be in \[0, 1\], got -0.1"),
+    (1.5, 1e7, r"t_min must be in \[0, 1\], got 1.5"),
+    (0.2, 0.0, "fwhm must be positive, got 0.0"),
+    (0.2, math.nan, "fwhm must be positive, got nan"),
+])
+def test_dip_rejects_t_min_outside_unit_range_and_non_positive_fwhm(t_min, fwhm, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TransmissionDip(omega_center=1.0e15, t_min=t_min, fwhm=fwhm)
+
+
 def test_trace_rejects_bad_grids():
     with pytest.raises(ValueError):
         TransmissionTrace(omega_grid=np.array([2.0, 1.0]), t_power=np.array([1.0, 1.0]))

@@ -149,6 +149,9 @@ def test_infer_onchip_rejects_unphysical():
         infer_onchip(0.4, 0.6)  # 0.4 <= 1 - 0.6
     with pytest.raises(ValueError):
         infer_onchip(0.99, 0.6, omega_tau_product=10.0)  # rolloff makes the floor higher
+    for eta_d in (0.0, 1.25):
+        with pytest.raises(ValueError, match=rf"^eta_d must be in \(0, 1\], got {eta_d}$"):
+            infer_onchip(0.9, eta_d)
 
 
 def test_inversion_round_trip_property():

@@ -176,6 +176,18 @@ def test_effective_rates_half_fraction():
 # --- heater sweep ---------------------------------------------------------------
 
 
+@pytest.mark.parametrize("rates", [(0.0, 2.0, 2.0), (5.0, -2.0, 2.0), (5.0, 2.0, 0.0)],
+                         ids=["kappa_ext", "gamma1", "gamma2"])
+def test_effective_rates_reject_a_non_positive_rate(rates):
+    with pytest.raises(ValueError, match="^rates must be positive$"):
+        effective_rates(0.5, *(rate * MHZ for rate in rates))
+
+
+def test_solve_branch_rejects_an_unknown_branch(cfg):
+    with pytest.raises(ValueError, match="^branch must be 'upper' or 'lower', got 'middle'$"):
+        solve_branch(cfg, 25.0, 10.0, "middle")
+
+
 def test_lower_branch_sweep_spans_observable_range(cfg):
     etas = eta_c_vs_heater(cfg, "lower", np.arange(0.0, 50.0 + 0.25, 0.5), 10.0).eta_c
     assert etas[0] == pytest.approx(0.082, abs=0.002)
