@@ -454,8 +454,10 @@ def cmd_fit_crossing(args):
 
 def cmd_fit_dip(args):
     columns = _load_columns(args.data, TRACE_TABLE)
-    order = np.argsort(columns["omega_rad_s"])
-    omega, t = columns["omega_rad_s"][order], columns["t_power"][order]
+    omega, t = columns["omega_rad_s"], columns["t_power"]
+    if not np.all(omega[1:] > omega[:-1]):  # an ascending trace, as transmission writes it, is in order
+        order = np.argsort(omega)
+        omega, t = omega[order], t[order]
     result = fitters.fit_lorentzian_dip(omega, t, args.window if args.window is not None else (0, omega.size))
     note = " (model mismatch: structured residuals)" if result.mismatch_warning else ""
     summary = (f"fit-dip: converged in {result.n_iterations} iterations, "

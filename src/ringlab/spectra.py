@@ -46,7 +46,7 @@ class TransmissionTrace:
         t = readonly_array(self.t_power)
         if omega.ndim != 1 or omega.size == 0 or omega.shape != t.shape:
             raise ValueError("trace requires matching non-empty 1-d arrays")
-        if not np.all(np.isfinite(omega)) or np.any(np.diff(omega) <= 0):
+        if not np.all(np.isfinite(omega)) or np.any(omega[1:] <= omega[:-1]):
             raise ValueError("omega grid must be finite and strictly increasing")
         if not np.all(np.isfinite(t)) or t.min() < 0.0 or t.max() > 1.0 + PASSIVITY_EPS:
             raise ValueError("t_power must be finite and within [0, 1 + 1e-9]")
@@ -81,18 +81,33 @@ def bus_transmission(omega, omega1, omega2, gamma1, gamma2, kappa_ext, kappa_12)
     kappa_12 = 0 is allowed here (decoupled single-ring limit); configs
     themselves always carry kappa_12 > 0.  A probe frequency so far from
     the resonances that the transmission is not finite is a ValueError.
+    A scalar omega is computed as a one-point grid and returned as a float.
+    Each step writes into the array it reads, so the grid's model is held
+    in two complex arrays, and every result has the bits of the one-line
+    1 + kappa_ext*d2/(d1*d2 + kappa_12*kappa_12) on the same ufuncs.
     """
     w = np.asarray(omega, dtype=float)
-    d1 = 1j * (w - omega1) - 0.5 * (gamma1 + kappa_ext)
-    d2 = 1j * (w - omega2) - 0.5 * gamma2
+    grid = np.atleast_1d(w)
+    d1 = 1j * (grid - omega1)
+    d1 -= 0.5 * (gamma1 + kappa_ext)
+    d2 = 1j * (grid - omega2)
+    d2 -= 0.5 * gamma2
     # far out d1*d2 overflows to inf, which gives the exact limit T = 1;
     # farther out kappa_ext*d2 overflows too, and inf/inf leaves T not finite
     with np.errstate(over="ignore", invalid="ignore"):
-        s_out = 1.0 + kappa_ext * d2 / (d1 * d2 + kappa_12 * kappa_12)
-    t = np.abs(s_out) ** 2
-    reject(~np.isfinite(t), w, lambda omega: "probe grid too far from the resonances: "
+        d1 *= d2
+        d1 += kappa_12 * kappa_12
+        np.multiply(kappa_ext, d2, out=d2)
+        d2 /= d1
+        del d1
+        np.add(1.0, d2, out=d2)
+    t = np.abs(d2)
+    t **= 2
+    reject(~np.isfinite(t), grid, lambda omega: "probe grid too far from the resonances: "
            f"transmission not finite at omega = {omega!r} rad/s")
-    return float(t) if np.isscalar(omega) else t
+    if w.ndim:
+        return t
+    return float(t[0]) if np.isscalar(omega) else t[0]
 
 
 def compute_trace(config: DeviceConfig, p1_mw: float, p2_mw: float, omega_grid) -> TransmissionTrace:
@@ -101,7 +116,7 @@ def compute_trace(config: DeviceConfig, p1_mw: float, p2_mw: float, omega_grid) 
     ring1, ring2 = config.ring1, config.ring2
     t = bus_transmission(grid, ring_frequency(ring1, p1_mw), ring_frequency(ring2, p2_mw),
                          ring1.gamma_i, ring2.gamma_i, config.kappa_ext, config.kappa_12)
-    return TransmissionTrace(omega_grid=grid, t_power=np.minimum(t, 1.0 + PASSIVITY_EPS))
+    return TransmissionTrace(omega_grid=grid, t_power=np.minimum(t, 1.0 + PASSIVITY_EPS, out=t))
 
 
 def default_scan_grid(config: DeviceConfig, p1_mw: float, p2_mw: float,

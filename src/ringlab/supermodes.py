@@ -93,7 +93,7 @@ def effective_rates(frac1, kappa_ext: float, gamma1: float, gamma2: float):
     Only ring 1 couples to the bus, so kappa_eff = frac1*kappa_ext; the
     intrinsic rate is the fraction-weighted average of the ring rates.
     """
-    if kappa_ext <= 0 or gamma1 <= 0 or gamma2 <= 0:
+    if not all(0.0 < rate < np.inf for rate in (kappa_ext, gamma1, gamma2)):  # nan fails both
         raise ValueError("rates must be positive")
     kappa_eff = frac1 * kappa_ext
     gamma_eff = frac1 * gamma1 + (1.0 - frac1) * gamma2

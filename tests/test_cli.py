@@ -810,6 +810,24 @@ def test_fit_dip_on_measured_trace_above_one(baseline, noise, tmp_path):
     assert abs(table["value"][row] - 0.2) <= 3.0 * table["stderr"][row] + 1e-12  # plus rounding, for no noise
 
 
+def test_fit_dip_output_does_not_depend_on_the_row_order(tmp_path):
+    # an ascending trace is read as it is; a descending or shuffled one is sorted before
+    # the window picks its rows
+    columns = load_csv(lorentzian_trace_file(tmp_path / "trace.csv", 6.0 * MHZ, noise=0.01),
+                       {"omega_rad_s": float, "t_power": float})
+    omega, t = columns["omega_rad_s"], columns["t_power"]
+    orders = {"ascending": np.arange(omega.size), "descending": np.arange(omega.size)[::-1],
+              "shuffled": np.random.default_rng(35).permutation(omega.size)}
+    written = {}
+    for name, order in orders.items():
+        write_csv_file(tmp_path / f"{name}.csv", ["omega_rad_s", "t_power"], (omega[order], t[order]))
+        assert run(["fit-dip", "--data", str(tmp_path / f"{name}.csv"), "--window", "200:600",
+                    "--out", str(tmp_path / f"{name}.out")]) == 0
+        written[name] = (tmp_path / f"{name}.out").read_bytes()
+    assert written["descending"] == written["ascending"]
+    assert written["shuffled"] == written["ascending"]
+
+
 @pytest.mark.parametrize("window, message", [
     ("5", "window must be start:stop, got '5'"),
     ("a:b", "window indices must be integers: 'a:b'"),

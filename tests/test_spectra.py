@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,14 +80,82 @@ def test_passivity_over_random_configs(cfg):
         assert t.max() <= 1.0 + 1e-9
 
 
+def reference_transmission(omega, omega1, omega2, gamma1, gamma2, kappa_ext, kappa_12):
+    """The coupled-mode model as one expression, with one new array per
+    operation; bus_transmission computes it in place."""
+    w = np.asarray(omega, dtype=float)
+    d1 = 1j * (w - omega1) - 0.5 * (gamma1 + kappa_ext)
+    d2 = 1j * (w - omega2) - 0.5 * gamma2
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_out = 1.0 + kappa_ext * d2 / (d1 * d2 + kappa_12 * kappa_12)
+    return np.abs(s_out) ** 2
+
+
 @pytest.mark.parametrize("omega, first", [(1e307, "1e+307"), (np.array([1e15, 1e15, -1e307, 1e307]), "-1e+307")],
                          ids=["scalar", "array"])
 def test_probe_grid_too_far_error_text(omega, first):
     gamma = 2.0 * MHZ
+    device = (1e15, 1.001e15, gamma, gamma, 5.0 * gamma, 75.0 * gamma)
+    bad = ~np.isfinite(np.atleast_1d(reference_transmission(omega, *device)))
+    assert repr(np.atleast_1d(omega)[bad][0].item()) == first  # where the one-line model first fails
     with pytest.raises(ValueError) as error:
-        bus_transmission(omega, 1e15, 1.001e15, gamma, gamma, 5.0 * gamma, 75.0 * gamma)
+        bus_transmission(omega, *device)
     assert str(error.value) == ("probe grid too far from the resonances: "
                                 f"transmission not finite at omega = {first} rad/s")
+
+
+def same_bits(got, expected) -> bool:
+    return got.shape == expected.shape and np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def random_device(rng, kappa_12=None):
+    """(omega1, omega2, gamma1, gamma2, kappa_ext, kappa_12) of a random two-ring device."""
+    omega1, omega2 = 1.2066e15 + rng.uniform(-2e9, 2e9, 2)
+    gamma1, gamma2, kappa_ext = 10.0 ** rng.uniform(6.5, 8.5, 3)
+    if kappa_12 is None:
+        kappa_12 = 10.0 ** rng.uniform(6.0, 9.5)
+    return omega1, omega2, gamma1, gamma2, kappa_ext, kappa_12
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (999,), (40_001,), (37, 41)])
+@pytest.mark.parametrize("kappa_12", [None, 0.0], ids=["coupled", "decoupled"])
+def test_transmission_equals_the_one_line_model_bit_for_bit(shape, kappa_12):
+    rng = np.random.default_rng([35, math.prod(shape), int(kappa_12 is None)])
+    for _ in range(5):
+        device = random_device(rng, kappa_12)
+        omega = 1.2066e15 + rng.uniform(-3e10, 3e10, shape)
+        assert same_bits(bus_transmission(omega, *device), reference_transmission(omega, *device))
+
+
+def test_transmission_of_a_probe_whose_d1_d2_overflows_is_one_bit_for_bit():
+    device = random_device(np.random.default_rng(351))
+    omega = np.array([1e155, -1e155, 3e200, -1e250])  # |d1*d2| overflows; kappa_ext*d2 does not
+    t = bus_transmission(omega, *device)
+    assert same_bits(t, reference_transmission(omega, *device))
+    assert np.all(t == 1.0)
+
+
+def test_scalar_probe_is_the_one_point_grid():
+    rng = np.random.default_rng(353)
+    for _ in range(200):
+        device = random_device(rng)
+        omega = 1.2066e15 + rng.uniform(-3e9, 3e9)
+        t = bus_transmission(omega, *device)
+        assert type(t) is float
+        assert same_bits(np.array([t]), bus_transmission(np.array([omega]), *device))
+
+
+def test_trace_holds_at_most_44_bytes_per_point(cfg):
+    grid = np.linspace(1.2066e15 - 3e10, 1.2066e15 + 3e10, 10**6)
+    compute_trace(cfg, 25.0, 10.0, grid[:10])  # imports and caches outside the window
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        compute_trace(cfg, 25.0, 10.0, grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 44 * grid.size  # d1, d2 and the real grid - omega2 behind d2 hold 40 B
 
 
 # --- dip extraction -------------------------------------------------------------
@@ -288,6 +357,8 @@ def test_dip_rejects_t_min_outside_unit_range_and_non_positive_fwhm(t_min, fwhm,
 def test_trace_rejects_bad_grids():
     with pytest.raises(ValueError):
         TransmissionTrace(omega_grid=np.array([2.0, 1.0]), t_power=np.array([1.0, 1.0]))
+    with pytest.raises(ValueError):
+        TransmissionTrace(omega_grid=np.array([1.0, 1.0]), t_power=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         TransmissionTrace(omega_grid=np.array([1.0, 2.0]), t_power=np.array([1.0, 1.5]))
     with pytest.raises(ValueError):

@@ -176,8 +176,9 @@ def test_effective_rates_half_fraction():
 # --- heater sweep ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("rates", [(0.0, 2.0, 2.0), (5.0, -2.0, 2.0), (5.0, 2.0, 0.0)],
-                         ids=["kappa_ext", "gamma1", "gamma2"])
+@pytest.mark.parametrize("rates", [(0.0, 2.0, 2.0), (5.0, -2.0, 2.0), (5.0, 2.0, 0.0), (math.nan, 2.0, 2.0),
+                                   (5.0, math.inf, 2.0), (5.0, 2.0, -math.inf)],
+                         ids=["kappa_ext", "gamma1", "gamma2", "kappa_ext_nan", "gamma1_inf", "gamma2_minus_inf"])
 def test_effective_rates_reject_a_non_positive_rate(rates):
     with pytest.raises(ValueError, match="^rates must be positive$"):
         effective_rates(0.5, *(rate * MHZ for rate in rates))
